@@ -15,11 +15,10 @@ from .rdf import (
     Iri,
     Literal,
     Triple,
-    canonical_form,
+    _tree,
     expand,
     shrink,
 )
-from .rdf import _signature
 from .turtle import RDF_TYPE
 
 
@@ -209,19 +208,9 @@ def serialize_jsonld(graph: Graph) -> str:
     The first node object carries an explicit @context with the prefixes
     actually used. Output is pretty-printed with 2-space indentation.
     """
-    canonical_form(graph)  # validates the tree precondition
-    nested = {t.object for t in graph if isinstance(t.object, BlankNode)}
+    iri_subjects, root_bnodes, _ = _tree(graph)
     used = set()
     nodes = []
-    iri_subjects = sorted({t.subject for t in graph if isinstance(t.subject, Iri)}, key=str)
-    root_bnodes = sorted(
-        {
-            t.subject
-            for t in graph
-            if isinstance(t.subject, BlankNode) and t.subject not in nested
-        },
-        key=lambda b: repr(_signature(b, graph, ())),
-    )
     for subject in iri_subjects:
         nodes.append(_node_json(subject, graph, used))
     for subject in root_bnodes:

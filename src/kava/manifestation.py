@@ -336,11 +336,14 @@ def prototype_conflicts(manifestations, dataset: Dataset) -> dict:
 
 
 class _BnodeAllocator:
-    def __init__(self, start=0):
+    def __init__(self, start=0, taken=frozenset()):
         self.count = start
+        self.taken = taken
 
     def fresh(self):
         self.count += 1
+        while f"m{self.count}" in self.taken:
+            self.count += 1
         return BlankNode(f"m{self.count}")
 
 
@@ -366,10 +369,8 @@ def _kind_triples(node, kind, alloc, triples):
             triples.append(Triple(node, KAVA_DIALECT, literal_for(kind.dialect)))
 
 
-def manifestations_to_graph(manifestations, prefixes=None, start=0) -> Graph:
-    """Inverse of load_manifestations up to blank-node labels."""
+def _manifestation_triples(manifestations, alloc) -> list[Triple]:
     triples = []
-    alloc = _BnodeAllocator(start)
     for m in manifestations:
         _validate_kind(m.kind)
         node = alloc.fresh()
@@ -383,20 +384,27 @@ def manifestations_to_graph(manifestations, prefixes=None, start=0) -> Graph:
             triples.append(
                 Triple(node, DCT_DATE_SUBMITTED, literal_for(m.provenance.date_submitted))
             )
-    return Graph(triples, prefixes if prefixes is not None else DEFAULT_PREFIXES)
+    return triples
+
+
+def manifestations_to_graph(manifestations, prefixes=None) -> Graph:
+    """Inverse of load_manifestations up to blank-node labels."""
+    return Graph(
+        _manifestation_triples(manifestations, _BnodeAllocator()),
+        prefixes if prefixes is not None else DEFAULT_PREFIXES,
+    )
 
 
 def add_manifestation_to_graph(graph: Graph, m: Manifestation) -> Graph:
-    """Append one manifestation tree to a copy of the graph, with blank-node
-    labels chosen to avoid collisions."""
-    existing = {
-        t.subject.label for t in graph if isinstance(t.subject, BlankNode)
-    } | {t.object.label for t in graph if isinstance(t.object, BlankNode)}
-    start = len(existing) + 1
-    while any(f"m{start + i}" in existing for i in range(8)):
-        start += 8
-    addition = manifestations_to_graph([m], graph.prefixes, start=start)
-    out = graph.copy()
-    for t in addition:
-        out.add(t)
-    return out
+    """A new graph holding the given one plus one manifestation tree, whose
+    blank-node labels skip every label already in the graph."""
+    taken = {
+        term.label
+        for t in graph
+        for term in (t.subject, t.object)
+        if isinstance(term, BlankNode)
+    }
+    # Serializers write sibling blank nodes in label order, so this start
+    # point is part of the output format; uniqueness does not need it.
+    addition = _manifestation_triples([m], _BnodeAllocator(len(taken) + 1, taken))
+    return Graph([*graph, *addition], graph.prefixes)

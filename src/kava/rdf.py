@@ -52,7 +52,9 @@ def _canonical_numeric(lexical: str, datatype: str) -> str:
         d = decimal.Decimal(lexical)
     except (ValueError, decimal.InvalidOperation):
         raise ValueError(f"not a valid {datatype} literal: {lexical!r}")
-    out = format(d.normalize(), "f")
+    # Normalize in a context as precise as the input, so nothing is rounded.
+    exact = decimal.Context(prec=max(1, len(d.as_tuple().digits)))
+    out = format(d.normalize(exact), "f")
     if "." not in out:
         out += ".0"
     return out
@@ -138,23 +140,27 @@ def shrink(iri: Iri, prefixes: dict[str, str]) -> str | None:
 
 
 class Graph:
-    """A set of triples plus a prefix map.
+    """An immutable set of triples plus a prefix map.
 
-    Treat instances as immutable once populated; all read operations are
-    pure and safe for concurrent readers.
+    No method changes a graph after construction; ``insert`` returns a new
+    one. All reads are pure and safe for concurrent readers.
     """
 
     def __init__(self, triples=(), prefixes=None):
-        self._triples: set[Triple] = set(triples)
+        self._triples: frozenset[Triple] = frozenset(triples)
         self.prefixes: dict[str, str] = dict(
             prefixes if prefixes is not None else DEFAULT_PREFIXES
         )
+        self._sorted: tuple[Triple, ...] | None = None
+        self._by_subject: dict[Term, list[Triple]] | None = None
 
     def __len__(self):
         return len(self._triples)
 
     def __iter__(self):
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._triples, key=Triple.sort_key))
+        return iter(self._sorted)
 
     def __contains__(self, triple):
         return triple in self._triples
@@ -163,37 +169,28 @@ class Graph:
         return isinstance(other, Graph) and self._triples == other._triples
 
     def __hash__(self):
-        return hash(frozenset(self._triples))
+        return hash(self._triples)
 
-    def add(self, triple: Triple) -> "Graph":
-        self._triples.add(triple)
-        return self
-
-    def copy(self) -> "Graph":
-        return Graph(self._triples, self.prefixes)
-
-    def discard(self, triple: Triple) -> "Graph":
-        self._triples.discard(triple)
-        return self
+    def _subject_index(self) -> dict[Term, list[Triple]]:
+        """Subject -> its triples in sorted order, built on first use."""
+        if self._by_subject is None:
+            index: dict[Term, list[Triple]] = {}
+            for t in self:
+                index.setdefault(t.subject, []).append(t)
+            self._by_subject = index
+        return self._by_subject
 
     def match(self, s=None, p=None, o=None) -> list[Triple]:
         """Triples matching the bound positions; None is a wildcard.
 
         Result is sorted by canonical (subject, predicate, object) strings.
         """
-        found = [
+        candidates = self if s is None else self._subject_index().get(s, ())
+        return [
             t
-            for t in self._triples
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
+            for t in candidates
+            if (p is None or t.predicate == p) and (o is None or t.object == o)
         ]
-        found.sort(key=Triple.sort_key)
-        return found
-
-    def subjects(self) -> list[Term]:
-        seen = sorted({t.subject for t in self._triples}, key=str)
-        return seen
 
     def expand(self, name: str) -> Iri:
         return expand(name, self.prefixes)
@@ -201,34 +198,56 @@ class Graph:
 
 def insert(graph: Graph, triple: Triple) -> Graph:
     """Copy-on-write insertion; idempotent under set semantics."""
-    return graph.copy().add(triple)
+    return Graph(graph._triples | {triple}, graph.prefixes)
 
 
-def _blank_object_counts(graph: Graph):
+def _tree(graph: Graph):
+    """Walk the blank-node trees of a graph once.
+
+    Returns the IRI subjects in ``str`` order, the root blank nodes (those
+    that are no triple's object) in signature order, and the memoized
+    signature function: the order- and label-independent form of a term
+    and, for a blank node, of its whole subtree. Raises NonTreeBlankNodes if
+    a blank node is the object of more than one triple or cannot be reached
+    from an IRI subject or a root.
+    """
+    index = graph._subject_index()
     counts: dict[BlankNode, int] = {}
     for t in graph:
         if isinstance(t.object, BlankNode):
             counts[t.object] = counts.get(t.object, 0) + 1
-    return counts
+    for node, n in counts.items():
+        if n > 1:
+            raise NonTreeBlankNodes(f"blank node {node} is object of {n} triples")
 
+    signatures: dict[BlankNode, tuple] = {}
 
-def _signature(term: Term, graph: Graph, stack: tuple, visited: set | None = None) -> tuple:
-    if not isinstance(term, BlankNode):
-        return ("term", str(term))
-    if term in stack:
-        raise NonTreeBlankNodes(f"cycle through blank node {term}")
-    if visited is not None:
-        visited.add(term)
-    children = tuple(
-        sorted(
-            (
-                (str(t.predicate), _signature(t.object, graph, stack + (term,), visited))
-                for t in graph.match(s=term)
-            ),
-            key=repr,
-        )
+    def signature(term: Term) -> tuple:
+        if not isinstance(term, BlankNode):
+            return ("term", str(term))
+        # Every blank node has at most one parent here, so no cycle can be
+        # reached from a root; a cycle's nodes are reported as unreachable.
+        if term not in signatures:
+            children = (
+                (str(t.predicate), signature(t.object)) for t in index.get(term, ())
+            )
+            signatures[term] = ("bnode", tuple(sorted(children, key=repr)))
+        return signatures[term]
+
+    subjects = sorted((s for s in index if isinstance(s, Iri)), key=str)
+    for subject in subjects:
+        for t in index[subject]:
+            signature(t.object)
+    roots = sorted(
+        (s for s in index if isinstance(s, BlankNode) and s not in counts),
+        key=lambda b: repr(signature(b)),
     )
-    return ("bnode", children)
+    unreached = {s for s in index if isinstance(s, BlankNode)} - signatures.keys()
+    if unreached:
+        raise NonTreeBlankNodes(
+            f"blank nodes unreachable from any root: {sorted(map(str, unreached))}"
+        )
+    return subjects, roots, signature
 
 
 def canonical_form(graph: Graph) -> tuple:
@@ -237,36 +256,13 @@ def canonical_form(graph: Graph) -> tuple:
     Raises NonTreeBlankNodes if any blank node is the object of more than
     one triple or blank nodes form a cycle.
     """
-    counts = _blank_object_counts(graph)
-    for node, n in counts.items():
-        if n > 1:
-            raise NonTreeBlankNodes(f"blank node {node} is object of {n} triples")
-    visited = set()
-    entries = []
-    roots = {}
-    for t in graph:
-        if isinstance(t.subject, BlankNode):
-            if t.subject in counts:
-                continue  # folded into the parent's signature
-            if t.subject not in roots:
-                roots[t.subject] = _signature(t.subject, graph, (), visited)
-        else:
-            entries.append(
-                (
-                    "triple",
-                    str(t.subject),
-                    str(t.predicate),
-                    _signature(t.object, graph, (), visited),
-                )
-            )
-    entries.extend(("root", sig) for sig in roots.values())
-    unreached = {
-        t.subject for t in graph if isinstance(t.subject, BlankNode)
-    } - visited - set(roots)
-    if unreached:
-        raise NonTreeBlankNodes(
-            f"blank nodes unreachable from any root: {sorted(map(str, unreached))}"
-        )
+    _, roots, signature = _tree(graph)
+    entries = [
+        ("triple", str(t.subject), str(t.predicate), signature(t.object))
+        for t in graph
+        if isinstance(t.subject, Iri)
+    ]
+    entries.extend(("root", signature(r)) for r in roots)
     return tuple(sorted(entries, key=repr))
 
 

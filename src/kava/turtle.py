@@ -3,7 +3,7 @@ anonymous blank-node property lists, and plain literals."""
 
 from __future__ import annotations
 
-from .errors import NonTreeBlankNodes, TurtleSyntaxError, UnknownPrefix
+from .errors import TurtleSyntaxError, UnknownPrefix
 from .rdf import (
     DECIMAL,
     DEFAULT_PREFIXES,
@@ -13,6 +13,7 @@ from .rdf import (
     Iri,
     Literal,
     Triple,
+    _tree,
     expand,
     shrink,
 )
@@ -20,6 +21,10 @@ from .rdf import (
 RDF_TYPE = Iri(DEFAULT_PREFIXES["rdf"] + "type")
 
 _PUNCT = {".", ";", ",", "[", "]"}
+
+# String escapes (Turtle ECHAR) this codec reads and writes.
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE = str.maketrans({v: "\\" + k for k, v in _UNESCAPE.items()})
 
 
 class _Token:
@@ -90,9 +95,9 @@ def _tokenize(text):
             while j < n:
                 ch = text[j]
                 if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in '"\\':
+                    if j + 1 >= n or text[j + 1] not in _UNESCAPE:
                         err("bad escape in string", start_line, start_col)
-                    buf.append(text[j + 1])
+                    buf.append(_UNESCAPE[text[j + 1]])
                     j += 2
                     continue
                 if ch == '"':
@@ -289,8 +294,7 @@ def _render_object(term, graph, indent):
         return pname if pname is not None else f"<{term.value}>"
     if isinstance(term, Literal):
         if term.datatype == "string":
-            escaped = term.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
+            return f'"{term.lexical.translate(_ESCAPE)}"'
         return term.lexical
     # tree blank node, rendered inline
     return _render_bnode(term, graph, indent)
@@ -346,38 +350,17 @@ def serialize_turtle(graph: Graph) -> str:
 
     Raises NonTreeBlankNodes when a blank node is shared or cyclic.
     """
-    from .rdf import canonical_form
-
-    canonical_form(graph)  # validates the tree precondition
-    nested = {t.object for t in graph if isinstance(t.object, BlankNode)}
+    iri_subjects, root_bnodes, _ = _tree(graph)
     lines = []
     for label in sorted(_used_prefixes(graph)):
         lines.append(f"@prefix {label}: <{graph.prefixes[label]}> .")
     if lines:
         lines.append("")
-
-    iri_subjects = sorted(
-        {t.subject for t in graph if isinstance(t.subject, Iri)}, key=str
-    )
-    root_bnodes = sorted(
-        {
-            t.subject
-            for t in graph
-            if isinstance(t.subject, BlankNode) and t.subject not in nested
-        },
-        key=lambda b: repr(_bnode_repr(b, graph)),
-    )
     for subject in iri_subjects:
         lines.append(_statement(subject, graph))
     for subject in root_bnodes:
         lines.append("[ " + _statement_body(subject, graph).strip() + " ] .")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _bnode_repr(node, graph):
-    from .rdf import _signature
-
-    return _signature(node, graph, ())
 
 
 def _statement(subject, graph):

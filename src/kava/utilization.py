@@ -3,6 +3,7 @@ spec fragments (Vega-Lite flavored, validated against a packaged schema)."""
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -21,20 +22,19 @@ from .rdf import shrink
 from .skos import ConceptScheme, has_broader_cycle
 
 
-def _schema():
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
     text = resources.files("kava").joinpath("fragment_schema.json").read_text()
-    return json.loads(text)
-
-
-_SCHEMA = None
+    schema = json.loads(text)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
 
 
 def validate_fragment(doc: dict) -> None:
     """Raise jsonschema.ValidationError if the fragment is malformed."""
-    global _SCHEMA
-    if _SCHEMA is None:
-        _SCHEMA = _schema()
-    jsonschema.validate(doc, _SCHEMA)
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _concept_name(iri, prefixes):

@@ -38,7 +38,7 @@ def _random_literal(rng):
 
 def random_tree_graph(rng: random.Random, max_triples: int = 50) -> Graph:
     """Graph whose blank nodes form trees hanging off IRI subjects."""
-    graph = Graph()
+    triples = []
     budget = rng.randrange(1, max_triples + 1)
     counter = [0]
 
@@ -54,14 +54,14 @@ def random_tree_graph(rng: random.Random, max_triples: int = 50) -> Graph:
             roll = rng.random()
             if roll < 0.25 and depth < 3 and budget > 0:
                 child = fresh_bnode()
-                graph.add(Triple(subject, pred, child))
+                triples.append(Triple(subject, pred, child))
                 grow(child, depth + 1)
             elif roll < 0.5:
-                graph.add(
+                triples.append(
                     Triple(subject, pred, Iri(f"http://example.org/o{rng.randrange(40)}"))
                 )
             else:
-                graph.add(Triple(subject, pred, _random_literal(rng)))
+                triples.append(Triple(subject, pred, _random_literal(rng)))
 
     while budget > 0:
         subject = Iri(f"http://example.org/s{rng.randrange(20)}")
@@ -69,7 +69,7 @@ def random_tree_graph(rng: random.Random, max_triples: int = 50) -> Graph:
         grow(subject, 0)
         if budget == before:
             budget -= 1
-            graph.add(
+            triples.append(
                 Triple(subject, rng.choice(_PREDICATE_POOL), _random_literal(rng))
             )
-    return graph
+    return Graph(triples)

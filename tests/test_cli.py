@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,31 @@ def test_convert_roundtrip(capsys, tmp_path):
     assert isomorphic_trees(
         parse_turtle(back.read_text()), parse_turtle(fixture_text("listing3.ttl"))
     )
+
+
+def test_convert_newline_label_to_turtle_validates(capsys, tmp_path):
+    doc = json.loads(fixture_text("listing2_corrected.jsonld"))
+    doc["skos:prefLabel"] = "abnormal mid stance\nphase of knee"
+    src = tmp_path / "label.jsonld"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "label.ttl"
+    code, _, _ = run(capsys, "convert", str(src), "--to", "ttl", "-o", str(out))
+    assert code == 0
+    code, _, _ = run(capsys, "validate", str(out))
+    assert code == 0
+
+
+def test_roundtrip_script_on_every_fixture():
+    root = Path(__file__).parent.parent
+    fixtures = sorted(str(p) for p in FIXTURES.iterdir())
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "roundtrip_check.py"), *fixtures],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(": OK (") == len(fixtures)
 
 
 def test_convert_to_stdout(capsys):

@@ -22,7 +22,7 @@ from kava.manifestation import (
     manifestations_to_graph,
     prototype_conflicts,
 )
-from kava.rdf import Graph, Iri, Triple, isomorphic_trees, literal_for
+from kava.rdf import BlankNode, Graph, Iri, Triple, isomorphic_trees, literal_for
 from kava.turtle import parse_turtle, serialize_turtle
 
 R73 = Iri("http://example.org/kava/icd10#R73")
@@ -223,6 +223,23 @@ def test_union_of_concept_manifestations():
 def test_add_manifestation_avoids_label_collisions():
     g = parse_turtle(fixture_text("listing3.ttl"))
     m = create_manifestation(R73, DirectMapping(bindings=(("patientId", 777),)))
+    g2 = add_manifestation_to_graph(g, m)
+    assert len(load_manifestations(g2)) == 2
+    assert isomorphic_trees(parse_turtle(serialize_turtle(g2)), g2)
+    # Labels m2..m9 and m20 are taken; the new tree needs eleven labels.
+    bindings = tuple(("patientId", i) for i in range(7))
+    first = create_manifestation(R73, DirectMapping(bindings=bindings), creator_name="A")
+    moved = {f"m{k}": f"m{k + 1}" for k in range(1, 9)} | {"m9": "m20"}
+
+    def move(term):
+        return BlankNode(moved[term.label]) if isinstance(term, BlankNode) else term
+
+    g = Graph(
+        Triple(move(t.subject), t.predicate, move(t.object))
+        for t in manifestations_to_graph([first])
+    )
+    bindings = tuple(("patientId", i) for i in range(10, 19))
+    m = create_manifestation(R73, DirectMapping(bindings=bindings), creator_name="B")
     g2 = add_manifestation_to_graph(g, m)
     assert len(load_manifestations(g2)) == 2
     assert isomorphic_trees(parse_turtle(serialize_turtle(g2)), g2)

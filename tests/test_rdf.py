@@ -62,6 +62,8 @@ def test_literal_datatypes():
     assert Literal("5", "integer").value() == 5
     assert Literal("2.50", "decimal").lexical == "2.5"
     assert Literal("100.", "decimal").lexical == "100.0"
+    digits = "0.1234567890123456789012345678901"
+    assert Literal(digits, "decimal").lexical == digits
     with pytest.raises(ValueError):
         Literal("abc", "integer")
     with pytest.raises(ValueError):
@@ -116,6 +118,8 @@ def test_match_returns_sorted_everything_once():
     everything = g.match()
     assert len(everything) == len(g)
     assert everything == sorted(everything, key=Triple.sort_key)
+    for subject in {t.subject for t in everything}:
+        assert g.match(s=subject) == [t for t in everything if t.subject == subject]
 
 
 def test_isomorphic_identity_and_relabel():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_text, random_tree_graph
 from kava.errors import TurtleSyntaxError
+from kava.jsonld import serialize_jsonld
 from kava.rdf import BlankNode, Graph, Iri, Literal, Triple, isomorphic_trees
 from kava.turtle import RDF_TYPE, parse_turtle, serialize_turtle
 
@@ -93,7 +94,8 @@ def test_escaped_string_roundtrip():
                 Iri("http://x/s"),
                 Iri("http://x/p"),
                 Literal('say "hi" \\ done'),
-            )
+            ),
+            Triple(Iri("http://x/s"), Iri("http://x/p"), Literal("a\nb\tc\r")),
         ]
     )
     assert isomorphic_trees(parse_turtle(serialize_turtle(g)), g)
@@ -136,3 +138,43 @@ def test_listing_roundtrips():
 def test_roundtrip_random_trees(seed):
     g = random_tree_graph(random.Random(seed), 40)
     assert isomorphic_trees(parse_turtle(serialize_turtle(g)), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_serializer_text_is_canonical(seed):
+    """Both serializers give the same text whatever the triple order and the
+    blank-node names. Sibling blank nodes under one predicate are written in
+    the str order of their labels, so the renaming keeps that order for
+    nested nodes and scrambles it only for roots."""
+    rng = random.Random(seed)
+    # detach some trees from their IRI subject so that the graph has roots
+    triples = [
+        t
+        for t in random_tree_graph(rng, 40)
+        if not (isinstance(t.subject, Iri) and isinstance(t.object, BlankNode))
+        or rng.random() < 0.5
+    ]
+    labels = {
+        term.label
+        for t in triples
+        for term in (t.subject, t.object)
+        if isinstance(term, BlankNode)
+    }
+    nested = sorted({t.object.label for t in triples if isinstance(t.object, BlankNode)})
+    roots = sorted(labels - set(nested))
+    rng.shuffle(roots)
+    fresh = iter(sorted(f"r{n}" for n in rng.sample(range(10**6), len(labels))))
+    rename = {label: next(fresh) for label in nested + roots}
+
+    def relabel(term):
+        return BlankNode(rename[term.label]) if isinstance(term, BlankNode) else term
+
+    relabeled = [Triple(relabel(t.subject), t.predicate, relabel(t.object)) for t in triples]
+    shuffled = triples[:]
+    rng.shuffle(shuffled)
+    rng.shuffle(relabeled)
+    for serialize in (serialize_turtle, serialize_jsonld):
+        text = serialize(Graph(triples))
+        assert serialize(Graph(shuffled)) == text
+        assert serialize(Graph(relabeled)) == text
