@@ -6,6 +6,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     CsvTypeError,
     DuplicateIdentifier,
@@ -57,21 +59,55 @@ class Record:
         return ids[0] if len(ids) == 1 else ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TimeSeries:
-    samples: tuple  # of (t, v)
+    """A labelled signal: two read-only float64 arrays of one length, the
+    strictly increasing time stamps ``t`` and the values ``v``."""
+
+    t: np.ndarray
+    v: np.ndarray
     label: str = ""
 
-    def __post_init__(self):
-        ts = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+    def __init__(self, samples, label=""):
+        pairs = np.array(samples, dtype=np.float64).reshape(len(samples), 2)
+        self._adopt(pairs[:, 0], pairs[:, 1], label)
+
+    @classmethod
+    def from_arrays(cls, t, v, label="") -> TimeSeries:
+        """Series over copies of the time stamps ``t`` and values ``v``."""
+        series = cls.__new__(cls)
+        series._adopt(t, v, label)
+        return series
+
+    def _adopt(self, t, v, label):
+        t = np.array(t, dtype=np.float64)
+        v = np.array(v, dtype=np.float64)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise ValueError("t and v must be one-dimensional and of one length")
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("time stamps must be strictly increasing")
+        t.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "label", label)
 
-    def times(self):
-        return [t for t, _ in self.samples]
+    @property
+    def samples(self) -> tuple:
+        """The (t, v) pairs as Python floats."""
+        return tuple(zip(self.t.tolist(), self.v.tolist()))
 
-    def forces(self):
-        return [v for _, v in self.samples]
+    def __eq__(self, other):
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.v, other.v)
+        )
+
+    def __hash__(self):
+        return hash((self.label, len(self.t)))
 
 
 @dataclass
@@ -160,26 +196,29 @@ def filter_records(dataset: Dataset, predicate: Predicate) -> Dataset:
 
 
 def load_series_csv(text: str, label: str = "") -> TimeSeries:
-    """Parse a two-column t,v CSV (with header) into a TimeSeries."""
+    """Parse a two-column t,v CSV (with header) into a TimeSeries.
+
+    Extra columns are ignored; blank and all-empty rows are skipped.
+    """
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or len(rows[0]) < 2:
+    header = next(reader, None)
+    if header is None or len(header) < 2:
         raise HeaderMismatch("expected a t,v header row")
-    samples = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
+    t, v = [], []
+    for row_no, row in enumerate(reader, start=2):
         try:
-            samples.append((float(row[0]), float(row[1])))
+            t.append(float(row[0]))
+            v.append(float(row[1]))
         except (ValueError, IndexError):
+            if not row or all(cell == "" for cell in row):
+                continue
             raise CsvTypeError(row_no, "t/v", f"bad sample row: {row!r}")
-    return TimeSeries(samples=tuple(samples), label=label)
+    return TimeSeries.from_arrays(t, v, label)
 
 
 def write_series_csv(series: TimeSeries) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "v"])
-    for t, v in series.samples:
-        writer.writerow([t, v])
+    writer.writerows(series.samples)
     return out.getvalue()

@@ -142,22 +142,16 @@ class MatchResult:
 def _contacts(series: TimeSeries):
     """Contact intervals [(onset, offset)], detected by threshold crossing
     at 5% of the trial's peak force, with a 50 ms debounce."""
-    t = np.asarray(series.times(), dtype=float)
-    v = np.asarray(series.forces(), dtype=float)
+    t, v = series.t, series.v
     peak = float(v.max()) if len(v) else 0.0
     if peak <= 0:
         return []
-    above = v > CONTACT_THRESHOLD_FRACTION * peak
-    intervals = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = t[i]
-        elif not flag and start is not None:
-            intervals.append([start, t[i]])
-            start = None
-    if start is not None:
-        intervals.append([start, None])  # trailing contact without observed offset
+    # Padding with False at both ends makes every contact one rising and one
+    # falling edge; a falling edge past the last sample has no offset.
+    above = np.concatenate(([False], v > CONTACT_THRESHOLD_FRACTION * peak, [False]))
+    edges = np.flatnonzero(above[1:] != above[:-1]).tolist()
+    times = t.tolist() + [None]
+    intervals = [[times[on], times[off]] for on, off in zip(edges[::2], edges[1::2])]
     # debounce: merge short gaps, then drop short contacts
     merged = []
     for iv in intervals:
@@ -186,8 +180,7 @@ def _mean(xs):
 
 
 def _peak_stats(series: TimeSeries, intervals, body_mass):
-    t = np.asarray(series.times(), dtype=float)
-    v = np.asarray(series.forces(), dtype=float)
+    t, v = series.t, series.v
     peaks = []
     to_peak = []
     for onset, offset in intervals:
@@ -303,17 +296,12 @@ def compute_params(trial: GaitTrial) -> SpatioTemporalParams:
 def combined_force(trial: GaitTrial) -> TimeSeries:
     """Sum of both feet's vertical force on the union time grid, with
     linear interpolation between unequal grids."""
-    tl = np.asarray(trial.fv_left.times(), dtype=float)
-    vl = np.asarray(trial.fv_left.forces(), dtype=float)
-    tr = np.asarray(trial.fv_right.times(), dtype=float)
-    vr = np.asarray(trial.fv_right.forces(), dtype=float)
-    grid = np.union1d(tl, tr)
-    total = np.interp(grid, tl, vl, left=0.0, right=0.0) + np.interp(
-        grid, tr, vr, left=0.0, right=0.0
+    left, right = trial.fv_left, trial.fv_right
+    grid = np.union1d(left.t, right.t)
+    total = np.interp(grid, left.t, left.v, left=0.0, right=0.0) + np.interp(
+        grid, right.t, right.v, left=0.0, right=0.0
     )
-    return TimeSeries(
-        samples=tuple(zip(grid.tolist(), total.tolist())), label="Fv combined"
-    )
+    return TimeSeries.from_arrays(grid, total, "Fv combined")
 
 
 def _filtered(trials, population_filter):
@@ -589,8 +577,8 @@ def square_wave_trial(
 
     left_onsets = [k * stride for k in range(strides)]
     right_onsets = [k * stride + offset for k in range(strides)]
-    left = TimeSeries(tuple(zip(t.tolist(), force(left_onsets).tolist())), "Fv left")
-    right = TimeSeries(tuple(zip(t.tolist(), force(right_onsets).tolist())), "Fv right")
+    left = TimeSeries.from_arrays(t, force(left_onsets), "Fv left")
+    right = TimeSeries.from_arrays(t, force(right_onsets), "Fv right")
     return GaitTrial(
         patient_id=patient_id,
         fv_left=left,

@@ -27,9 +27,14 @@ class _DecimalLexical(str):
 
 
 def _expand_name(name, prefixes):
-    if name.startswith("http://") or name.startswith("https://") or name.startswith("urn:"):
-        return Iri(name)
-    return expand(name, prefixes)
+    if not isinstance(name, str):
+        raise JsonLdSyntaxError(f"invalid IRI: {name!r}")
+    try:
+        if name.startswith("http://") or name.startswith("https://") or name.startswith("urn:"):
+            return Iri(name)
+        return expand(name, prefixes)
+    except ValueError as exc:
+        raise JsonLdSyntaxError(str(exc)) from exc
 
 
 class _Reader:

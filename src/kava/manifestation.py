@@ -3,6 +3,7 @@ as blank-node trees under the kava: vocabulary."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .dataset import Dataset
@@ -180,11 +181,24 @@ def _load_indirect_query(graph, subject, node):
     return IndirectQueryMapping(query_text=texts[0], dialect=dialect)
 
 
+# Graph is immutable and the result depends on its triples alone, so each
+# graph (or an equal one) is loaded once; the entry dies with the graph.
+_LOADED = weakref.WeakKeyDictionary()  # Graph -> tuple of its manifestations
+
+
 def load_manifestations(graph: Graph) -> list[Manifestation]:
     """One Manifestation per (concept, kava:manifest, node) triple.
 
+    Each call returns a new list; the graph is read on the first call only.
     Raises MalformedManifestation for nodes with zero or several kinds.
     """
+    loaded = _LOADED.get(graph)
+    if loaded is None:
+        loaded = _LOADED[graph] = _load(graph)
+    return list(loaded)
+
+
+def _load(graph: Graph) -> tuple[Manifestation, ...]:
     out = []
     for t in graph.match(p=KAVA_MANIFEST):
         subject = t.subject
@@ -212,10 +226,10 @@ def load_manifestations(graph: Graph) -> list[Manifestation]:
             )
         )
     out.sort(key=lambda m: (str(m.concept), repr(m.kind)))
-    return [
+    return tuple(
         Manifestation(m.concept, m.kind, m.provenance, anchor=f"m{i}")
         for i, m in enumerate(out)
-    ]
+    )
 
 
 def _validate_kind(kind):

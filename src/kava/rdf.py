@@ -4,6 +4,7 @@ and restricted isomorphism for tree-shaped blank nodes."""
 from __future__ import annotations
 
 import decimal
+import re
 from dataclasses import dataclass, field
 
 from .errors import NonTreeBlankNodes, UnknownPrefix
@@ -25,12 +26,16 @@ DEFAULT_PREFIXES = {
 }
 
 
+# Characters Turtle's IRIREF cannot hold: whitespace and <>"{}|^`\
+_IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\]')
+
+
 @dataclass(frozen=True)
 class Iri:
     value: str
 
     def __post_init__(self):
-        if not self.value or any(c.isspace() for c in self.value):
+        if not self.value or _IRI_FORBIDDEN.search(self.value):
             raise ValueError(f"invalid IRI: {self.value!r}")
 
     def __str__(self):

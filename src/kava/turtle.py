@@ -3,6 +3,8 @@ anonymous blank-node property lists, and plain literals."""
 
 from __future__ import annotations
 
+import re
+
 from .errors import TurtleSyntaxError, UnknownPrefix
 from .rdf import (
     DECIMAL,
@@ -204,13 +206,15 @@ class _Parser:
         self.prefixes[label] = ns
 
     def term_from(self, tok):
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            try:
+        try:
+            if tok.kind == "iri":
+                return Iri(tok.value)
+            if tok.kind == "pname":
                 return expand(":".join(tok.value), self.prefixes)
-            except UnknownPrefix:
-                self.err(tok, f"undeclared prefix {tok.value[0]!r}")
+        except UnknownPrefix:
+            self.err(tok, f"undeclared prefix {tok.value[0]!r}")
+        except ValueError as exc:
+            self.err(tok, str(exc))
         self.err(tok, f"unexpected token {tok.kind!r}")
 
     def parse_statement(self, triples):
@@ -281,39 +285,56 @@ def parse_turtle(text: str, prefixes=None) -> Graph:
     return _Parser(_tokenize(text), base).parse()
 
 
-def _render_iri(term, prefixes):
-    if term == RDF_TYPE:
-        return "a"
-    pname = shrink(term, prefixes)
-    return pname if pname is not None else f"<{term.value}>"
+# A prefixed name the tokenizer above reads back whole: the label empty or a
+# letter or '_' then word characters and '-'; the local part word
+# characters, '-' and '.', not ending in '.'.
+_READABLE_PNAME = re.compile(r"(?:[^\W\d][\w-]*)?:(?:[\w.-]*[\w-])?")
 
 
-def _render_object(term, graph, indent):
+def _render_iri(iri, prefixes):
+    """The IRI as a prefixed name when that reads back, else as ``<IRI>``."""
+    pname = shrink(iri, prefixes)
+    if pname is not None and _READABLE_PNAME.fullmatch(pname):
+        return pname
+    return f"<{iri.value}>"
+
+
+def _iri_names(graph):
+    """Every IRI of the graph, rendered once."""
+    names = {}
+    for t in graph:
+        for term in (t.subject, t.predicate, t.object):
+            if isinstance(term, Iri) and term not in names:
+                names[term] = _render_iri(term, graph.prefixes)
+    return names
+
+
+def _render_object(term, graph, names, indent):
     if isinstance(term, Iri):
-        pname = shrink(term, graph.prefixes)
-        return pname if pname is not None else f"<{term.value}>"
+        return names[term]
     if isinstance(term, Literal):
         if term.datatype == "string":
             return f'"{term.lexical.translate(_ESCAPE)}"'
         return term.lexical
     # tree blank node, rendered inline
-    return _render_bnode(term, graph, indent)
+    return _render_bnode(term, graph, names, indent)
 
 
-def _render_bnode(node, graph, indent):
+def _render_bnode(node, graph, names, indent):
     triples = graph.match(s=node)
     if not triples:
         return "[]"
     pad = "    " * (indent + 1)
     parts = []
-    for pred, objs in _grouped(triples):
-        rendered = ", ".join(_render_object(o, graph, indent + 1) for o in objs)
-        parts.append(f"{pad}{_render_iri(pred, graph.prefixes)} {rendered}")
+    for verb, objs in _grouped(triples, names):
+        rendered = ", ".join(_render_object(o, graph, names, indent + 1) for o in objs)
+        parts.append(f"{pad}{verb} {rendered}")
     inner = ";\n".join(parts)
     return "[\n" + inner + "\n" + "    " * indent + "]"
 
 
-def _grouped(triples):
+def _grouped(triples, names):
+    """(rendered verb, objects) per predicate, both in canonical order."""
     by_pred: dict = {}
     order = []
     for t in triples:
@@ -324,25 +345,7 @@ def _grouped(triples):
     order.sort(key=str)
     for pred in order:
         objs = sorted(by_pred[pred], key=str)
-        yield pred, objs
-
-
-def _used_prefixes(graph):
-    used = set()
-
-    def visit(term):
-        if isinstance(term, Iri):
-            pname = shrink(term, graph.prefixes)
-            if pname is not None:
-                used.add(pname.split(":")[0])
-
-    for t in graph:
-        visit(t.subject)
-        visit(t.predicate)
-        if t.predicate == RDF_TYPE:
-            used.add("rdf")
-        visit(t.object)
-    return used
+        yield "a" if pred == RDF_TYPE else names[pred], objs
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -351,27 +354,25 @@ def serialize_turtle(graph: Graph) -> str:
     Raises NonTreeBlankNodes when a blank node is shared or cyclic.
     """
     iri_subjects, root_bnodes, _ = _tree(graph)
+    names = _iri_names(graph)
+    used = {name.split(":")[0] for name in names.values() if not name.startswith("<")}
+    if any(t.predicate == RDF_TYPE for t in graph):
+        used.add("rdf")
     lines = []
-    for label in sorted(_used_prefixes(graph)):
+    for label in sorted(used):
         lines.append(f"@prefix {label}: <{graph.prefixes[label]}> .")
     if lines:
         lines.append("")
     for subject in iri_subjects:
-        lines.append(_statement(subject, graph))
+        lines.append(names[subject] + _statement_body(subject, graph, names) + " .")
     for subject in root_bnodes:
-        lines.append("[ " + _statement_body(subject, graph).strip() + " ] .")
+        lines.append("[ " + _statement_body(subject, graph, names).strip() + " ] .")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _statement(subject, graph):
-    pname = shrink(subject, graph.prefixes)
-    head = pname if pname is not None else f"<{subject.value}>"
-    return head + _statement_body(subject, graph) + " ."
-
-
-def _statement_body(subject, graph):
+def _statement_body(subject, graph, names):
     parts = []
-    for pred, objs in _grouped(graph.match(s=subject)):
-        rendered = ", ".join(_render_object(o, graph, 0) for o in objs)
-        parts.append(f"{_render_iri(pred, graph.prefixes)} {rendered}")
+    for verb, objs in _grouped(graph.match(s=subject), names):
+        rendered = ", ".join(_render_object(o, graph, names, 0) for o in objs)
+        parts.append(f"{verb} {rendered}")
     return " " + ";\n    ".join(parts)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, fixture_text
-from kava.cli import main
+from kava.cli import main, read_graph
 from kava.gait import square_wave_trial, write_trials_dir
 from kava.manifestation import load_manifestations
 from kava.rdf import isomorphic_trees
@@ -110,6 +110,49 @@ def test_convert_newline_label_to_turtle_validates(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("space.ttl", "<http://example.org/a b> skos:prefLabel \"x\" .\n"),
+        ("space.jsonld", '{"@id": "http://example.org/a b", "skos:prefLabel": "x"}'),
+        ("angle.jsonld", '{"@id": "http://example.org/a>b", "skos:prefLabel": "x"}'),
+        ("number.jsonld", '{"@id": "gps:a", "skos:broader": {"@id": 7}}'),
+    ],
+    ids=["turtle-space", "jsonld-space", "jsonld-angle", "jsonld-number"],
+)
+def test_invalid_iri_is_input_error(capsys, tmp_path, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    for argv in (["validate", str(src)], ["convert", str(src), "--to", "ttl"]):
+        code, lines, err = run(capsys, *argv)
+        assert code == 2
+        assert lines == []
+        assert "invalid IRI" in err and "internal error" not in err
+    if name.endswith(".ttl"):
+        assert "line 1, column 1: invalid IRI" in err
+
+
+def test_convert_unreadable_prefixed_names_to_turtle_validates(capsys, tmp_path):
+    doc = {
+        "@context": {"my prefix": "http://example.org/mine#"},
+        "@id": "icd10:A/B",
+        "skos:related": [{"@id": "icd10:A."}, {"@id": "my prefix:c"}],
+        "kava:variable": {"@id": "icd10:A-1.b"},
+    }
+    src = tmp_path / "names.jsonld"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "names.ttl"
+    code, _, _ = run(capsys, "convert", str(src), "--to", "ttl", "-o", str(out))
+    assert code == 0
+    text = out.read_text()
+    assert "<http://example.org/kava/icd10#A/B>" in text
+    assert "icd10:A-1.b" in text
+    assert "my prefix" not in text
+    code, _, _ = run(capsys, "validate", str(out))
+    assert code == 0
+    assert isomorphic_trees(parse_turtle(text), read_graph(str(src)))
+
+
 def test_roundtrip_script_on_every_fixture():
     root = Path(__file__).parent.parent
     fixtures = sorted(str(p) for p in FIXTURES.iterdir())
@@ -121,6 +164,33 @@ def test_roundtrip_script_on_every_fixture():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count(": OK (") == len(fixtures)
+
+
+def test_gait_demo_script_writes_its_outputs(tmp_path):
+    root = Path(__file__).parent.parent
+    out = tmp_path / "demo"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "gait_demo.py"), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    patients = ["a0", "a1", "a2", "n0", "n1", "n2"]
+    assert written == {
+        "knowledge.ttl",
+        "knowledge_table.json",
+        "concept_tree.json",
+        "cadence_region.json",
+        "trials/metadata.csv",
+        *(f"trials/{p}_{side}.csv" for p in patients for side in ("left", "right")),
+    }
+    assert len(load_manifestations(parse_turtle((out / "knowledge.ttl").read_text()))) == 7
+    table = json.loads((out / "knowledge_table.json").read_text())
+    assert [row["prototypes"] for row in table] == [patients[:3], patients[3:]]
+    for name in ("concept_tree.json", "cadence_region.json"):
+        validate_fragment(json.loads((out / name).read_text()))
 
 
 def test_convert_to_stdout(capsys):

@@ -117,3 +117,43 @@ def test_series_csv_roundtrip():
     series = TimeSeries(samples=((0.0, 0.0), (0.01, 800.0), (0.02, 640.5)), label="Fv")
     again = load_series_csv(write_series_csv(series), "Fv")
     assert again.samples == series.samples
+
+
+def test_series_csv_header_only_is_empty():
+    series = load_series_csv("t,v\n", "Fv")
+    assert series.samples == ()
+    assert series.label == "Fv"
+
+
+def test_series_csv_accepted_rows():
+    # blank and all-empty rows are skipped, extra columns ignored, quoted
+    # numbers read as numbers
+    text = 't,v,note\n\n0.0,1.5,a\n,\n"0.01","2.5"\n,,\n0.02,3.5,x,y\n'
+    assert load_series_csv(text).samples == ((0.0, 1.5), (0.01, 2.5), (0.02, 3.5))
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("t,v\n0.0,1.0\n0.01\n", 3),
+        ("t,v\n0.0,1.0\n\n0.01,heavy\n", 4),
+        ("t,v\nx,1.0\n", 2),
+        ("t,v\n0.0,\n", 2),
+    ],
+)
+def test_series_csv_bad_row_position(text, row):
+    with pytest.raises(CsvTypeError, match="bad sample row") as exc:
+        load_series_csv(text)
+    assert exc.value.row == row
+    assert str(exc.value).startswith(f"row {row}, ")
+
+
+@pytest.mark.parametrize("text", ["", "t\n0.0\n", "\n0.0,1.0\n"])
+def test_series_csv_short_header(text):
+    with pytest.raises(HeaderMismatch, match="expected a t,v header row"):
+        load_series_csv(text)
+
+
+def test_series_csv_rejects_equal_infinite_stamps():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        load_series_csv("t,v\ninf,1.0\ninf,2.0\n")

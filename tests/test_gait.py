@@ -1,8 +1,10 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
@@ -12,12 +14,16 @@ from kava.errors import (
     EmptyPopulation,
     InsufficientSteps,
     InvertedRange,
+    MalformedManifestation,
     NoDefinedRanges,
+    NonPositivePhase,
     UnknownConcept,
     UnknownParameter,
 )
+from kava import gait
 from kava.gait import (
     CONTACT_THRESHOLD_FRACTION,
+    DEBOUNCE_SECONDS,
     GRAVITY,
     PARAMETER_NAMES,
     CategoryModel,
@@ -37,7 +43,13 @@ from kava.gait import (
     square_wave_trial,
     write_trials_dir,
 )
-from kava.manifestation import IndirectVariableMapping, add_manifestation_to_graph
+from kava.manifestation import (
+    DirectMapping,
+    IndirectVariableMapping,
+    add_manifestation_to_graph,
+    create_manifestation,
+    load_manifestations,
+)
 from kava.predicate import parse_predicate
 from kava.turtle import parse_turtle
 
@@ -338,3 +350,144 @@ def test_random_population_scores_bounded(n, seed):
         assert 0.0 <= result.score <= 1.0
         # every prototype lies inside its own population's min/max ranges
         assert result.score == 1.0
+
+
+# --- vectorized contact detection against the per-sample loop ------------
+
+
+def _contacts_per_sample(series):
+    """Reference contact detector: one pass over the samples."""
+    t, v = series.t, series.v
+    peak = float(v.max()) if len(v) else 0.0
+    if peak <= 0:
+        return []
+    above = v > CONTACT_THRESHOLD_FRACTION * peak
+    intervals = []
+    start = None
+    for i, flag in enumerate(above):
+        if flag and start is None:
+            start = t[i]
+        elif not flag and start is not None:
+            intervals.append([start, t[i]])
+            start = None
+    if start is not None:
+        intervals.append([start, None])
+    merged = []
+    for iv in intervals:
+        if (
+            merged
+            and merged[-1][1] is not None
+            and iv[0] - merged[-1][1] < DEBOUNCE_SECONDS
+        ):
+            merged[-1][1] = iv[1]
+        else:
+            merged.append(iv)
+    return [iv for iv in merged if iv[1] is None or iv[1] - iv[0] >= DEBOUNCE_SECONDS]
+
+
+def _noisy_wave(runs, dt=0.01, amplitude=800.0, seed=0):
+    """Series built from (in contact, length in samples) runs: contact
+    samples at 50-100 % of the amplitude, the others under 4 %."""
+    rng = random.Random(seed)
+    levels = [flag for flag, length in runs for _ in range(length)]
+    v = [amplitude * (rng.uniform(0.5, 1.0) if on else rng.uniform(0.0, 0.04)) for on in levels]
+    return TimeSeries(tuple((i * dt, x) for i, x in enumerate(v)), "Fv")
+
+
+@st.composite
+def noisy_waves(draw):
+    on = draw(st.booleans())
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        # at dt = 0.01 s, runs of 1-4 samples are shorter than the debounce
+        runs.append((on, draw(st.one_of(st.integers(1, 4), st.integers(5, 70)))))
+        on = not on
+    return _noisy_wave(
+        runs,
+        dt=draw(st.sampled_from([0.01, 0.005, 0.02])),
+        amplitude=draw(st.sampled_from([0.0, 1.0, 800.0])),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+
+
+def _params_or_error(trial):
+    try:
+        return compute_params(trial).values
+    except (InsufficientSteps, NonPositivePhase) as exc:
+        return type(exc)
+
+
+_STEPS = [(True, 60), (False, 40)] * 4
+_EDGE_CASES = {
+    "all zero": _noisy_wave([(False, 300)], amplitude=0.0),
+    "first sample in contact, trailing contact": _noisy_wave(_STEPS + [(True, 30)]),
+    "gap under 50 ms merges": _noisy_wave(
+        [(False, 5), (True, 30), (False, 3), (True, 30), (False, 40)] + _STEPS
+    ),
+    "contact under 50 ms dropped": _noisy_wave([(False, 5), (True, 2), (False, 20)] + _STEPS),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_waves(), noisy_waves())
+@example(_EDGE_CASES["all zero"], _EDGE_CASES["all zero"])
+@example(
+    _EDGE_CASES["first sample in contact, trailing contact"],
+    _EDGE_CASES["gap under 50 ms merges"],
+)
+@example(_EDGE_CASES["contact under 50 ms dropped"], _noisy_wave([(False, 50)] + _STEPS))
+def test_contacts_match_per_sample_loop(left, right):
+    for series in (left, right):
+        assert gait._contacts(series) == _contacts_per_sample(series)
+    trial = GaitTrial("p", fv_left=left, fv_right=right)
+    fast = _params_or_error(trial)
+    with mock.patch.object(gait, "_contacts", _contacts_per_sample):
+        assert _params_or_error(trial) == fast
+
+
+def test_contact_edge_cases_are_distinct():
+    """The pinned examples above exercise what their names say."""
+    assert _contacts_per_sample(_EDGE_CASES["all zero"]) == []
+    first = _contacts_per_sample(_EDGE_CASES["first sample in contact, trailing contact"])
+    assert first[0][0] == 0.0 and first[-1][1] is None
+    merged = _contacts_per_sample(_EDGE_CASES["gap under 50 ms merges"])
+    assert merged[0] == pytest.approx([0.05, 0.68])
+    dropped = _contacts_per_sample(_EDGE_CASES["contact under 50 ms dropped"])
+    assert dropped[0][0] == pytest.approx(0.27)
+
+
+def test_series_arrays_are_read_only():
+    series = square_wave_trial("p1").fv_left
+    assert series.t.dtype == np.float64 and series.v.dtype == np.float64
+    with pytest.raises(ValueError):
+        series.v[0] = 1.0
+
+
+# --- one manifestation load per graph ------------------------------------
+
+
+def test_load_manifestations_returns_independent_lists():
+    g = _categories_graph()
+    g = add_prototype(g, _affected(g), square_wave_trial("7"))
+    first = load_manifestations(g)
+    first.clear()
+    second = load_manifestations(g)
+    assert len(second) == 1 and second is not first
+    assert load_manifestations(g) == second
+
+
+def test_malformed_graph_raises_on_every_call():
+    g = parse_turtle('icd10:R73 kava:manifest [ dct:dateSubmitted "2019-01-01" ] .')
+    for _ in range(3):
+        with pytest.raises(MalformedManifestation):
+            load_manifestations(g)
+
+
+def test_added_manifestation_is_loaded():
+    g = _categories_graph()
+    concept = _affected(g)
+    assert load_manifestations(g) == []
+    m = create_manifestation(concept, DirectMapping(bindings=(("patientId", 5),)))
+    g2 = add_manifestation_to_graph(g, m)
+    assert [x.kind for x in load_manifestations(g2)] == [m.kind]
+    assert load_manifestations(g) == []
