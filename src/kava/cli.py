@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 validation findings, 2 input/parse error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from . import gait as gait_mod
 from . import jsonld, manifestation, skos, turtle, utilization
-from .dataset import NUMBER, STRING, Schema, load_csv
+from .dataset import NUMBER, STRING, Dataset, Schema, load_csv
 from .errors import ForeignDialect, KavaError, MalformedManifestation
 from .predicate import parse_predicate
 from .rdf import DEFAULT_PREFIXES, Graph, Iri, expand
@@ -152,11 +154,7 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _infer_schema(text: str, id_var: str | None) -> Schema:
-    import csv as _csv
-    import io as _io
-
-    rows = list(_csv.reader(_io.StringIO(text)))
+def _infer_schema(rows: list, id_var: str | None) -> Schema:
     if not rows:
         raise KavaError("empty CSV file")
     header = rows[0]
@@ -179,12 +177,16 @@ def _infer_schema(text: str, id_var: str | None) -> Schema:
     return Schema(variables=variables, identifying=(ident,))
 
 
+def read_table(path: str, id_var: str | None) -> Dataset:
+    """Load a data CSV, inferring its schema from the same parsed rows."""
+    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    return load_csv(rows, _infer_schema(rows, id_var))
+
+
 def cmd_manifest(args) -> int:
     try:
         graph = read_graph(args.knowledge)
-        text = Path(args.data).read_text()
-        schema = _infer_schema(text, args.id_var)
-        dataset = load_csv(text, schema)
+        dataset = read_table(args.data, args.id_var)
         concept = expand(args.concept, graph.prefixes)
         manifests = manifestation.load_manifestations(graph)
     except (OSError, KavaError) as exc:
@@ -301,8 +303,7 @@ def cmd_export_vis(args) -> int:
         else:
             if not args.data:
                 raise KavaError(f"--pattern {args.pattern} requires a data CSV")
-            text = Path(args.data).read_text()
-            dataset = load_csv(text, _infer_schema(text, args.id_var))
+            dataset = read_table(args.data, args.id_var)
             if args.pattern == "marks":
                 doc = utilization.encoded_marks_spec(
                     dataset, manifests, channel=args.channel, prefixes=graph.prefixes
@@ -359,9 +360,8 @@ def _gait_models(graph, trials, filter_text):
 def cmd_gait(args) -> int:
     try:
         graph = read_graph(args.knowledge)
-        if args.gait_command in ("analyze", "table", "add-prototype"):
-            trials = gait_mod.load_trials_dir(args.trials)
         if args.gait_command in ("analyze", "table"):
+            trials = gait_mod.load_trials_dir(args.trials)
             patient = trials.get(args.patient)
             if patient is None:
                 raise KavaError(f"patient {args.patient!r} not found in trials dir")
@@ -383,7 +383,7 @@ def cmd_gait(args) -> int:
                 _emit(row)
             return EXIT_OK
         if args.gait_command == "add-prototype":
-            trial = trials.get(args.patient)
+            trial = gait_mod.load_trial(args.trials, args.patient)
             if trial is None:
                 raise KavaError(f"patient {args.patient!r} not found in trials dir")
             concept = expand(args.concept, graph.prefixes)

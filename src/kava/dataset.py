@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from .errors import (
     HeaderMismatch,
     UnknownVariable,
 )
-from .predicate import Predicate, compile_predicate, variables
+from .predicate import Predicate, compile_mask, variables
 
 NUMBER = "number"
 STRING = "string"
@@ -51,7 +53,11 @@ class Record:
         return dict(self.values)
 
     def get(self, name):
-        return dict(self.values).get(name)
+        found = None  # the last pair wins, as in as_dict
+        for n, v in self.values:
+            if n == name:
+                found = v
+        return found
 
     def identifier(self, schema: Schema):
         vals = self.as_dict()
@@ -84,8 +90,8 @@ class TimeSeries:
         v = np.array(v, dtype=np.float64)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("t and v must be one-dimensional and of one length")
-        if (t[1:] <= t[:-1]).any():
-            raise ValueError("time stamps must be strictly increasing")
+        if np.isnan(t).any() or (t[1:] <= t[:-1]).any():
+            raise ValueError("time stamps must be strictly increasing and not NaN")
         t.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -110,8 +116,79 @@ class TimeSeries:
         return hash((self.label, len(self.t)))
 
 
+def _key(value):
+    """Encoding key. Two values are one distinct value when they have one
+    type, compare equal and print alike: ``==`` alone merges 1, 1.0 and
+    True, or 0.0 and -0.0, which the output tells apart. Each NaN object
+    stays its own value, as it does in a set."""
+    if type(value) in (str, int):
+        return (type(value), value)
+    return (type(value), value, repr(value))
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One variable of a dataset, dictionary-encoded: its distinct values in
+    order of first appearance and, per record, the index of its value."""
+
+    values: tuple
+    codes: np.ndarray  # read-only intp, one per record
+
+    def decode(self) -> list:
+        """The value of every record, in record order."""
+        values = self.values
+        return [values[c] for c in self.codes.tolist()]
+
+    def select(self, test) -> np.ndarray:
+        """Mask of the records whose value passes ``test``, which runs once
+        per distinct value."""
+        hits = np.fromiter(map(test, self.values), dtype=bool, count=len(self.values))
+        return hits[self.codes]
+
+    def equal(self, value) -> np.ndarray:
+        """Mask of the records whose value ``== value``, found by a dict
+        lookup among the distinct values."""
+        hits = np.zeros(len(self.values), dtype=bool)
+        for code in self._equal_codes.get(value, ()):
+            hits[code] = self.values[code] == value  # a NaN is found but unequal
+        return hits[self.codes]
+
+    @cached_property
+    def _equal_codes(self) -> dict:
+        groups = {}
+        for code, value in enumerate(self.values):
+            groups.setdefault(value, []).append(code)
+        return groups
+
+
+def _encode(values: list) -> Column:
+    """Dictionary-encode one value per record."""
+    distinct, codes = [], []
+    code_of_key = {}
+    code_of_object = {}  # id -> code: a repeated object is keyed once
+    for value in values:
+        code = code_of_object.get(id(value))
+        if code is None:
+            key = _key(value)
+            code = code_of_key.get(key)
+            if code is None:
+                code = code_of_key[key] = len(distinct)
+                distinct.append(value)
+            code_of_object[id(value)] = code
+        codes.append(code)
+    array = np.array(codes, dtype=np.intp)
+    array.flags.writeable = False
+    return Column(tuple(distinct), array)
+
+
 @dataclass
 class Dataset:
+    """Records over a schema, plus per-record time series.
+
+    Treat a dataset as immutable: its column view is computed once, from the
+    records as they are on first use. Values must be hashable.
+    """
+
     schema: Schema
     records: list = field(default_factory=list)
     series: dict = field(default_factory=dict)  # record identifier -> TimeSeries
@@ -120,54 +197,102 @@ class Dataset:
         return len(self.records)
 
     def identifiers(self):
-        return [r.identifier(self.schema) for r in self.records]
+        return self.identifier_column.decode()
+
+    @cached_property
+    def columns(self) -> dict:
+        """Variable name -> Column, in schema order; a missing value is None."""
+        rows = [record.as_dict() for record in self.records]
+        return {name: _encode([row.get(name) for row in rows]) for name in self.schema.names()}
+
+    @cached_property
+    def identifier_column(self) -> Column:
+        """Record identifiers as a Column: the identifying variable's own
+        column, or tuples of the values of several, or () for every record
+        when the schema declares none."""
+        ident = self.schema.identifying
+        if len(ident) == 1:
+            return self.columns[ident[0]]
+        parts = [self.columns[name].decode() for name in ident]
+        return _encode(list(zip(*parts)) if parts else [()] * len(self))
+
+    def matched_identifiers(self, mask: np.ndarray) -> set:
+        """Identifiers of the records a boolean mask selects, added to the
+        set in record order (of equal identifiers the first one is kept)."""
+        column = self.identifier_column
+        values = column.values
+        return {values[c] for c in dict.fromkeys(column.codes[mask].tolist())}
 
 
-def _parse_cell(raw, kind, row_no, name):
+def _parse_cell(raw, kind):
     if raw == "" or raw is None:
         return None
     if kind == NUMBER:
-        try:
-            return int(raw) if raw.lstrip("-").isdigit() else float(raw)
-        except ValueError:
-            raise CsvTypeError(row_no, name, f"not a number: {raw!r}")
+        return int(raw) if raw.lstrip("-").isdigit() else float(raw)
     return raw
 
 
-def load_csv(text: str, schema: Schema) -> Dataset:
-    """Parse CSV text (first row header) against the schema.
+def load_csv(text: str | list, schema: Schema) -> Dataset:
+    """Parse CSV text (first row header) against the schema; ``text`` may
+    also be the rows ``csv.reader`` made of it.
 
-    Header must contain exactly the schema variables, in any order.
+    Header must contain exactly the schema variables, in any order. The
+    same pass builds the records and the dataset's column view; each
+    distinct cell text is parsed once. Errors are those of a row-by-row
+    read: the first bad cell, or missing or repeated identifier, wins.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text))) if isinstance(text, str) else text
     if not rows:
         raise HeaderMismatch("missing header row")
     header = rows[0]
-    if sorted(header) != sorted(schema.names()):
+    names = schema.names()
+    if sorted(header) != sorted(names):
         raise HeaderMismatch(
-            f"header {header} does not match schema variables {schema.names()}"
+            f"header {header} does not match schema variables {names}"
         )
-    records = []
+    numbered = [(row_no, row) for row_no, row in enumerate(rows[1:], start=2) if any(row)]
+    columns = []
+    bad = None  # (record index, variable index, error) of the first bad cell
+    for j, name in enumerate(names):
+        pos, kind = header.index(name), schema.kind(name)
+        cells = [row[pos] if pos < len(row) else None for _, row in numbered]
+        parsed = {}
+        for raw in dict.fromkeys(cells):
+            try:
+                parsed[raw] = _parse_cell(raw, kind)
+            except ValueError:
+                i = cells.index(raw)
+                if bad is None or (i, j) < bad[:2]:
+                    bad = (i, j, CsvTypeError(numbered[i][0], name, f"not a number: {raw!r}"))
+        column = [parsed.get(raw) for raw in cells]
+        if any(v != v for v in parsed.values()):  # each NaN cell is its own object
+            column = [float(raw) if v != v else v for raw, v in zip(cells, column)]
+        columns.append(column)
+    _check_identifiers(schema, columns, numbered, len(numbered) if bad is None else bad[0])
+    if bad is not None:
+        raise bad[2]
+    values = zip(*columns) if columns else [()] * len(numbered)
+    dataset = Dataset(schema, [Record(tuple(zip(names, vals))) for vals in values])
+    dataset.columns = {name: _encode(column) for name, column in zip(names, columns)}
+    return dataset
+
+
+def _check_identifiers(schema, columns, numbered, stop):
+    """Raise for the first of the first ``stop`` records whose identifier is
+    missing or repeats an earlier one."""
+    if not schema.identifying:
+        return
+    names = schema.names()
+    parts = [columns[names.index(n)] for n in schema.identifying]
     seen_ids = set()
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        raw = dict(zip(header, row))
-        values = tuple(
-            (name, _parse_cell(raw.get(name), schema.kind(name), row_no, name))
-            for name in schema.names()
-        )
-        record = Record(values)
-        if schema.identifying:
-            ident = record.identifier(schema)
-            if ident is None or (isinstance(ident, tuple) and None in ident):
-                raise CsvTypeError(row_no, schema.identifying[0], "missing identifier")
-            if ident in seen_ids:
-                raise DuplicateIdentifier(f"row {row_no}: {ident!r}")
-            seen_ids.add(ident)
-        records.append(record)
-    return Dataset(schema=schema, records=records)
+    for i, ids in zip(range(stop), zip(*parts)):
+        ident = ids[0] if len(ids) == 1 else ids
+        row_no = numbered[i][0]
+        if ident is None or (isinstance(ident, tuple) and None in ident):
+            raise CsvTypeError(row_no, schema.identifying[0], "missing identifier")
+        if ident in seen_ids:
+            raise DuplicateIdentifier(f"row {row_no}: {ident!r}")
+        seen_ids.add(ident)
 
 
 def write_csv(dataset: Dataset) -> str:
@@ -188,9 +313,9 @@ def filter_records(dataset: Dataset, predicate: Predicate) -> Dataset:
     missing = variables(predicate) - known
     if missing:
         raise UnknownVariable(", ".join(sorted(missing)))
-    test = compile_predicate(predicate)
-    kept = [r for r in dataset.records if test(r.as_dict())]
-    kept_ids = {r.identifier(dataset.schema) for r in kept} if dataset.schema.identifying else set()
+    mask = compile_mask(predicate)(dataset.columns)
+    kept = list(compress(dataset.records, mask.tolist()))
+    kept_ids = dataset.matched_identifiers(mask) if dataset.schema.identifying else set()
     series = {k: v for k, v in dataset.series.items() if k in kept_ids}
     return Dataset(schema=dataset.schema, records=kept, series=series)
 
@@ -198,22 +323,36 @@ def filter_records(dataset: Dataset, predicate: Predicate) -> Dataset:
 def load_series_csv(text: str, label: str = "") -> TimeSeries:
     """Parse a two-column t,v CSV (with header) into a TimeSeries.
 
-    Extra columns are ignored; blank and all-empty rows are skipped.
+    Extra columns are ignored; blank and all-empty rows are skipped. A NaN
+    or non-increasing time stamp is a CsvTypeError at its row.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or len(header) < 2:
         raise HeaderMismatch("expected a t,v header row")
     t, v = [], []
+    blank = []  # row numbers of skipped rows, to find a sample's row
     for row_no, row in enumerate(reader, start=2):
         try:
             t.append(float(row[0]))
             v.append(float(row[1]))
         except (ValueError, IndexError):
             if not row or all(cell == "" for cell in row):
+                blank.append(row_no)
                 continue
             raise CsvTypeError(row_no, "t/v", f"bad sample row: {row!r}")
-    return TimeSeries.from_arrays(t, v, label)
+    try:
+        return TimeSeries.from_arrays(t, v, label)
+    except ValueError:
+        # the first stamp that is NaN or not after the one before it
+        i = next(i for i, s in enumerate(t) if not (s > t[i - 1] if i else s == s))
+        row_no = i + 2
+        for skipped in blank:
+            if skipped <= row_no:
+                row_no += 1
+        raise CsvTypeError(
+            row_no, "t", f"not a strictly increasing time stamp: {t[i]}"
+        ) from None
 
 
 def write_series_csv(series: TimeSeries) -> str:

@@ -49,7 +49,7 @@ class HeaderMismatch(KavaError):
     pass
 
 
-class CsvTypeError(KavaError):
+class CsvTypeError(KavaError, ValueError):
     def __init__(self, row, column, message):
         super().__init__(f"row {row}, column {column!r}: {message}")
         self.row = row

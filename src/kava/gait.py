@@ -6,10 +6,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import TimeSeries
+from .dataset import (
+    NUMBER,
+    STRING,
+    Schema,
+    TimeSeries,
+    load_csv,
+    load_series_csv,
+    write_series_csv,
+)
 from .errors import (
     DuplicatePrototype,
     EmptyPopulation,
@@ -77,6 +86,7 @@ PARAMETER_UNITS = {
 
 CONTACT_THRESHOLD_FRACTION = 0.05
 DEBOUNCE_SECONDS = 0.05
+QUARTILES = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -464,11 +474,12 @@ def box_plot_stats(model: CategoryModel) -> dict:
             stats[name] = None
             continue
         arr = np.asarray(vals, dtype=float)
+        q1, median, q3 = np.quantile(arr, QUARTILES).tolist()
         stats[name] = {
             "min": float(arr.min()),
-            "q1": float(np.quantile(arr, 0.25)),
-            "median": float(np.quantile(arr, 0.5)),
-            "q3": float(np.quantile(arr, 0.75)),
+            "q1": q1,
+            "median": median,
+            "q3": q3,
             "max": float(arr.max()),
         }
     return stats
@@ -500,40 +511,44 @@ def knowledge_table(models, params: SpatioTemporalParams) -> list[dict]:
     return rows
 
 
+_METADATA_SCHEMA = Schema(
+    variables=(("patientId", STRING), ("age", NUMBER), ("bodyMass", NUMBER)),
+    identifying=("patientId",),
+)
+
+
+def _load_trial(root: Path, record) -> GaitTrial:
+    pid = record.get("patientId")
+    return GaitTrial(
+        patient_id=str(pid),
+        fv_left=load_series_csv((root / f"{pid}_left.csv").read_text(), "Fv left"),
+        fv_right=load_series_csv((root / f"{pid}_right.csv").read_text(), "Fv right"),
+        body_mass=record.get("bodyMass"),
+        age=record.get("age"),
+    )
+
+
 def load_trials_dir(path) -> dict:
     """Load a trials directory: metadata.csv (patientId, age, bodyMass)
     plus <patientId>_left.csv / <patientId>_right.csv force files."""
-    from pathlib import Path
-
-    from .dataset import NUMBER, STRING, Schema, load_csv, load_series_csv
-
     root = Path(path)
-    schema = Schema(
-        variables=(("patientId", STRING), ("age", NUMBER), ("bodyMass", NUMBER)),
-        identifying=("patientId",),
-    )
-    meta = load_csv((root / "metadata.csv").read_text(), schema)
-    trials = {}
+    meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
+    return {str(r.get("patientId")): _load_trial(root, r) for r in meta.records}
+
+
+def load_trial(path, patient_id: str) -> GaitTrial | None:
+    """One patient's trial from a trials directory, or None when metadata.csv
+    has no such patient. Only that patient's force files are read."""
+    root = Path(path)
+    meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
     for record in meta.records:
-        pid = record.get("patientId")
-        left = load_series_csv((root / f"{pid}_left.csv").read_text(), "Fv left")
-        right = load_series_csv((root / f"{pid}_right.csv").read_text(), "Fv right")
-        trials[str(pid)] = GaitTrial(
-            patient_id=str(pid),
-            fv_left=left,
-            fv_right=right,
-            body_mass=record.get("bodyMass"),
-            age=record.get("age"),
-        )
-    return trials
+        if record.get("patientId") == patient_id:
+            return _load_trial(root, record)
+    return None
 
 
 def write_trials_dir(path, trials) -> None:
     """Inverse of load_trials_dir, for fixtures and demos."""
-    from pathlib import Path
-
-    from .dataset import write_series_csv
-
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = ["patientId,age,bodyMass"]

@@ -4,7 +4,9 @@ as blank-node trees under the kava: vocabulary."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .dataset import Dataset
 from .errors import (
@@ -13,7 +15,7 @@ from .errors import (
     MalformedManifestation,
     UnknownVariable,
 )
-from .predicate import Predicate, compile_predicate, parse_predicate, variables
+from .predicate import compile_mask, parse_predicate, variables
 from .rdf import (
     DEFAULT_PREFIXES,
     BlankNode,
@@ -267,6 +269,7 @@ def create_manifestation(
 def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
     """Record identifiers matched by the manifestation.
 
+    Works on the dataset's columns: each distinct value is tested once.
     Raises ForeignDialect for query mappings in a foreign dialect and
     UnknownVariable when a referenced variable is not in the schema.
     """
@@ -276,39 +279,35 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
         for var, _ in kind.bindings:
             if var not in known:
                 raise UnknownVariable(str(var))
-        matched = []
-        for record in dataset.records:
-            vals = record.as_dict()
-            if all(vals.get(var) == value for var, value in kind.bindings):
-                matched.append(record)
-        return {r.identifier(dataset.schema) for r in matched}
-    if isinstance(kind, IndirectVariableMapping):
+        mask = np.ones(len(dataset), dtype=bool)
+        for var, value in kind.bindings:
+            mask &= dataset.columns[var].equal(value)
+    elif isinstance(kind, IndirectVariableMapping):
         name = kind.variable_name()
         if name not in known:
             raise UnknownVariable(name)
-        out = set()
-        for record in dataset.records:
-            v = record.get(name)
-            if v is None or isinstance(v, str):
-                continue
-            if kind.min_value is not None and v < kind.min_value:
-                continue
-            if kind.max_value is not None and v > kind.max_value:
-                continue
-            out.add(record.identifier(dataset.schema))
-        return out
-    if isinstance(kind, IndirectQueryMapping):
+        lo, hi = kind.min_value, kind.max_value
+
+        def inside(v):
+            return not (
+                v is None
+                or isinstance(v, str)
+                or (lo is not None and v < lo)
+                or (hi is not None and v > hi)
+            )
+
+        mask = dataset.columns[name].select(inside)
+    elif isinstance(kind, IndirectQueryMapping):
         if kind.dialect != KAVA_PREDICATE_DIALECT:
             raise ForeignDialect(kind.dialect)
         pred = parse_predicate(kind.query_text)
         missing = variables(pred) - known
         if missing:
             raise UnknownVariable(", ".join(sorted(missing)))
-        test = compile_predicate(pred)
-        return {
-            r.identifier(dataset.schema) for r in dataset.records if test(r.as_dict())
-        }
-    raise InvalidKind(f"unknown mapping kind: {kind!r}")
+        mask = compile_mask(pred)(dataset.columns)
+    else:
+        raise InvalidKind(f"unknown mapping kind: {kind!r}")
+    return dataset.matched_identifiers(mask)
 
 
 def evaluate_concept(

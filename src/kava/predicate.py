@@ -190,6 +190,23 @@ def compile_predicate(pred: Predicate):
     return lambda rec: left(rec) or right(rec)
 
 
+def compile_mask(pred: Predicate):
+    """Compile to a function from a dataset's columns (variable name ->
+    ``dataset.Column``) to a boolean mask over its records. Each comparison
+    runs ``_compare`` once per distinct value of its variable."""
+    if isinstance(pred, Comparison):
+        var, op, const = pred.variable, pred.op, pred.constant
+        return lambda columns: columns[var].select(lambda v: _compare(v, op, const))
+    if isinstance(pred, Not):
+        inner = compile_mask(pred.operand)
+        return lambda columns: ~inner(columns)
+    left = compile_mask(pred.left)
+    right = compile_mask(pred.right)
+    if isinstance(pred, And):
+        return lambda columns: left(columns) & right(columns)
+    return lambda columns: left(columns) | right(columns)
+
+
 def to_text(pred: Predicate) -> str:
     """Render a predicate back to its string form."""
     if isinstance(pred, Comparison):

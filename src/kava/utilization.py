@@ -99,21 +99,20 @@ def encoded_marks_spec(
         name = _concept_name(m.concept, prefixes)
         for i in ids:
             matched_by.setdefault(i, []).append(name)
+    idents = dataset.identifier_column
+    concepts_of = [matched_by.get(ident, []) for ident in idents.values]
+    names = dataset.schema.names()
+    columns = [dataset.columns[n].decode() for n in names]
     values = []
     diagnostics = []
-    for record in dataset.records:
-        ident = record.identifier(dataset.schema)
-        concepts = matched_by.get(ident, [])
-        row = dict(record.values)
-        row = {k: v for k, v in row.items()}
+    for i, code in enumerate(idents.codes.tolist()):
+        row = {name: column[i] for name, column in zip(names, columns)}
+        concepts = concepts_of[code]
         row["concept"] = concepts[0] if concepts else "none"
         values.append(row)
-        distinct = []
-        for c in concepts:
-            if c not in distinct:
-                distinct.append(c)
+        distinct = list(dict.fromkeys(concepts))
         if len(distinct) > 1:
-            diagnostics.append({"record": str(ident), "concepts": distinct})
+            diagnostics.append({"record": str(idents.values[code]), "concepts": distinct})
     doc = {
         "kind": "encodedMarks",
         "mark": "point",
@@ -150,15 +149,16 @@ def aggregate_mark_spec(
     if dataset.schema.kind(time_variable) != "number":
         raise UnknownVariable(f"{time_variable} is not numeric")
     matched = evaluate_manifestation(m, dataset)
-    ordered = sorted(
-        dataset.records,
-        key=lambda r: (r.get(time_variable) is None, r.get(time_variable)),
-    )
-    flags = [r.identifier(dataset.schema) in matched for r in ordered]
+    times = dataset.columns[time_variable].decode()
+    idents = dataset.identifier_column
+    hit = [ident in matched for ident in idents.values]
+    codes = idents.codes.tolist()
+    ordered = sorted(range(len(times)), key=lambda i: (times[i] is None, times[i]))
+    flags = [hit[codes[i]] for i in ordered]
     layers = []
     for start, end in _runs(flags):
-        t0 = ordered[start].get(time_variable)
-        t1 = ordered[end].get(time_variable)
+        t0 = times[ordered[start]]
+        t1 = times[ordered[end]]
         layers.append(
             {
                 "mark": "rule",
@@ -171,11 +171,11 @@ def aggregate_mark_spec(
         "data": {
             "values": [
                 {
-                    "id": str(r.identifier(dataset.schema)),
-                    "t": r.get(time_variable),
+                    "id": str(idents.values[codes[i]]),
+                    "t": times[i],
                     "matched": "yes" if f else "no",
                 }
-                for r, f in zip(ordered, flags)
+                for i, f in zip(ordered, flags)
             ]
         },
     }

@@ -573,3 +573,41 @@ def test_gait_missing_patient(capsys, gait_workspace):
     )
     assert code == 2
     assert "99" in err
+
+
+def test_gait_add_prototype_reads_only_its_patient(capsys, gait_workspace):
+    knowledge, trials = gait_workspace
+    Path(trials, "2_left.csv").write_text("t,v\n0.0,1\nnot a time,2\n")
+    args = [
+        "gait", "add-prototype",
+        "--knowledge", knowledge,
+        "--trials", trials,
+        "--concept", "gps:affectedKnee",
+    ]
+    code, lines, _ = run(capsys, *args, "--patient", "1")
+    assert code == 0
+    assert lines == [{"written": knowledge, "prototype": "1"}]
+    # the patient's own malformed force file still stops the command
+    code, _, err = run(capsys, *args, "--patient", "2")
+    assert code == 2
+    assert "row 3" in err
+    code, _, err = run(capsys, *args, "--patient", "99")
+    assert code == 2
+    assert "patient '99' not found in trials dir" in err
+
+
+@pytest.mark.parametrize(
+    "stamps, row", [("0.0,1\n0.01,2\n0.01,3\n", 4), ("0.0,1\nnan,2\n0.0,3\n", 3)]
+)
+def test_gait_non_increasing_stamps_are_input_errors(capsys, gait_workspace, stamps, row):
+    knowledge, trials = gait_workspace
+    Path(trials, "1_right.csv").write_text("t,v\n" + stamps)
+    code, _, err = run(
+        capsys,
+        "gait", "analyze",
+        "--knowledge", knowledge,
+        "--trials", trials,
+        "--patient", "1",
+    )
+    assert code == 2
+    assert err.startswith(f"row {row}, column 't': not a strictly increasing time stamp")

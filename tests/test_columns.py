@@ -1,0 +1,322 @@
+"""The column-encoded evaluators against a per-record reference.
+
+``evaluate_manifestation``, ``filter_records``, ``encoded_marks_spec`` and
+``aggregate_mark_spec`` work on dictionary-encoded columns. The reference
+below walks the records one by one, as the evaluators did before the
+columns existed, and must agree with them on every generated dataset:
+results, the types and signs of the values written out, and errors.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kava import predicate
+from kava.dataset import NUMBER, STRING, Dataset, Record, Schema, filter_records, load_csv
+from kava.errors import ForeignDialect, UnknownVariable
+from kava.manifestation import (
+    DirectMapping,
+    IndirectQueryMapping,
+    IndirectVariableMapping,
+    Manifestation,
+    evaluate_manifestation,
+)
+from kava.predicate import And, Comparison, Not, Or, parse_predicate, to_text
+from kava.rdf import Iri
+from kava.utilization import (
+    _concept_name,
+    _runs,
+    aggregate_mark_spec,
+    encoded_marks_spec,
+    validate_fragment,
+)
+from test_predicate import oracle_eval
+
+BIG = 2**53 + 1  # not a float64
+
+
+# --- per-record reference -----------------------------------------------
+
+
+def ref_evaluate(m, dataset):
+    known = set(dataset.schema.names())
+    kind = m.kind
+    if isinstance(kind, DirectMapping):
+        for var, _ in kind.bindings:
+            if var not in known:
+                raise UnknownVariable(str(var))
+        return {
+            r.identifier(dataset.schema)
+            for r in dataset.records
+            if all(r.as_dict().get(var) == value for var, value in kind.bindings)
+        }
+    if isinstance(kind, IndirectVariableMapping):
+        name = kind.variable_name()
+        if name not in known:
+            raise UnknownVariable(name)
+        out = set()
+        for r in dataset.records:
+            v = r.as_dict().get(name)
+            if v is None or isinstance(v, str):
+                continue
+            if kind.min_value is not None and v < kind.min_value:
+                continue
+            if kind.max_value is not None and v > kind.max_value:
+                continue
+            out.add(r.identifier(dataset.schema))
+        return out
+    if kind.dialect != "kava-predicate":
+        raise ForeignDialect(kind.dialect)
+    pred = parse_predicate(kind.query_text)
+    return {
+        r.identifier(dataset.schema) for r in dataset.records if oracle_eval(pred, r.as_dict())
+    }
+
+
+def ref_filter(dataset, pred):
+    kept = [r for r in dataset.records if oracle_eval(pred, r.as_dict())]
+    ids = {r.identifier(dataset.schema) for r in kept} if dataset.schema.identifying else set()
+    return kept, {k: v for k, v in dataset.series.items() if k in ids}
+
+
+def ref_marks(dataset, manifestations):
+    matched_by = {}
+    for m in manifestations:
+        for i in ref_evaluate(m, dataset):
+            matched_by.setdefault(i, []).append(_concept_name(m.concept, {}))
+    values, diagnostics = [], []
+    for r in dataset.records:
+        ident = r.identifier(dataset.schema)
+        concepts = matched_by.get(ident, [])
+        row = dict(r.values)
+        row["concept"] = concepts[0] if concepts else "none"
+        values.append(row)
+        distinct = []
+        for c in concepts:
+            if c not in distinct:
+                distinct.append(c)
+        if len(distinct) > 1:
+            diagnostics.append({"record": str(ident), "concepts": distinct})
+    doc = {
+        "kind": "encodedMarks",
+        "mark": "point",
+        "data": {"values": values},
+        "encoding": {"color": {"field": "concept", "type": "nominal"}},
+        "diagnostics": diagnostics,
+    }
+    validate_fragment(doc)
+    return doc
+
+
+def ref_aggregate(dataset, m, time_variable):
+    matched = ref_evaluate(m, dataset)
+    ordered = sorted(
+        dataset.records,
+        key=lambda r: (r.get(time_variable) is None, r.get(time_variable)),
+    )
+    flags = [r.identifier(dataset.schema) in matched for r in ordered]
+    layers = [
+        {
+            "mark": "rule",
+            "encoding": {
+                "x": {"datum": ordered[a].get(time_variable)},
+                "x2": {"datum": ordered[b].get(time_variable)},
+            },
+        }
+        for a, b in _runs(flags)
+    ]
+    doc = {
+        "kind": "aggregateMark",
+        "layer": layers,
+        "data": {
+            "values": [
+                {
+                    "id": str(r.identifier(dataset.schema)),
+                    "t": r.get(time_variable),
+                    "matched": "yes" if f else "no",
+                }
+                for r, f in zip(ordered, flags)
+            ]
+        },
+    }
+    validate_fragment(doc)
+    return doc
+
+
+# --- generators -----------------------------------------------------------
+
+# Values whose comparisons a float64 kernel would get wrong: ints past 2**53,
+# 1 / 1.0 / True, -0.0, NaN (a new object per draw), infinities, missing
+# cells and strings inside NUMBER columns.
+VALUES = st.one_of(
+    st.sampled_from([None, 0, 1, 1.0, True, False, -0.0, 0.0, 2, 2.5, BIG, BIG - 1,
+                     float(BIG - 1), float("inf"), float("-inf"), "a", "b", "1", ""]),
+    st.builds(float, st.just("nan")),
+    st.integers(-3, 3),
+)
+CONSTANTS = st.sampled_from([0, 1, 2, -1, BIG, BIG - 1, 1.0, 2.5, -0.0, "a", "1", ""])
+OPS = st.sampled_from([">", ">=", "<", "<=", "=", "!="])
+NAMES = ("id", "k", "v", "s")
+
+
+@st.composite
+def datasets(draw):
+    kinds = (NUMBER, NUMBER, NUMBER, STRING)
+    schema = Schema(
+        variables=tuple(zip(NAMES, kinds)),
+        identifying=draw(st.sampled_from([("id",), (), ("id", "k"), ("k",)])),
+    )
+    n = draw(st.integers(0, 12))
+    pool = draw(st.lists(VALUES, min_size=1, max_size=6))  # repeats make duplicates
+    records = [
+        Record(tuple((name, draw(st.sampled_from(pool) | VALUES)) for name in NAMES))
+        for _ in range(n)
+    ]
+    dataset = Dataset(schema, records)
+    if records and schema.identifying:
+        # a series per identifier of some records; unhashable ids never occur
+        ids = [r.identifier(schema) for r in records]
+        dataset.series = {i: f"series {k}" for k, i in enumerate(ids[: draw(st.integers(0, n))])}
+    return dataset
+
+
+def predicates(depth=2):
+    leaf = st.builds(Comparison, st.sampled_from(NAMES), OPS, CONSTANTS)
+    if depth == 0:
+        return leaf
+    sub = predicates(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+    )
+
+
+BOUNDS = st.one_of(st.none(), st.sampled_from([0, 1, 1.0, -0.0, 2, BIG, float("inf")]))
+KINDS = st.one_of(
+    st.builds(
+        DirectMapping,
+        st.lists(st.tuples(st.sampled_from(NAMES), VALUES), min_size=0, max_size=2).map(tuple),
+    ),
+    st.builds(IndirectVariableMapping, st.sampled_from(NAMES), BOUNDS, BOUNDS),
+    predicates().map(lambda p: IndirectQueryMapping(to_text(p))),
+)
+MANIFESTATIONS = st.lists(
+    st.builds(Manifestation, st.sampled_from([Iri("urn:c:a"), Iri("urn:c:b")]), KINDS),
+    max_size=4,
+)
+
+
+def outcome(fn, *args):
+    """Result, or the error's type and message, for comparing two paths."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # both paths must fail alike
+        return ("error", type(exc).__name__, str(exc))
+
+
+def exact(result):
+    """Text that tells 1 / 1.0 / True and 0.0 / -0.0 apart."""
+    if result[0] != "ok":
+        return result
+    value = result[1]
+    if isinstance(value, set):
+        return sorted(map(repr, value))
+    return json.dumps(value)
+
+
+# --- properties -------------------------------------------------------------
+
+
+# Equal identifiers 1 and 1.0: the set keeps the first matched one, 1.0,
+# although 1 appears first in the dataset.
+_FIRST_MATCHED = Dataset(
+    Schema(variables=(("id", NUMBER), ("v", NUMBER)), identifying=("id",)),
+    [Record((("id", i), ("v", v))) for i, v in ((1, 0), (1.0, 5), (1, 5))],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), MANIFESTATIONS)
+@example(_FIRST_MATCHED, [Manifestation(Iri("urn:c:a"), IndirectQueryMapping("[v] > 1"))])
+def test_evaluate_and_marks_match_per_record_reference(dataset, manifestations):
+    for m in manifestations:
+        got = outcome(evaluate_manifestation, m, dataset)
+        want = outcome(ref_evaluate, m, dataset)
+        assert got == want
+        assert exact(got) == exact(want)
+    got = outcome(encoded_marks_spec, dataset, manifestations)
+    want = outcome(ref_marks, dataset, manifestations)
+    assert exact(got) == exact(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), MANIFESTATIONS, st.sampled_from(["k", "v"]))
+def test_aggregate_matches_per_record_reference(dataset, manifestations, time_variable):
+    for m in manifestations:
+        got = outcome(aggregate_mark_spec, dataset, m, time_variable)
+        want = outcome(ref_aggregate, dataset, m, time_variable)
+        assert exact(got) == exact(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), predicates())
+def test_filter_matches_per_record_reference(dataset, pred):
+    out = filter_records(dataset, pred)
+    kept, series = ref_filter(dataset, pred)
+    assert [id(r) for r in out.records] == [id(r) for r in kept]
+    assert out.series == series
+
+
+def test_loaded_columns_equal_columns_built_from_records():
+    schema = Schema(
+        variables=(("id", NUMBER), ("v", NUMBER), ("s", STRING)), identifying=("id",)
+    )
+    text = "id,v,s\n1,nan,a\n2,-0.0,\n3,0,a\n4,1.0,b\n5,nan,a\n6,,b\n7,9007199254740993,a\n"
+    loaded = load_csv(text, schema)
+    rebuilt = Dataset(schema, loaded.records)
+    for name in schema.names():
+        a, b = loaded.columns[name], rebuilt.columns[name]
+        assert list(map(repr, a.values)) == list(map(repr, b.values))
+        assert a.codes.tolist() == b.codes.tolist()
+    # each NaN cell is its own value, as each was parsed on its own
+    assert len(loaded.columns["v"].values) == 7
+
+
+def test_compare_runs_once_per_distinct_value(monkeypatch):
+    calls = []
+    original = predicate._compare
+
+    def counting(value, op, constant):
+        calls.append(value)
+        return original(value, op, constant)
+
+    monkeypatch.setattr(predicate, "_compare", counting)
+    schema = Schema(variables=(("id", NUMBER), ("v", NUMBER)), identifying=("id",))
+    cycle = [7, None, 2.5]
+    dataset = Dataset(
+        schema, [Record((("id", i), ("v", cycle[i % 3]))) for i in range(10_000)]
+    )
+    pred = parse_predicate("[v] > 1 AND NOT [v] = 7")
+    kept = filter_records(dataset, pred)
+    assert len(calls) <= 2 * 3
+    assert [r.get("v") for r in kept.records[:2]] == [2.5, 2.5]
+    calls.clear()
+    m = Manifestation(Iri("urn:c:a"), IndirectQueryMapping("[v] != 2.5"))
+    assert len(evaluate_manifestation(m, dataset)) == 3334
+    assert len(calls) <= 3
+
+
+def test_column_masks_are_numpy_booleans():
+    schema = Schema(variables=(("id", NUMBER),), identifying=("id",))
+    dataset = Dataset(schema, [Record((("id", i),)) for i in (3, 1, 3)])
+    column = dataset.columns["id"]
+    assert column.values == (3, 1)
+    assert column.codes.tolist() == [0, 1, 0]
+    assert column.equal(3).dtype == np.bool_
+    with pytest.raises(ValueError):
+        column.codes[0] = 1  # read-only

@@ -157,3 +157,27 @@ def test_series_csv_short_header(text):
 def test_series_csv_rejects_equal_infinite_stamps():
     with pytest.raises(ValueError, match="strictly increasing"):
         load_series_csv("t,v\ninf,1.0\ninf,2.0\n")
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("t,v\n0.0,1\nnan,2\n0.0,3\n", 3),
+        ("t,v\nnan,1\n", 2),
+        ("t,v\n0.0,1\n\n0.5,2\n0.5,3\n", 5),
+        ("t,v\n1.0,1\n0.5,2\n", 3),
+    ],
+)
+def test_series_csv_rejects_nan_and_non_increasing_stamps(text, row):
+    with pytest.raises(CsvTypeError, match="strictly increasing") as exc:
+        load_series_csv(text)
+    assert exc.value.row == row
+    assert exc.value.column == "t"
+
+
+@pytest.mark.parametrize(
+    "samples", [((0.0, 1.0), (float("nan"), 2.0), (0.0, 3.0)), ((float("nan"), 1.0),)]
+)
+def test_timeseries_rejects_nan_stamps(samples):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeries(samples)

@@ -302,6 +302,22 @@ def test_knowledge_table_cross_checks():
             assert cell["range"] == list(model.effective_ranges()[name])
 
 
+def test_box_plot_stats_equal_per_quantile_calls():
+    model = build_category_model(_affected(_categories_graph()), _population(7))
+    stats = box_plot_stats(model)
+    for i, name in enumerate(PARAMETER_NAMES):
+        arr = np.asarray(sorted(p.values[i] for _, p in model.prototypes), dtype=float)
+        assert stats[name] == {
+            "min": float(arr.min()),
+            "q1": float(np.quantile(arr, 0.25)),
+            "median": float(np.quantile(arr, 0.5)),
+            "q3": float(np.quantile(arr, 0.75)),
+            "max": float(arr.max()),
+        }
+    empty = CategoryModel(concept=model.concept, prototypes=[])
+    assert box_plot_stats(empty) == {name: None for name in PARAMETER_NAMES}
+
+
 def test_combined_force_sums_overlap():
     trial = square_wave_trial("p1")
     combined = combined_force(trial)

@@ -210,6 +210,10 @@ def test_published_schema_in_sync():
         (Path(__file__).parent.parent / "docs/fragment-schema.json").read_text()
     )
     assert packaged == published
+    # the schema ships twice; the copies must stay byte for byte the same
+    assert (Path(__file__).parent.parent / "docs/fragment-schema.json").read_bytes() == (
+        Path(__file__).parent.parent / "src/kava/fragment_schema.json"
+    ).read_bytes()
 
 
 def test_fragments_validate():
