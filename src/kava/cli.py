@@ -213,15 +213,28 @@ def _parse_bindings(pairs):
         if "=" not in pair:
             raise KavaError(f"bad --prototype binding {pair!r}; expected var=value")
         var, raw = pair.split("=", 1)
-        if raw.lstrip("-").isdigit():
-            value = int(raw)
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        bindings.append((var, value))
+        bindings.append((var, _number_or_text(raw)))
     return tuple(sorted(bindings))
+
+
+def _number_or_text(raw):
+    if raw.lstrip("-").isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # "--5" and "²" are digits to str.isdigit only
+            pass
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
+def _with_manifestation(graph, m):
+    """graph plus m; a value no literal can hold, such as NaN, is an input error."""
+    try:
+        return manifestation.add_manifestation_to_graph(graph, m)
+    except ValueError as exc:
+        raise KavaError(str(exc)) from None
 
 
 def _write_validated(graph, path) -> int:
@@ -260,7 +273,7 @@ def cmd_annotate(args) -> int:
         ):
             _emit({"written": args.knowledge, "changed": False})
             return EXIT_OK
-    graph = manifestation.add_manifestation_to_graph(graph, m)
+    graph = _with_manifestation(graph, m)
     code = _write_validated(graph, args.knowledge)
     if code == EXIT_OK:
         _emit({"written": args.knowledge, "changed": True})
@@ -316,7 +329,7 @@ def cmd_export_vis(args) -> int:
     except (OSError, KavaError) as exc:
         _diag(str(exc))
         return EXIT_INPUT
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    text = utilization.fragment_text(doc) + "\n"
     if args.output:
         write_atomic(args.output, text)
         _emit({"written": args.output, "kind": doc["kind"]})
@@ -408,7 +421,7 @@ def cmd_gait(args) -> int:
             creator_name=args.creator,
             date=args.date,
         )
-        graph = manifestation.add_manifestation_to_graph(graph, m)
+        graph = _with_manifestation(graph, m)
         code = _write_validated(graph, args.knowledge)
         if code == EXIT_OK:
             _emit({"written": args.knowledge, "param": args.param})

@@ -94,6 +94,10 @@ class UnsupportedPredicateShape(KavaError):
     pass
 
 
+class UnsupportedChannel(KavaError):
+    pass
+
+
 class InsufficientSteps(KavaError):
     pass
 

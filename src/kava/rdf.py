@@ -56,6 +56,8 @@ def _canonical_numeric(lexical: str, datatype: str) -> str:
             return str(int(lexical))
         d = decimal.Decimal(lexical)
     except (ValueError, decimal.InvalidOperation):
+        d = None
+    if d is None or not d.is_finite():  # NaN and Infinity have no xsd lexical
         raise ValueError(f"not a valid {datatype} literal: {lexical!r}")
     # Normalize in a context as precise as the input, so nothing is rounded.
     exact = decimal.Context(prec=max(1, len(d.as_tuple().digits)))

@@ -7,10 +7,13 @@ import functools
 import json
 from importlib import resources
 
-import jsonschema
-
 from .dataset import Dataset
-from .errors import CyclicScheme, UnknownVariable, UnsupportedPredicateShape
+from .errors import (
+    CyclicScheme,
+    UnknownVariable,
+    UnsupportedChannel,
+    UnsupportedPredicateShape,
+)
 from .manifestation import (
     IndirectQueryMapping,
     IndirectVariableMapping,
@@ -21,20 +24,158 @@ from .predicate import Comparison, parse_predicate
 from .rdf import shrink
 from .skos import ConceptScheme, has_broader_cycle
 
+# An array property whose schema is exactly this is checked element by
+# element with is_type instead of through the validator.
+_OBJECT_ARRAY = {"type": "array", "items": {"type": "object"}}
+# Keywords that judge an object by its keys and through "properties" only, so
+# swapping the value of a listed property for [] leaves their verdict alone.
+_PLAIN_OBJECT_KEYWORDS = frozenset(
+    {"$schema", "title", "description", "type", "required", "additionalProperties",
+     "properties", "$defs"}
+)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    text = resources.files("kava").joinpath("fragment_schema.json").read_text()
-    schema = json.loads(text)
+def _schema() -> dict:
+    return json.loads(resources.files("kava").joinpath("fragment_schema.json").read_text())
+
+
+def channels() -> tuple[str, ...]:
+    """Encoding channels a fragment may use, in the schema's order."""
+    return tuple(_schema()["properties"]["encoding"]["properties"])
+
+
+def _object_arrays(schema, path=()):
+    """Key paths from the root to every array property that the schema asks
+    only to hold objects, reached through plain object schemas."""
+    if schema == _OBJECT_ARRAY:
+        yield path
+    elif isinstance(schema, dict) and schema.keys() <= _PLAIN_OBJECT_KEYWORDS:
+        for key, sub in schema.get("properties", {}).items():
+            yield from _object_arrays(sub, path + (key,))
+
+
+@functools.cache
+def _validator():
+    import jsonschema  # costs a tenth of a second; commands without fragments skip it
+
+    schema = _schema()
     jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
+    return jsonschema.Draft202012Validator(schema), tuple(_object_arrays(schema))
+
+
+def _hold_out(value, path, is_type, held):
+    """value with the array at the key path swapped for [] (the array is
+    appended to held); value itself when there is no array at that path."""
+    if not is_type(value, "object") or path[0] not in value:
+        return value
+    sub = value[path[0]]
+    if len(path) > 1:
+        new = _hold_out(sub, path[1:], is_type, held)
+        if new is sub:
+            return value
+    elif is_type(sub, "array"):
+        held.append(sub)
+        new = []
+    else:
+        return value
+    return {**value, path[0]: new}
 
 
 def validate_fragment(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the fragment is malformed."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    """Raise jsonschema.ValidationError if the fragment is malformed.
+
+    Arrays whose schema is exactly {"type": "array", "items": {"type":
+    "object"}} (data.values, diagnostics) are held out: the validator runs on
+    the document with each of them replaced by [], and their elements are
+    checked with the validator's own is_type(x, "object"). The paths are read
+    from the schema when the validator is built. If either check fails, the
+    whole document is validated and the best_match error is raised, so every
+    verdict and message is that of a full validation.
+    """
+    validator, paths = _validator()
+    held = []
+    skeleton = doc
+    for path in paths:
+        skeleton = _hold_out(skeleton, path, validator.is_type, held)
+    if validator.is_valid(skeleton) and all(
+        validator.is_type(x, "object") for rows in held for x in rows
+    ):
+        return
+    from jsonschema.exceptions import best_match
+
+    error = best_match(validator.iter_errors(doc))
     if error is not None:
         raise error
+
+
+def fragment_text(doc) -> str:
+    """Exactly json.dumps(doc, indent=2, ensure_ascii=False), written faster.
+
+    An array of non-empty dicts of scalars (data.values, edges) is written by
+    the C encoder in one call, whose item separator already holds the field
+    indentation; only the row boundaries are then re-indented. JSON escapes
+    newlines inside strings, so a raw newline only ever sits between tokens.
+    Rows that also hold lists of strings (diagnostics) render each distinct
+    list once. Anything else goes through json.dumps(indent=2) itself.
+    """
+    return _indented(doc, "\n")
+
+
+def _indented(value, newline):
+    """json.dumps(value, indent=2, ensure_ascii=False) placed at the
+    indentation that newline carries."""
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        inner = newline + "  "
+        items = (_encode(k) + ": " + _indented(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(value) is list and value and all(type(row) is dict and row for row in value):
+        kinds = {type(v) for row in value for v in row.values()}
+        if kinds <= _SCALARS:
+            # Both encoders turn every key into a JSON string alike.
+            return _flat_rows(value, newline)
+        if kinds <= _SCALARS | {list}:
+            texts = {type(k) for row in value for k in row}
+            texts.update(
+                type(s) for row in value for v in row.values() if type(v) is list for s in v
+            )
+            if texts == {str}:
+                return _rows_with_lists(value, newline)
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
+
+
+def _flat_rows(rows, newline):
+    item = newline + "  "
+    field = item + "  "
+    text = json.dumps(rows, ensure_ascii=False, separators=("," + field, ": "))
+    # text is [{row},<field>{row}]: a raw newline is always a separator, and
+    # only a row boundary has } before it and { after it.
+    body = text[2:-2].replace("}," + field + "{", item + "}," + item + "{" + field)
+    return "[" + item + "{" + field + body + item + "}" + newline + "]"
+
+
+def _rows_with_lists(rows, newline):
+    item = newline + "  "
+    field = item + "  "
+    lists = {}  # tuple of strings -> its indented text
+
+    def text(v):
+        if type(v) is not list:
+            return _encode(v)
+        key = tuple(v)
+        out = lists.get(key)
+        if out is None:
+            out = lists[key] = json.dumps(v, indent=2, ensure_ascii=False).replace("\n", field)
+        return out
+
+    texts = (
+        "{" + field + ("," + field).join(_encode(k) + ": " + text(v) for k, v in row.items())
+        + item + "}"
+        for row in rows
+    )
+    return "[" + item + ("," + item).join(texts) + newline + "]"
 
 
 def _concept_name(iri, prefixes):
@@ -92,6 +233,10 @@ def encoded_marks_spec(
     Ties are broken by manifestation list order; overlaps are reported in
     the fragment's diagnostics.
     """
+    if channel not in channels():
+        raise UnsupportedChannel(
+            f"unsupported channel {channel!r}; expected one of: {', '.join(channels())}"
+        )
     prefixes = prefixes or {}
     matched_by = {}
     for m in manifestations:

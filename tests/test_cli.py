@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -8,12 +9,19 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, fixture_text
-from kava.cli import main, read_graph
+from kava.cli import main, read_graph, read_table
 from kava.gait import square_wave_trial, write_trials_dir
-from kava.manifestation import load_manifestations
+from kava.manifestation import DirectMapping, load_manifestations
 from kava.rdf import isomorphic_trees
+from kava.skos import load_scheme
 from kava.turtle import parse_turtle
-from kava.utilization import validate_fragment
+from kava.utilization import (
+    aggregate_mark_spec,
+    concept_tree_spec,
+    encoded_marks_spec,
+    threshold_region_spec,
+    validate_fragment,
+)
 
 
 def run(capsys, *argv):
@@ -164,6 +172,30 @@ def test_roundtrip_script_on_every_fixture():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count(": OK (") == len(fixtures)
+
+
+def test_commands_without_fragments_do_not_import_jsonschema(tmp_path):
+    data = tmp_path / "patients.csv"
+    data.write_text("patientId,bloodSugar\n1,150\n2,250\n")
+    script = (
+        "import sys\n"
+        "from kava.cli import main\n"
+        "listing4, data, out = sys.argv[1:]\n"
+        "assert main(['validate', listing4]) == 0\n"
+        "assert main(['manifest', listing4, data, '--concept', 'icd10:R73']) == 0\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
+        "assert main(['export-vis', listing4, '--pattern', 'threshold', '-o', out]) == 0\n"
+        "assert 'jsonschema' in sys.modules, 'fragment not validated'\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURES / "listing4.ttl"), str(data),
+         str(tmp_path / "region.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_gait_demo_script_writes_its_outputs(tmp_path):
@@ -356,6 +388,41 @@ def test_annotate_bad_binding(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annotate", "{store}", "--concept", "icd10:R73", "--prototype", "patientId=nan"],
+        ["annotate", "{store}", "--concept", "icd10:R73", "--prototype", "patientId=inf"],
+        ["annotate", "{store}", "--concept", "icd10:R73", "--prototype", "a=1", "b=1e999"],
+        ["gait", "set-range", "--knowledge", "{store}", "--concept", "gps:affectedKnee",
+         "--param", "cadence", "--min=nan", "--max", "1"],
+        ["gait", "set-range", "--knowledge", "{store}", "--concept", "gps:affectedKnee",
+         "--param", "cadence", "--min", "0", "--max=inf"],
+    ],
+)
+def test_editing_commands_reject_non_finite_numbers(capsys, tmp_path, argv):
+    store = tmp_path / "store.ttl"
+    shutil.copy(FIXTURES / "gait_categories.ttl", store)
+    before = store.read_text()
+    code, lines, err = run(capsys, *(a.replace("{store}", str(store)) for a in argv))
+    assert code == 2 and lines == []
+    assert "not a valid decimal literal: " in err
+    assert store.read_text() == before
+
+
+@pytest.mark.parametrize("raw", ["--5", "²", "-²"])
+def test_annotate_keeps_digit_like_text_as_string(capsys, tmp_path, raw):
+    store = tmp_path / "store.ttl"
+    store.write_text("")
+    code, lines, _ = run(
+        capsys, "annotate", str(store), "--concept", "icd10:R73",
+        "--prototype", f"patientId={raw}", "--creator", "analyst",
+    )
+    assert code == 0 and lines[0]["changed"] is True
+    [m] = load_manifestations(parse_turtle(store.read_text()))
+    assert m.kind == DirectMapping(bindings=(("patientId", raw),))
+
+
 # --- export-vis -----------------------------------------------------------
 
 
@@ -440,6 +507,101 @@ def test_export_marks_requires_data(capsys):
         capsys, "export-vis", str(FIXTURES / "listing5.ttl"), "--pattern", "marks"
     )
     assert code == 2
+
+
+def test_export_marks_rejects_channel_outside_schema(capsys, tmp_path):
+    data = tmp_path / "obs.csv"
+    data.write_text("patientId,glucose\n1,150\n")
+    code, lines, err = run(
+        capsys, "export-vis", str(FIXTURES / "listing5.ttl"), str(data),
+        "--pattern", "marks", "--channel", "shape",
+    )
+    assert code == 2 and lines == []
+    assert err == "unsupported channel 'shape'; expected one of: x, x2, y, y2, color, size\n"
+
+
+# Cells that JSON must escape, or that look like the row layout.
+_ODD_CELLS = ["Gänge", "},\n        {", '{"a": [1]} \\ "q" ]', "\x01\t\x1f\x7f", "plain"]
+
+
+def _export_cases(tmp_path):
+    """argv and the library's document for each export-vis pattern."""
+    scheme = tmp_path / "scheme.ttl"
+    scheme.write_text(
+        fixture_text("gps_scheme.ttl")
+        + "\ngps:odd rdf:type skos:Concept;\n"
+        '  skos:prefLabel "Gänge },\\n        { \\"q\\" \\\\ [x]\\t";\n'
+        "  skos:broader gps:mid;\n"
+        "  skos:inScheme gps:gaitPatternSchema.\n"
+    )
+    store = tmp_path / "store.ttl"
+    store.write_text(
+        'icd10:R73 kava:manifest [ kava:matchQuery "[glucose] > 200" ].\n'
+        'icd10:E11 kava:manifest [ kava:matchQuery "[glucose] > 100" ].\n'
+    )
+    data = tmp_path / "obs.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patientId", "glucose", "note", "score", "t"])
+        scores = ["nan", "inf", "-inf", "-0.0", "1e308"]
+        times = ["1", "2", "inf", "-0.0", "5"]
+        for i, row in enumerate(zip([150, 250, 260, 100, 300], _ODD_CELLS, scores, times)):
+            writer.writerow([i + 1, *row])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("patientId,glucose\n")
+
+    tree_graph = read_graph(str(scheme))
+    graph = read_graph(str(store))
+    manifests = load_manifestations(graph)
+    listing4 = str(FIXTURES / "listing4.ttl")
+    return {
+        "tree": (
+            ["export-vis", str(scheme), "--pattern", "tree"],
+            concept_tree_spec(
+                load_scheme(tree_graph, tree_graph.expand("gps:gaitPatternSchema")),
+                prefixes=tree_graph.prefixes,
+            ),
+        ),
+        "threshold": (
+            ["export-vis", listing4, "--pattern", "threshold"],
+            threshold_region_spec(load_manifestations(read_graph(listing4))[0].kind, "bloodSugar"),
+        ),
+        "marks": (
+            ["export-vis", str(store), str(data), "--pattern", "marks", "--channel", "size"],
+            encoded_marks_spec(read_table(str(data), None), manifests, "size", graph.prefixes),
+        ),
+        "marks-header-only": (
+            ["export-vis", str(store), str(empty), "--pattern", "marks"],
+            encoded_marks_spec(read_table(str(empty), None), manifests, "color", graph.prefixes),
+        ),
+        "aggregate": (
+            ["export-vis", str(store), str(data), "--pattern", "aggregate",
+             "--concept", "icd10:R73"],
+            aggregate_mark_spec(
+                read_table(str(data), None),
+                next(m for m in manifests if m.concept == graph.expand("icd10:R73")),
+                "t",
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize(
+    "case", ["tree", "threshold", "marks", "marks-header-only", "aggregate"]
+)
+def test_export_vis_writes_indented_dumps_of_the_document(capsys, tmp_path, case, to_file):
+    argv, doc = _export_cases(tmp_path)[case]
+    expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    if to_file:
+        out = tmp_path / "fragment.json"
+        code = main([*argv, "-o", str(out)])
+        assert json.loads(capsys.readouterr().out) == {"written": str(out), "kind": doc["kind"]}
+        assert out.read_text(encoding="utf-8") == expected
+    else:
+        code = main(argv)
+        assert capsys.readouterr().out == expected
+    assert code == 0
 
 
 # --- gait -----------------------------------------------------------------

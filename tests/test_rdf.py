@@ -68,6 +68,9 @@ def test_literal_datatypes():
         Literal("abc", "integer")
     with pytest.raises(ValueError):
         Literal("x", "date")
+    for lexical in ("NaN", "-nan", "inf", "-Infinity", "sNaN"):
+        with pytest.raises(ValueError, match="not a valid decimal literal"):
+            Literal(lexical, "decimal")
 
 
 def test_triple_invariants():

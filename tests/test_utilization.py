@@ -1,10 +1,19 @@
+import functools
+import json
+
+import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
 from kava.dataset import NUMBER, Schema, load_csv
-from kava.errors import CyclicScheme, UnknownVariable, UnsupportedPredicateShape
+from kava.errors import (
+    CyclicScheme,
+    UnknownVariable,
+    UnsupportedChannel,
+    UnsupportedPredicateShape,
+)
 from kava.manifestation import (
     IndirectQueryMapping,
     IndirectVariableMapping,
@@ -15,10 +24,14 @@ from kava.rdf import DEFAULT_PREFIXES, Iri
 from kava.skos import Concept, ConceptScheme, load_scheme
 from kava.turtle import parse_turtle
 from kava.utilization import (
+    _object_arrays,
     _runs,
+    _schema,
     aggregate_mark_spec,
+    channels,
     concept_tree_spec,
     encoded_marks_spec,
+    fragment_text,
     threshold_region_spec,
     validate_fragment,
 )
@@ -221,3 +234,260 @@ def test_fragments_validate():
     validate_fragment(concept_tree_spec(scheme, prefixes=g.prefixes))
     with pytest.raises(Exception):
         validate_fragment({"kind": "nonsense"})
+
+
+def test_encoded_marks_rejects_channel_outside_schema():
+    assert channels() == ("x", "x2", "y", "y2", "color", "size")
+    for channel in channels():
+        assert encoded_marks_spec(_glucose_dataset(), [], channel)["encoding"] == {
+            channel: {"field": "concept", "type": "nominal"}
+        }
+    with pytest.raises(UnsupportedChannel, match="'shape'; expected one of: x, x2"):
+        encoded_marks_spec(_glucose_dataset(), [], "shape")
+
+
+# --- fragment text ----------------------------------------------------------
+
+# Text that looks like the layout the row writer re-indents, or that JSON
+# must escape.
+_TRICKY = st.sampled_from(
+    ["},\n        {", "},\n{", "}", "{", "[", "]", '"', "\\", "\\u00e9", ": ", ",",
+     "\x00", "\x1f", "\x7f", "\t\r\n", "é", "Gänge", " ", "😀", "\ud800"]
+)
+_STRINGS = st.one_of(st.text(max_size=6), _TRICKY, st.lists(_TRICKY, max_size=4).map("".join))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**53 + 1, -(2**53) - 1, 0.0, -0.0, float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _STRINGS,
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+
+
+def _rows(values, keys=_STRINGS):
+    return st.lists(st.dictionaries(keys, values, max_size=4), max_size=4)
+
+
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_KEYS, inner, max_size=3),
+        _rows(_SCALARS),
+        _rows(_SCALARS, _KEYS),
+        _rows(st.one_of(_SCALARS, st.lists(_STRINGS, max_size=3))),
+        _rows(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example({"data": {"values": [{"a": "},\n        {", "b": float("nan")}, {"a": -0.0}]}})
+@example(
+    {"diagnostics": [{"record": "1", "concepts": ["ex:a", "é"]}, {"record": "2", "concepts": []}]}
+)
+@example([{"a": [1]}, {"a": [1.0]}, {"a": [True]}, {"a": [0.0]}, {"a": [-0.0]}])
+@example({"values": [], "rows": [{}], "mixed": [{"a": 1}, {}], "nested": [{"a": {"b": 1}}]})
+def test_fragment_text_equals_indented_dumps(doc):
+    assert fragment_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+def test_fragment_text_of_every_fragment_kind():
+    g, scheme = _gps_scheme()
+    g4 = parse_turtle(fixture_text("listing4.ttl"))
+    ms = load_manifestations(parse_turtle(fixture_text("listing5.ttl")))
+    other = create_manifestation(Iri("urn:other"), IndirectQueryMapping("[glucose] > 100"))
+    docs = [
+        concept_tree_spec(scheme, prefixes=g.prefixes),
+        encoded_marks_spec(_glucose_dataset(), [*ms, other], "size", prefixes=g.prefixes),
+        aggregate_mark_spec(_glucose_dataset((100, 300, 300, 100)), ms[0], "t"),
+        threshold_region_spec(load_manifestations(g4)[0].kind, "bloodSugar"),
+    ]
+    for doc in docs:
+        assert fragment_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+# --- fragment validation ----------------------------------------------------
+
+
+@functools.cache
+def _full_validator():
+    return jsonschema.Draft202012Validator(_schema())
+
+
+def _verdict(check, doc):
+    try:
+        check(doc)
+    except jsonschema.ValidationError as exc:
+        return type(exc), exc.message, list(exc.path), exc.validator
+    return None
+
+
+def _full_check(doc):
+    error = jsonschema.exceptions.best_match(_full_validator().iter_errors(doc))
+    if error is not None:
+        raise error
+
+
+_CHANNELS = st.dictionaries(
+    st.sampled_from(["x", "x2", "y", "y2", "color", "size"]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "field": st.text(max_size=2),
+            "type": st.sampled_from(["quantitative", "nominal", "ordinal", "temporal"]),
+            "datum": st.one_of(st.integers(), st.floats()),
+        },
+    ),
+    max_size=2,
+)
+_BOUND = st.fixed_dictionaries(
+    {"value": st.one_of(st.integers(), st.floats()), "inclusive": st.booleans()}
+)
+_OBJECT_ROWS = st.lists(st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2), max_size=4)
+_NOT_OBJECTS = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))
+_NOT_ARRAYS = st.one_of(_SCALARS, st.dictionaries(st.text(max_size=1), _SCALARS, max_size=1))
+
+
+def _insert(rows, draw):
+    rows = list(rows) if isinstance(rows, list) else []
+    rows.insert(draw(st.integers(0, len(rows))), draw(_NOT_OBJECTS))
+    return rows
+
+
+def _data(doc):
+    return doc["data"] if isinstance(doc.get("data"), dict) else {}
+
+
+# Each mutation takes a fragment and draw, and returns a changed copy.
+_MUTATIONS = [
+    lambda doc, draw: {**doc, "kind": draw(st.sampled_from(["wrong", "", 1]))},
+    lambda doc, draw: {**doc, draw(st.sampled_from(["extra", "values", "Kind"])): 1},
+    lambda doc, draw: {**doc, "data": {**_data(doc), "extra": 1}},
+    lambda doc, draw: {**doc, "data": {"values": _insert(_data(doc).get("values"), draw)}},
+    lambda doc, draw: {**doc, "data": {"values": draw(_NOT_ARRAYS)}},
+    lambda doc, draw: {**doc, "data": draw(st.one_of(_OBJECT_ROWS, _SCALARS))},
+    lambda doc, draw: {**doc, "diagnostics": _insert(doc.get("diagnostics"), draw)},
+    lambda doc, draw: {**doc, "diagnostics": draw(_NOT_ARRAYS)},
+    lambda doc, draw: {
+        **doc, "encoding": {draw(st.sampled_from(["shape", "color"])): {"type": "bogus"}}
+    },
+    lambda doc, draw: {
+        **doc,
+        "region": {"lower": {"value": draw(st.sampled_from(["200", None])), "inclusive": True}},
+    },
+    lambda doc, draw: {**doc, "region": {"upper": {"value": 1}}},
+    lambda doc, draw: {**doc, "layer": [{"mark": "rule", "extra": 1}]},
+    lambda doc, draw: {**doc, "edges": [{"source": "a"}]},
+]
+
+
+@st.composite
+def _fragments(draw):
+    """A valid fragment, then up to two mutations drawn from _MUTATIONS."""
+    kinds = ["conceptTree", "encodedMarks", "aggregateMark", "thresholdRegion"]
+    doc = {"kind": draw(st.sampled_from(kinds))}
+    optional = {
+        "mark": st.just("point"),
+        "data": st.fixed_dictionaries(
+            {"values": _OBJECT_ROWS}, optional={"name": st.text(max_size=2)}
+        ),
+        "encoding": _CHANNELS,
+        "layer": st.lists(
+            st.fixed_dictionaries({"mark": st.just("rule"), "encoding": _CHANNELS}), max_size=2
+        ),
+        "edges": st.lists(
+            st.fixed_dictionaries({"source": st.text(max_size=2), "target": st.text(max_size=2)}),
+            max_size=2,
+        ),
+        "region": st.fixed_dictionaries({}, optional={"lower": _BOUND, "upper": _BOUND}),
+        "diagnostics": _OBJECT_ROWS,
+        "warnings": st.lists(st.text(max_size=2), max_size=2),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    for _ in range(draw(st.integers(0, 2))):
+        doc = draw(st.sampled_from(_MUTATIONS))(doc, draw)
+    return doc
+
+
+def _with(doc, path, value):
+    """Copy of doc with the value at the key path set, or deleted for None."""
+    out = dict(doc)
+    if len(path) > 1:
+        out[path[0]] = _with(doc[path[0]], path[1:], value)
+    elif value is None:
+        del out[path[0]]
+    else:
+        out[path[0]] = value
+    return out
+
+
+_MARKS = {
+    "kind": "encodedMarks",
+    "mark": "point",
+    "data": {"values": [{"id": 1, "concept": "none"}, {"id": 2, "concept": "ex:a"}]},
+    "encoding": {"color": {"field": "concept", "type": "nominal"}},
+    "diagnostics": [{"record": "2", "concepts": ["ex:a", "ex:b"]}],
+}
+_REGION = {
+    "kind": "thresholdRegion",
+    "region": {"lower": {"value": 200, "inclusive": True}},
+    "encoding": {"y": {"datum": 200}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(_MARKS, ("kind",), "wrong"),
+        _with(_MARKS, ("kind",), None),
+        _with(_MARKS, ("extra",), 1),
+        _with(_MARKS, ("data", "extra"), 1),
+        _with(_MARKS, ("data", "values"), [{"id": 1}, 2, {"id": 3}]),
+        _with(_MARKS, ("data", "values"), [[{"id": 1}]]),
+        _with(_MARKS, ("data", "values"), {"id": 1}),
+        _with(_MARKS, ("data", "values"), "rows"),
+        _with(_MARKS, ("data",), [{"id": 1}]),
+        _with(_MARKS, ("diagnostics",), [{"record": "1"}, "x"]),
+        _with(_MARKS, ("diagnostics",), {"record": "1"}),
+        _with(_MARKS, ("encoding",), {"shape": {"field": "concept", "type": "nominal"}}),
+        _with(_MARKS, ("encoding", "color", "type"), "bogus"),
+        _with(_with(_MARKS, ("data", "values"), [{"id": 1}, 2]), ("extra",), 1),
+        _with(_REGION, ("region", "lower", "value"), "200"),
+        _with(_REGION, ("region", "lower", "inclusive"), None),
+        _with(_REGION, ("region", "upper"), {"value": 1, "inclusive": "yes"}),
+    ],
+)
+def test_validate_fragment_reports_what_full_validation_reports(doc):
+    assert _verdict(validate_fragment, _MARKS) is None
+    assert _verdict(validate_fragment, _REGION) is None
+    expected = _verdict(_full_check, doc)
+    assert expected is not None
+    assert _verdict(validate_fragment, doc) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fragments())
+def test_validate_fragment_verdict_equals_full_validation(doc):
+    assert _verdict(validate_fragment, doc) == _verdict(_full_check, doc)
+
+
+def test_held_out_arrays_come_from_the_schema():
+    schema = _schema()
+    assert set(_object_arrays(schema)) == {("data", "values"), ("diagnostics",)}
+    # Any other keyword on the array, or on an object schema above it,
+    # leaves the array to the validator.
+    edited = json.loads(json.dumps(schema))
+    edited["properties"]["diagnostics"]["maxItems"] = 3
+    edited["properties"]["data"]["patternProperties"] = {"^v": {"maxItems": 1}}
+    assert list(_object_arrays(edited)) == []
+    edited = json.loads(json.dumps(schema))
+    edited["properties"]["diagnostics"]["items"] = {"type": "object", "required": ["record"]}
+    edited["allOf"] = [{"properties": {"data": {"properties": {"values": {"maxItems": 1}}}}}]
+    assert list(_object_arrays(edited)) == []
