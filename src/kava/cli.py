@@ -370,44 +370,73 @@ def _gait_models(graph, trials, filter_text):
     return models
 
 
-def cmd_gait(args) -> int:
+def _patient_trials(args):
+    """The trials directory, its metadata.csv read and ``--patient`` in it."""
+    trials = gait_mod.TrialSet.read(args.trials)
+    if args.patient not in trials.metadata:
+        raise KavaError(f"patient {args.patient!r} not found in trials dir")
+    return trials
+
+
+def _score_patient(args):
+    """The query patient's parameters and the category models of
+    ``gait analyze`` and ``gait table``. Force files are read only for the
+    patient and for the prototypes that pass ``--filter``."""
+    graph = read_graph(args.knowledge)
+    trials = _patient_trials(args)
+    params = trials.params(args.patient)
+    return params, _gait_models(graph, trials, args.filter)
+
+
+def cmd_gait_analyze(args) -> int:
+    try:
+        params, models = _score_patient(args)
+        for model in models:
+            result = gait_mod.match_category(params, model)
+            _emit(
+                {
+                    "concept": str(model.concept),
+                    "score": result.score,
+                    "perParameter": result.per_parameter,
+                }
+            )
+    except (OSError, KavaError) as exc:
+        _diag(str(exc))
+        return EXIT_INPUT
+    return EXIT_OK
+
+
+def cmd_gait_table(args) -> int:
+    try:
+        params, models = _score_patient(args)
+        for row in gait_mod.knowledge_table(models, params):
+            _emit(row)
+    except (OSError, KavaError) as exc:
+        _diag(str(exc))
+        return EXIT_INPUT
+    return EXIT_OK
+
+
+def cmd_gait_add_prototype(args) -> int:
     try:
         graph = read_graph(args.knowledge)
-        if args.gait_command in ("analyze", "table"):
-            trials = gait_mod.load_trials_dir(args.trials)
-            patient = trials.get(args.patient)
-            if patient is None:
-                raise KavaError(f"patient {args.patient!r} not found in trials dir")
-            params = gait_mod.compute_params(patient)
-            models = _gait_models(graph, trials, args.filter)
-        if args.gait_command == "analyze":
-            for model in models:
-                result = gait_mod.match_category(params, model)
-                _emit(
-                    {
-                        "concept": str(model.concept),
-                        "score": result.score,
-                        "perParameter": result.per_parameter,
-                    }
-                )
-            return EXIT_OK
-        if args.gait_command == "table":
-            for row in gait_mod.knowledge_table(models, params):
-                _emit(row)
-            return EXIT_OK
-        if args.gait_command == "add-prototype":
-            trial = gait_mod.load_trial(args.trials, args.patient)
-            if trial is None:
-                raise KavaError(f"patient {args.patient!r} not found in trials dir")
-            concept = expand(args.concept, graph.prefixes)
-            graph = gait_mod.add_prototype(
-                graph, concept, trial, creator=args.creator, date=args.date
-            )
-            code = _write_validated(graph, args.knowledge)
-            if code == EXIT_OK:
-                _emit({"written": args.knowledge, "prototype": args.patient})
-            return code
-        # set-range
+        trial = _patient_trials(args).trial(args.patient)
+        concept = expand(args.concept, graph.prefixes)
+        graph = gait_mod.add_prototype(
+            graph, concept, trial, creator=args.creator, date=args.date
+        )
+        code = _write_validated(graph, args.knowledge)
+    except (OSError, KavaError) as exc:
+        _diag(str(exc))
+        return EXIT_INPUT
+    if code == EXIT_OK:
+        _emit({"written": args.knowledge, "prototype": args.patient})
+    return code
+
+
+def cmd_gait_set_range(args) -> int:
+    try:
+        graph = read_graph(args.knowledge)
         concept = expand(args.concept, graph.prefixes)
         if args.param not in gait_mod.PARAMETER_NAMES:
             raise KavaError(f"unknown parameter {args.param!r}")
@@ -423,12 +452,12 @@ def cmd_gait(args) -> int:
         )
         graph = _with_manifestation(graph, m)
         code = _write_validated(graph, args.knowledge)
-        if code == EXIT_OK:
-            _emit({"written": args.knowledge, "param": args.param})
-        return code
     except (OSError, KavaError) as exc:
         _diag(str(exc))
         return EXIT_INPUT
+    if code == EXIT_OK:
+        _emit({"written": args.knowledge, "param": args.param})
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,13 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gait", help="gait case-study pipeline")
     gsub = p.add_subparsers(dest="gait_command", required=True)
-    for name in ("analyze", "table"):
+    for name, func in (("analyze", cmd_gait_analyze), ("table", cmd_gait_table)):
         g = gsub.add_parser(name)
         g.add_argument("--knowledge", required=True)
         g.add_argument("--trials", required=True)
         g.add_argument("--patient", required=True)
         g.add_argument("--filter")
-        g.set_defaults(func=cmd_gait)
+        g.set_defaults(func=func)
     g = gsub.add_parser("add-prototype")
     g.add_argument("--knowledge", required=True)
     g.add_argument("--trials", required=True)
@@ -495,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--concept", required=True)
     g.add_argument("--creator")
     g.add_argument("--date")
-    g.set_defaults(func=cmd_gait)
+    g.set_defaults(func=cmd_gait_add_prototype)
     g = gsub.add_parser("set-range")
     g.add_argument("--knowledge", required=True)
     g.add_argument("--concept", required=True)
@@ -504,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max", type=float, required=True)
     g.add_argument("--creator")
     g.add_argument("--date")
-    g.set_defaults(func=cmd_gait)
+    g.set_defaults(func=cmd_gait_set_range)
 
     return parser
 

@@ -326,6 +326,52 @@ def load_series_csv(text: str, label: str = "") -> TimeSeries:
     Extra columns are ignored; blank and all-empty rows are skipped. A NaN
     or non-increasing time stamp is a CsvTypeError at its row.
     """
+    pairs = _plain_pairs(text)
+    if pairs is not None:
+        try:
+            return TimeSeries.from_arrays(pairs[0::2], pairs[1::2], label)
+        except ValueError:
+            pass  # the row-wise read below names the offending row
+    return _load_series_rows(text, label)
+
+
+def _plain_pairs(text: str):
+    """The cells of a plain ``number,number`` series as one flat float64
+    array, t and v interleaved; None for any other text.
+
+    Plain means: no quote and no carriage return, exactly one comma in the
+    header and in every body line, no field past ``csv.field_size_limit()``,
+    and every cell ``float()`` accepts. On such text ``csv.reader`` yields
+    the same cells, and each is parsed by the same ``float()``.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if header.count(",") != 1 or len(header) > csv.field_size_limit():
+        return None
+    if body and not body.endswith("\n"):
+        body += "\n"
+    try:
+        raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    except ValueError:  # a lone surrogate has no UTF-8 form
+        return None
+    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    marks = raw[at]
+    # marks alternate comma, newline: one comma per line, so no line is blank
+    if (marks[0::2] != ord(",")).any() or (marks[1::2] != ord("\n")).any():
+        return None
+    if len(at) and np.diff(at, prepend=-1).max() > csv.field_size_limit():
+        return None
+    cells = body.replace("\n", ",").split(",")
+    cells.pop()  # after the final newline
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+
+
+def _load_series_rows(text: str, label: str) -> TimeSeries:
+    """load_series_csv row by row through ``csv.reader``, for any text."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or len(header) < 2:

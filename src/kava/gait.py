@@ -5,6 +5,7 @@ category matching."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from .manifestation import (
     IndirectVariableMapping,
     Manifestation,
     add_manifestation_to_graph,
+    concept_manifestations,
     create_manifestation,
-    load_manifestations,
 )
 from .predicate import Predicate, compile_predicate
 from .rdf import Graph, Iri
@@ -193,15 +194,16 @@ def _peak_stats(series: TimeSeries, intervals, body_mass):
     t, v = series.t, series.v
     peaks = []
     to_peak = []
-    for onset, offset in intervals:
-        mask = (t >= onset) & (t <= offset)
-        if not mask.any():
+    onsets = [onset for onset, _ in intervals]
+    # t[lo:hi] holds the samples onset <= t <= offset; t is strictly increasing
+    los = t.searchsorted(onsets, "left").tolist()
+    his = t.searchsorted([offset for _, offset in intervals], "right").tolist()
+    for onset, lo, hi in zip(onsets, los, his):
+        if lo >= hi:
             continue
-        seg_t = t[mask]
-        seg_v = v[mask]
-        k = int(np.argmax(seg_v))
-        peaks.append(float(seg_v[k]))
-        to_peak.append(float(seg_t[k] - onset))
+        k = lo + int(v[lo:hi].argmax())
+        peaks.append(float(v[k]))
+        to_peak.append(float(t[k] - onset))
     if not peaks:
         raise InsufficientSteps("no complete contacts with force samples")
     peak = _mean(peaks)
@@ -211,12 +213,13 @@ def _peak_stats(series: TimeSeries, intervals, body_mass):
 
 
 def _step_times(own_onsets, other_onsets):
-    """Time from the most recent contralateral onset to each own onset."""
+    """Time from the most recent contralateral onset to each own onset;
+    both onset lists are increasing."""
     steps = []
     for onset in own_onsets:
-        prev = [o for o in other_onsets if o < onset]
-        if prev:
-            steps.append(onset - prev[-1])
+        k = bisect_left(other_onsets, onset)  # other onsets before this one
+        if k:
+            steps.append(onset - other_onsets[k - 1])
     return steps
 
 
@@ -314,21 +317,26 @@ def combined_force(trial: GaitTrial) -> TimeSeries:
     return TimeSeries.from_arrays(grid, total, "Fv combined")
 
 
-def _filtered(trials, population_filter):
-    if population_filter is None:
-        return list(trials)
-    test = compile_predicate(population_filter)
-    return [t for t in trials if test(t.metadata())]
-
-
 def build_category_model(
     concept: Iri, trials, population_filter: Predicate | None = None
 ) -> CategoryModel:
     """Dynamic [min, max] ranges from the filtered prototype population."""
-    kept = _filtered(trials, population_filter)
+    by_position = TrialSet.of(dict(enumerate(trials)))
+    return _category_model(concept, by_position, by_position.metadata, population_filter)
+
+
+def _category_model(concept, trials, ids, population_filter) -> CategoryModel:
+    """The model over those ``ids`` of the TrialSet whose metadata passes
+    the filter; only those trials are read and scored."""
+    test = None if population_filter is None else compile_predicate(population_filter)
+    kept = [
+        pid
+        for pid in ids
+        if pid in trials.metadata and (test is None or test(trials.metadata[pid]))
+    ]
     if not kept:
         raise EmptyPopulation(str(concept))
-    prototypes = [(t.patient_id, compute_params(t)) for t in kept]
+    prototypes = [(trials.metadata[pid]["patientId"], trials.params(pid)) for pid in kept]
     return CategoryModel(
         concept=concept, prototypes=prototypes, population_filter=population_filter
     )
@@ -393,8 +401,8 @@ def match_category(params: SpatioTemporalParams, model: CategoryModel) -> MatchR
 def prototype_ids(graph: Graph, concept: Iri) -> list:
     """patientId bindings of the concept's direct mappings, in load order."""
     ids = []
-    for m in load_manifestations(graph):
-        if m.concept != concept or not isinstance(m.kind, DirectMapping):
+    for m in concept_manifestations(graph, concept):
+        if not isinstance(m.kind, DirectMapping):
             continue
         for var, value in m.kind.bindings:
             if var == "patientId":
@@ -429,16 +437,22 @@ def add_prototype(
 
 
 def _coerce_id(patient_id):
+    """An id that an int prints back exactly, such as "42", as that int;
+    any other id, such as "007", as its text."""
     s = str(patient_id)
-    return int(s) if s.lstrip("-").isdigit() else s
+    try:
+        n = int(s)
+    except ValueError:
+        return s
+    return n if str(n) == s else s
 
 
 def range_overrides_from_graph(graph: Graph, concept: Iri) -> dict:
     """Manual [min, max] overrides stored as indirect variable mappings on
     roster parameter names."""
     overrides = {}
-    for m in load_manifestations(graph):
-        if m.concept != concept or not isinstance(m.kind, IndirectVariableMapping):
+    for m in concept_manifestations(graph, concept):
+        if not isinstance(m.kind, IndirectVariableMapping):
             continue
         name = m.kind.variable_name()
         if name in PARAMETER_NAMES:
@@ -454,13 +468,14 @@ def category_model_from_graph(
     trials_by_id: dict,
     population_filter: Predicate | None = None,
 ) -> CategoryModel:
-    """Build a category from the graph's prototypes plus stored overrides."""
-    trials = []
-    for pid in prototype_ids(graph, concept):
-        trial = trials_by_id.get(str(pid))
-        if trial is not None:
-            trials.append(trial)
-    model = build_category_model(concept, trials, population_filter)
+    """Build a category from the graph's prototypes plus stored overrides.
+
+    ``trials_by_id`` is a dict of trials by patient id, or a TrialSet; a
+    prototype is read and scored only when it passes the filter.
+    """
+    trials = trials_by_id if isinstance(trials_by_id, TrialSet) else TrialSet.of(trials_by_id)
+    ids = map(str, prototype_ids(graph, concept))
+    model = _category_model(concept, trials, ids, population_filter)
     model.overrides = range_overrides_from_graph(graph, concept)
     return model
 
@@ -517,34 +532,65 @@ _METADATA_SCHEMA = Schema(
 )
 
 
-def _load_trial(root: Path, record) -> GaitTrial:
-    pid = record.get("patientId")
+def _load_trial(root: Path, metadata: dict) -> GaitTrial:
+    pid = metadata["patientId"]
     return GaitTrial(
-        patient_id=str(pid),
+        patient_id=pid,
         fv_left=load_series_csv((root / f"{pid}_left.csv").read_text(), "Fv left"),
         fv_right=load_series_csv((root / f"{pid}_right.csv").read_text(), "Fv right"),
-        body_mass=record.get("bodyMass"),
-        age=record.get("age"),
+        body_mass=metadata["bodyMass"],
+        age=metadata["age"],
     )
+
+
+class TrialSet:
+    """Trials by patient id, each read and scored at most once, on first use.
+
+    ``metadata`` maps each patient id to the dict ``GaitTrial.metadata()``
+    gives, so a population filter runs before any force file is read;
+    ``load(pid)`` reads one patient's trial.
+    """
+
+    def __init__(self, metadata: dict, load):
+        self.metadata = metadata
+        self._load = load
+        self._trials = {}
+        self._params = {}
+
+    @classmethod
+    def of(cls, trials_by_id: dict) -> TrialSet:
+        """A set over trials already in memory."""
+        metadata = {pid: trial.metadata() for pid, trial in trials_by_id.items()}
+        return cls(metadata, trials_by_id.__getitem__)
+
+    @classmethod
+    def read(cls, path) -> TrialSet:
+        """A set over a trials directory (see load_trials_dir): metadata.csv
+        is read now, a patient's two force files on first use."""
+        root = Path(path)
+        meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
+        metadata = {}
+        for r in meta.records:
+            pid = str(r.get("patientId"))
+            metadata[pid] = {"patientId": pid, "age": r.get("age"), "bodyMass": r.get("bodyMass")}
+        return cls(metadata, lambda pid: _load_trial(root, metadata[pid]))
+
+    def trial(self, pid: str) -> GaitTrial:
+        if pid not in self._trials:
+            self._trials[pid] = self._load(pid)
+        return self._trials[pid]
+
+    def params(self, pid: str) -> SpatioTemporalParams:
+        if pid not in self._params:
+            self._params[pid] = compute_params(self.trial(pid))
+        return self._params[pid]
 
 
 def load_trials_dir(path) -> dict:
     """Load a trials directory: metadata.csv (patientId, age, bodyMass)
     plus <patientId>_left.csv / <patientId>_right.csv force files."""
-    root = Path(path)
-    meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
-    return {str(r.get("patientId")): _load_trial(root, r) for r in meta.records}
-
-
-def load_trial(path, patient_id: str) -> GaitTrial | None:
-    """One patient's trial from a trials directory, or None when metadata.csv
-    has no such patient. Only that patient's force files are read."""
-    root = Path(path)
-    meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
-    for record in meta.records:
-        if record.get("patientId") == patient_id:
-            return _load_trial(root, record)
-    return None
+    trials = TrialSet.read(path)
+    return {pid: trials.trial(pid) for pid in trials.metadata}
 
 
 def write_trials_dir(path, trials) -> None:

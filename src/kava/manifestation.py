@@ -185,7 +185,19 @@ def _load_indirect_query(graph, subject, node):
 
 # Graph is immutable and the result depends on its triples alone, so each
 # graph (or an equal one) is loaded once; the entry dies with the graph.
-_LOADED = weakref.WeakKeyDictionary()  # Graph -> tuple of its manifestations
+_LOADED = weakref.WeakKeyDictionary()  # Graph -> (manifestations, by concept)
+
+
+def _loaded(graph: Graph) -> tuple[tuple, dict]:
+    loaded = _LOADED.get(graph)
+    if loaded is None:
+        manifests = _load(graph)
+        by_concept = {}
+        for m in manifests:
+            by_concept.setdefault(m.concept, []).append(m)
+        groups = {concept: tuple(ms) for concept, ms in by_concept.items()}
+        loaded = _LOADED[graph] = (manifests, groups)
+    return loaded
 
 
 def load_manifestations(graph: Graph) -> list[Manifestation]:
@@ -194,10 +206,13 @@ def load_manifestations(graph: Graph) -> list[Manifestation]:
     Each call returns a new list; the graph is read on the first call only.
     Raises MalformedManifestation for nodes with zero or several kinds.
     """
-    loaded = _LOADED.get(graph)
-    if loaded is None:
-        loaded = _LOADED[graph] = _load(graph)
-    return list(loaded)
+    return list(_loaded(graph)[0])
+
+
+def concept_manifestations(graph: Graph, concept: Iri) -> tuple[Manifestation, ...]:
+    """The concept's manifestations, in load_manifestations order; grouped
+    on the graph's first load, so each call is a dict lookup."""
+    return _loaded(graph)[1].get(concept, ())
 
 
 def _load(graph: Graph) -> tuple[Manifestation, ...]:

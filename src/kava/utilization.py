@@ -288,7 +288,8 @@ def aggregate_mark_spec(
     dataset: Dataset, m: Manifestation, time_variable: str
 ) -> dict:
     """One rule-mark layer per maximal run of consecutive matching records
-    in time order, spanning [first, last] time of the run."""
+    in time order, spanning [first, last] time of the run. Records with no
+    time value are listed last and are in no run."""
     if time_variable not in set(dataset.schema.names()):
         raise UnknownVariable(time_variable)
     if dataset.schema.kind(time_variable) != "number":
@@ -301,7 +302,7 @@ def aggregate_mark_spec(
     ordered = sorted(range(len(times)), key=lambda i: (times[i] is None, times[i]))
     flags = [hit[codes[i]] for i in ordered]
     layers = []
-    for start, end in _runs(flags):
+    for start, end in _runs([f and times[i] is not None for i, f in zip(ordered, flags)]):
         t0 = times[ordered[start]]
         t1 = times[ordered[end]]
         layers.append(

@@ -502,6 +502,27 @@ def test_export_marks_and_aggregate(capsys, tmp_path):
     assert (enc["x"]["datum"], enc["x2"]["datum"]) == (2, 3)
 
 
+def test_export_aggregate_skips_records_without_time(capsys, tmp_path):
+    # records 3 and 4 match but have no time value: they start no run and
+    # are listed last
+    data = tmp_path / "obs.csv"
+    data.write_text("patientId,glucose,t\n1,150,1\n2,250,2\n3,260,\n4,270,\n5,300,5\n")
+    code = main(
+        [
+            "export-vis", str(FIXTURES / "listing5.ttl"), str(data),
+            "--pattern", "aggregate", "--concept", "icd10:R73",
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    doc = json.loads(out.out)
+    spans = [(l["encoding"]["x"]["datum"], l["encoding"]["x2"]["datum"]) for l in doc["layer"]]
+    assert spans == [(2, 5)]
+    assert [(row["id"], row["t"], row["matched"]) for row in doc["data"]["values"]] == [
+        ("1", 1, "no"), ("2", 2, "yes"), ("5", 5, "yes"), ("3", None, "yes"), ("4", None, "yes"),
+    ]
+
+
 def test_export_marks_requires_data(capsys):
     code, _, err = run(
         capsys, "export-vis", str(FIXTURES / "listing5.ttl"), "--pattern", "marks"
@@ -756,6 +777,68 @@ def test_gait_add_prototype_reads_only_its_patient(capsys, gait_workspace):
     code, _, err = run(capsys, *args, "--patient", "99")
     assert code == 2
     assert "patient '99' not found in trials dir" in err
+
+
+def _add_prototypes(knowledge, trials, *pids):
+    for pid in pids:
+        assert main(
+            [
+                "gait", "add-prototype",
+                "--knowledge", knowledge,
+                "--trials", trials,
+                "--patient", pid,
+                "--concept", "gps:affectedKnee",
+            ]
+        ) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "table"])
+def test_gait_scoring_reads_only_scored_trials(capsys, gait_workspace, command):
+    knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1", "3")
+    capsys.readouterr()
+    args = ["gait", command, "--knowledge", knowledge, "--trials", trials]
+    # patient 2 is neither scored nor a prototype
+    Path(trials, "2_left.csv").write_text("t,v\n0.0,1\nnot a time,2\n")
+    code, lines, err = run(capsys, *args, "--patient", "1")
+    assert code == 0 and len(lines) == 1 and err == ""
+    # prototype 3 is outside the population, so its file is never read
+    Path(trials, "3_right.csv").write_text("t,v\n0.0,1\n0.0,2\n")
+    code, lines, err = run(capsys, *args, "--patient", "1", "--filter", "[age] < 40")
+    assert code == 0 and len(lines) == 1 and err == ""
+    # a scored prototype's malformed file still stops the command
+    code, lines, err = run(capsys, *args, "--patient", "1")
+    assert code == 2 and lines == []
+    assert err.startswith("row 3, column 't': not a strictly increasing time stamp")
+    # and so does the patient's own
+    code, lines, err = run(capsys, *args, "--patient", "2", "--filter", "[age] < 40")
+    assert code == 2 and lines == []
+    assert err.startswith("row 3, column 't/v': bad sample row")
+    code, _, err = run(capsys, *args, "--patient", "99")
+    assert code == 2
+    assert err == "patient '99' not found in trials dir\n"
+
+
+def test_gait_zero_padded_patient_id(capsys, tmp_path):
+    knowledge = tmp_path / "categories.ttl"
+    shutil.copy(FIXTURES / "gait_categories.ttl", knowledge)
+    trials = tmp_path / "trials"
+    write_trials_dir(trials, [square_wave_trial("007", age=30), square_wave_trial("7", age=40)])
+    args = [
+        "gait", "add-prototype", "--knowledge", str(knowledge), "--trials", str(trials),
+        "--concept", "gps:affectedKnee", "--patient",
+    ]
+    code, lines, _ = run(capsys, *args, "007")
+    assert code == 0 and lines[0]["prototype"] == "007"
+    code, _, err = run(capsys, *args, "007")
+    assert code == 2 and "007" in err
+    [m] = load_manifestations(parse_turtle(knowledge.read_text()))
+    assert m.kind == DirectMapping(bindings=(("patientId", "007"),))
+    code, lines, _ = run(
+        capsys, "gait", "table", "--knowledge", str(knowledge), "--trials", str(trials),
+        "--patient", "7",
+    )
+    assert code == 0 and lines[0]["prototypes"] == ["007"]
 
 
 @pytest.mark.parametrize(

@@ -118,6 +118,7 @@ def ref_aggregate(dataset, m, time_variable):
         key=lambda r: (r.get(time_variable) is None, r.get(time_variable)),
     )
     flags = [r.identifier(dataset.schema) in matched for r in ordered]
+    timed = [r.get(time_variable) is not None for r in ordered]
     layers = [
         {
             "mark": "rule",
@@ -126,7 +127,7 @@ def ref_aggregate(dataset, m, time_variable):
                 "x2": {"datum": ordered[b].get(time_variable)},
             },
         }
-        for a, b in _runs(flags)
+        for a, b in _runs([f and has_time for f, has_time in zip(flags, timed)])
     ]
     doc = {
         "kind": "aggregateMark",

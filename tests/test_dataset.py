@@ -1,5 +1,10 @@
-import pytest
+import csv
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kava import dataset
 from kava.dataset import (
     NUMBER,
     STRING,
@@ -181,3 +186,97 @@ def test_series_csv_rejects_nan_and_non_increasing_stamps(text, row):
 def test_timeseries_rejects_nan_stamps(samples):
     with pytest.raises(ValueError, match="strictly increasing"):
         TimeSeries(samples)
+
+
+# --- plain-row fast path of load_series_csv ------------------------------
+
+
+def _increasing_stamp(n, form):
+    """A time cell whose value lies within half a unit of the integer n, so
+    stamps drawn from increasing n stay strictly increasing."""
+    return [f"{n}", f"{n}.5", f" {n} ", f"{n}e0", f"{n}_0e-1", f"+{n}\t"][form].replace("+-", "-")
+
+
+NUMBERS = ["0", "1", "-1", "+2.5", "1e3", "-1E-3", "inf", "-inf", "nan", "-nan", "1_0",
+           " 3 ", "\t4", "1e400", "\u0663"]
+CELLS = st.sampled_from(NUMBERS + ["", " ", "x", "0x1", "1__0", "_1", "5\r", '"5"', '"6,7"'])
+SEPARATORS = st.sampled_from([",", ",", ",", ",,", "", ", ", "\r,"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r"])
+HEADERS = st.sampled_from(["t,v", "t", "t,v,w", "", '"t",v', " , ", "t,v\r"])
+
+
+@st.composite
+def series_texts(draw):
+    """Series CSV text: clean (every row plain ``number,number``), a few
+    rows off, or anything from the alphabet."""
+    mess = draw(st.sampled_from(["clean", "clean", "some", "any"]))
+    header = "t,v" if mess != "any" else draw(HEADERS)
+    kinds = ["plain"] if mess == "clean" else ["plain"] * 6 + ["noise", "blank", "stamp"]
+    stamps = sorted(draw(st.lists(st.integers(-30, 30), unique=True, max_size=12)))
+    lines = []
+    for n in stamps:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "plain":
+            t = _increasing_stamp(n, draw(st.integers(0, 5)))
+            lines.append(t + "," + draw(st.sampled_from(NUMBERS)))
+        elif kind == "noise":
+            lines.append(draw(CELLS) + draw(SEPARATORS) + draw(CELLS))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",", ",,", "\t"])))
+        else:  # a stamp out of order, repeated or NaN
+            lines.append(draw(st.sampled_from(["nan", "-5", "0", "inf"])) + ",1")
+    ends = [draw(LINE_ENDS) if mess == "any" else "\n" for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return header + "\n" + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _series_outcome(read, text):
+    try:
+        series = read(text, "Fv")
+    except Exception as exc:  # both paths must fail alike
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", series.label, series.t.tobytes(), series.v.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_texts())
+@example("t,v\n0,1\n1,2\n")
+@example("t,v\n0,1\n1,2")
+@example("t,v\n1,2,3\n4\n")  # ragged: an even cell count, but not two per row
+@example("t,v\n0,1\n\n1,2\n")
+@example("t,v\n0\r,1\n")  # csv ends the row at a lone CR; float() strips it
+@example("t,v\n0,nan\n1,-0.0\n2,-inf\n")
+@example("t,v\n0,1\nnan,2\n")
+@example("t,v\n" + "0" * csv.field_size_limit() + "1,2\n")  # a field past the limit
+def test_series_fast_path_matches_rows(text):
+    assert _series_outcome(load_series_csv, text) == _series_outcome(
+        dataset._load_series_rows, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("t,v\n0,1\n0.01,-2e3\n", True),
+        ("t,v\n0,1\n0.01,-2e3", True),
+        ("t,v\n", True),
+        ("t,v\n1,2,3\n4\n", False),
+        ("t,v\n0,1\n\n", False),
+        ('t,v\n"0",1\n', False),
+        ("t,v\r\n0,1\r\n", False),
+        ("t,v,w\n0,1,2\n", False),
+        ("t,v\n0,x\n", False),
+    ],
+)
+def test_series_fast_path_takes_plain_text_only(text, plain):
+    assert (dataset._plain_pairs(text) is not None) == plain
+
+
+def test_series_fast_path_reads_written_series():
+    series = TimeSeries(((0.0, 0.0), (0.01, 800.0), (0.02, float("nan"))), label="Fv")
+    text = write_series_csv(series)
+    assert dataset._plain_pairs(text) is not None
+    assert _series_outcome(load_series_csv, text) == _series_outcome(
+        dataset._load_series_rows, text
+    )

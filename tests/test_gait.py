@@ -268,6 +268,20 @@ def test_add_prototype_and_duplicates():
         add_prototype(g, g.expand("gps:noSuchCategory"), square_wave_trial("102"))
 
 
+def test_add_prototype_keeps_zero_padded_ids_as_text():
+    g = _categories_graph()
+    concept = _affected(g)
+    g = add_prototype(g, concept, square_wave_trial("007"))
+    assert prototype_ids(g, concept) == ["007"]
+    with pytest.raises(DuplicatePrototype):
+        add_prototype(g, concept, square_wave_trial("007"))
+    g = add_prototype(g, concept, square_wave_trial("7"))
+    assert set(prototype_ids(g, concept)) == {"007", 7}
+    for text in ("-0", "+7", " 7", "1_0", "\u0663"):
+        assert gait._coerce_id(text) == text
+    assert gait._coerce_id("-12") == -12
+
+
 def test_add_prototype_widens_ranges_monotonically():
     g = _categories_graph()
     concept = _affected(g)
@@ -351,6 +365,30 @@ def test_trials_dir_roundtrip(tmp_path):
         assert back.body_mass == t.body_mass
         assert back.fv_left.samples == t.fv_left.samples
         assert back.fv_right.samples == t.fv_right.samples
+
+
+def test_trial_set_reads_and_scores_each_scored_trial_once(tmp_path):
+    trials = _population(4)  # ages 40, 45, 50, 55
+    write_trials_dir(tmp_path, trials)
+    g = _categories_graph()
+    affected, norm = _affected(g), g.expand("gps:normData")
+    for t in trials[:3]:
+        g = add_prototype(g, affected, t)
+    for t in trials[1:]:
+        g = add_prototype(g, norm, t)
+    older = parse_predicate("[age] > 40")
+    trial_set = gait.TrialSet.read(tmp_path)
+    with mock.patch.object(
+        gait, "load_series_csv", wraps=gait.load_series_csv
+    ) as read, mock.patch.object(gait, "compute_params", wraps=compute_params) as scored:
+        trial_set.params("p1")
+        models = [category_model_from_graph(g, c, trial_set, older) for c in (affected, norm)]
+    # p0 is outside the population; p1, p2 and p3 are read and scored once
+    assert read.call_count == 6 and scored.call_count == 3
+    everything = load_trials_dir(tmp_path)
+    for model, c in zip(models, (affected, norm)):
+        assert model == category_model_from_graph(g, c, everything, older)
+    assert [pid for pid, _ in models[0].prototypes] == ["p1", "p2"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -477,6 +515,70 @@ def test_series_arrays_are_read_only():
     assert series.t.dtype == np.float64 and series.v.dtype == np.float64
     with pytest.raises(ValueError):
         series.v[0] = 1.0
+
+
+def _peak_stats_by_mask(series, intervals, body_mass):
+    """Reference: each contact's samples found by a full-length mask."""
+    t, v = series.t, series.v
+    peaks, to_peak = [], []
+    for onset, offset in intervals:
+        mask = (t >= onset) & (t <= offset)
+        if not mask.any():
+            continue
+        seg_t, seg_v = t[mask], v[mask]
+        k = int(np.argmax(seg_v))
+        peaks.append(float(seg_v[k]))
+        to_peak.append(float(seg_t[k] - onset))
+    if not peaks:
+        raise InsufficientSteps("no complete contacts with force samples")
+    peak = sum(peaks) / len(peaks)
+    if body_mass:
+        peak /= body_mass * GRAVITY
+    return peak, sum(to_peak) / len(to_peak)
+
+
+def _step_times_by_scan(own_onsets, other_onsets):
+    """Reference: the earlier contralateral onsets listed per own onset."""
+    steps = []
+    for onset in own_onsets:
+        prev = [o for o in other_onsets if o < onset]
+        if prev:
+            steps.append(onset - prev[-1])
+    return steps
+
+
+def _repr_or_error(fn, *args):
+    try:
+        return repr(fn(*args))  # repr tells NaN and -0.0 apart
+    except InsufficientSteps as exc:
+        return ("error", str(exc))
+
+
+STAMPS = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([-math.inf, math.inf]), unique=True)
+
+
+@st.composite
+def contacts_of_series(draw):
+    t = sorted(draw(STAMPS))
+    v = draw(st.lists(st.floats(-1e3, 1e3) | st.just(math.nan), min_size=len(t), max_size=len(t)))
+    bound = st.sampled_from(t) | st.floats(-2e3, 2e3) if t else st.floats(-2e3, 2e3)
+    intervals = draw(st.lists(st.tuples(bound, bound).map(list), max_size=6))
+    return TimeSeries.from_arrays(t, v, "Fv"), intervals
+
+
+@settings(max_examples=300, deadline=None)
+@given(contacts_of_series(), st.sampled_from([None, 0.0, 70.0]))
+def test_peak_stats_match_mask_reference(series_and_intervals, body_mass):
+    series, intervals = series_and_intervals
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite stamp
+        got = _repr_or_error(gait._peak_stats, series, intervals, body_mass)
+        assert got == _repr_or_error(_peak_stats_by_mask, series, intervals, body_mass)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STAMPS.map(sorted), STAMPS.map(sorted))
+def test_step_times_match_scan_reference(own, other):
+    assert repr(gait._step_times(own, other)) == repr(_step_times_by_scan(own, other))
 
 
 # --- one manifestation load per graph ------------------------------------
