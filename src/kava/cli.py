@@ -9,20 +9,33 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import gait as gait_mod
 from . import jsonld, manifestation, skos, turtle, utilization
-from .dataset import NUMBER, STRING, Dataset, Schema, load_csv
-from .errors import ForeignDialect, KavaError, MalformedManifestation
+from .errors import (
+    ForeignDialect,
+    HeaderMismatch,
+    KavaError,
+    MalformedManifestation,
+    UnknownVariable,
+)
 from .predicate import parse_predicate
 from .rdf import DEFAULT_PREFIXES, Graph, Iri, expand
 from .skos import Finding
+
+if TYPE_CHECKING:
+    from .dataset import Dataset, Schema
+
+# The data and gait modules, and numpy with them, are imported by the
+# commands that read data, so that graph-only commands start without them.
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -155,30 +168,44 @@ def cmd_convert(args) -> int:
 
 
 def _infer_schema(rows: list, id_var: str | None) -> Schema:
+    """A NUMBER variable per column whose non-empty cells all pass
+    ``float()``, tested once per distinct cell text, a STRING variable per
+    other column; identified by ``id_var`` or the first column."""
+    from .dataset import NUMBER, STRING, Schema
+
     if not rows:
         raise KavaError("empty CSV file")
     header = rows[0]
+    if len(set(header)) != len(header):
+        raise HeaderMismatch(f"header {header} names a variable more than once")
+    ident = id_var or header[0]
+    if ident not in header:
+        raise UnknownVariable(f"identifying variable {ident!r} is not in header {header}")
 
-    def numeric(col):
-        cells = [r[col] for r in rows[1:] if col < len(r) and r[col] != ""]
-        if not cells:
+    def numeric(cells):
+        texts = dict.fromkeys(cells)
+        texts.pop("", None)
+        texts.pop(None, None)  # a short row has no cell here
+        if not texts:
             return False
         try:
-            for c in cells:
-                float(c)
+            list(map(float, texts))
             return True
         except ValueError:
             return False
 
+    columns = list(zip_longest(*rows[1:]))  # a short row has None for the cells it lacks
     variables = tuple(
-        (name, NUMBER if numeric(i) else STRING) for i, name in enumerate(header)
+        (name, NUMBER if pos < len(columns) and numeric(columns[pos]) else STRING)
+        for pos, name in enumerate(header)
     )
-    ident = id_var or header[0]
     return Schema(variables=variables, identifying=(ident,))
 
 
 def read_table(path: str, id_var: str | None) -> Dataset:
     """Load a data CSV, inferring its schema from the same parsed rows."""
+    from .dataset import load_csv
+
     rows = list(csv.reader(io.StringIO(Path(path).read_text())))
     return load_csv(rows, _infer_schema(rows, id_var))
 
@@ -355,6 +382,8 @@ def _select_manifestation(manifests, graph, concept_arg, indirect_only=False):
 
 
 def _gait_models(graph, trials, filter_text):
+    from . import gait as gait_mod
+
     population_filter = parse_predicate(filter_text) if filter_text else None
     models = []
     for t in graph.match(p=turtle.RDF_TYPE, o=skos.SKOS_CONCEPT):
@@ -372,6 +401,8 @@ def _gait_models(graph, trials, filter_text):
 
 def _patient_trials(args):
     """The trials directory, its metadata.csv read and ``--patient`` in it."""
+    from . import gait as gait_mod
+
     trials = gait_mod.TrialSet.read(args.trials)
     if args.patient not in trials.metadata:
         raise KavaError(f"patient {args.patient!r} not found in trials dir")
@@ -389,6 +420,8 @@ def _score_patient(args):
 
 
 def cmd_gait_analyze(args) -> int:
+    from . import gait as gait_mod
+
     try:
         params, models = _score_patient(args)
         for model in models:
@@ -407,6 +440,8 @@ def cmd_gait_analyze(args) -> int:
 
 
 def cmd_gait_table(args) -> int:
+    from . import gait as gait_mod
+
     try:
         params, models = _score_patient(args)
         for row in gait_mod.knowledge_table(models, params):
@@ -418,6 +453,8 @@ def cmd_gait_table(args) -> int:
 
 
 def cmd_gait_add_prototype(args) -> int:
+    from . import gait as gait_mod
+
     try:
         graph = read_graph(args.knowledge)
         trial = _patient_trials(args).trial(args.patient)
@@ -435,6 +472,8 @@ def cmd_gait_add_prototype(args) -> int:
 
 
 def cmd_gait_set_range(args) -> int:
+    from . import gait as gait_mod
+
     try:
         graph = read_graph(args.knowledge)
         concept = expand(args.concept, graph.prefixes)
@@ -538,8 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except KavaError as exc:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, zip_longest
 
 import numpy as np
 
@@ -136,8 +137,7 @@ class Column:
 
     def decode(self) -> list:
         """The value of every record, in record order."""
-        values = self.values
-        return [values[c] for c in self.codes.tolist()]
+        return list(map(self.values.__getitem__, self.codes.tolist()))
 
     def select(self, test) -> np.ndarray:
         """Mask of the records whose value passes ``test``, which runs once
@@ -161,6 +161,11 @@ class Column:
         return groups
 
 
+def _frozen(codes: np.ndarray) -> np.ndarray:
+    codes.flags.writeable = False
+    return codes
+
+
 def _encode(values: list) -> Column:
     """Dictionary-encode one value per record."""
     distinct, codes = [], []
@@ -176,25 +181,45 @@ def _encode(values: list) -> Column:
                 distinct.append(value)
             code_of_object[id(value)] = code
         codes.append(code)
-    array = np.array(codes, dtype=np.intp)
-    array.flags.writeable = False
-    return Column(tuple(distinct), array)
+    return Column(tuple(distinct), _frozen(np.array(codes, dtype=np.intp)))
 
 
-@dataclass
 class Dataset:
     """Records over a schema, plus per-record time series.
 
-    Treat a dataset as immutable: its column view is computed once, from the
-    records as they are on first use. Values must be hashable.
+    A dataset stores either the records it was built from or, when
+    load_csv built it, only dictionary-encoded columns; the other form is
+    derived from the stored one on first use. Treat a dataset as
+    immutable. Values must be hashable.
     """
 
-    schema: Schema
-    records: list = field(default_factory=list)
-    series: dict = field(default_factory=dict)  # record identifier -> TimeSeries
+    def __init__(self, schema: Schema, records: list | None = None, series: dict | None = None):
+        self.schema = schema
+        self.records = [] if records is None else records
+        self.series = {} if series is None else series  # record identifier -> TimeSeries
+        self._length = len(self.records)
+
+    @classmethod
+    def from_columns(cls, schema: Schema, columns: dict, length: int, series=None) -> Dataset:
+        """A dataset of ``length`` records stored as ``columns`` (variable
+        name -> Column, in schema order)."""
+        dataset = cls.__new__(cls)
+        dataset.schema = schema
+        dataset.columns = columns
+        dataset.series = {} if series is None else series
+        dataset._length = length
+        return dataset
 
     def __len__(self):
-        return len(self.records)
+        return self._length
+
+    @cached_property
+    def records(self) -> list:
+        """One Record per record, decoded from the columns."""
+        names = self.schema.names()
+        columns = [self.columns[name].decode() for name in names]
+        values = zip(*columns) if names else [()] * len(self)
+        return [Record(tuple(zip(names, vals))) for vals in values]
 
     def identifiers(self):
         return self.identifier_column.decode()
@@ -224,22 +249,25 @@ class Dataset:
         return {values[c] for c in dict.fromkeys(column.codes[mask].tolist())}
 
 
-def _parse_cell(raw, kind):
-    if raw == "" or raw is None:
+def _parse_number(raw):
+    if not raw:  # an empty cell, or one a short row lacks
         return None
-    if kind == NUMBER:
-        return int(raw) if raw.lstrip("-").isdigit() else float(raw)
-    return raw
+    return int(raw) if raw.lstrip("-").isdigit() else float(raw)
+
+
+def _parse_text(raw):
+    return raw or None
 
 
 def load_csv(text: str | list, schema: Schema) -> Dataset:
-    """Parse CSV text (first row header) against the schema; ``text`` may
-    also be the rows ``csv.reader`` made of it.
+    """Parse CSV text (first row header) against the schema into a dataset
+    stored as columns; ``text`` may also be the rows ``csv.reader`` made
+    of it.
 
-    Header must contain exactly the schema variables, in any order. The
-    same pass builds the records and the dataset's column view; each
-    distinct cell text is parsed once. Errors are those of a row-by-row
-    read: the first bad cell, or missing or repeated identifier, wins.
+    Header must contain exactly the schema variables, in any order. Each
+    distinct cell text of a column is parsed once and given one code.
+    Errors are those of a row-by-row read: the first bad cell, or missing
+    or repeated identifier, wins.
     """
     rows = list(csv.reader(io.StringIO(text))) if isinstance(text, str) else text
     if not rows:
@@ -250,48 +278,88 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
         raise HeaderMismatch(
             f"header {header} does not match schema variables {names}"
         )
-    numbered = [(row_no, row) for row_no, row in enumerate(rows[1:], start=2) if any(row)]
-    columns = []
-    bad = None  # (record index, variable index, error) of the first bad cell
-    for j, name in enumerate(names):
-        pos, kind = header.index(name), schema.kind(name)
-        cells = [row[pos] if pos < len(row) else None for _, row in numbered]
-        parsed = {}
-        for raw in dict.fromkeys(cells):
+    body = list(filter(any, rows[1:]))  # a row of empty cells is no record
+    by_position = list(zip_longest(*body))  # a short row has None for the cells it lacks
+    columns = {}
+    bad = None  # (record index, variable name, raw text) of the first bad cell
+    for name in names:
+        pos = header.index(name)
+        cells = by_position[pos] if pos < len(by_position) else (None,) * len(body)
+        columns[name], bad_raw = _parse_column(cells, schema.kind(name))
+        if bad_raw is not None and (bad is None or cells.index(bad_raw) < bad[0]):
+            bad = (cells.index(bad_raw), name, bad_raw)
+    if bad is not None or not _identifiers_unique(schema, columns, len(body)):
+        # word the error as a row-by-row read does
+        row_nos = [row_no for row_no, row in enumerate(rows[1:], start=2) if any(row)]
+        decoded = [columns[name].decode() for name in schema.identifying]
+        _check_identifiers(schema, decoded, row_nos, len(body) if bad is None else bad[0])
+        i, name, raw = bad
+        raise CsvTypeError(row_nos[i], name, f"not a number: {raw!r}")
+    return Dataset.from_columns(schema, columns, len(body))
+
+
+def _parse_column(cells, kind):
+    """The Column of one variable's cells, and the first cell text that is
+    not a number of a NUMBER variable (None when there is none; a bad cell
+    reads as missing). Cell texts whose values share one ``_key``, such as
+    "1" and "01", share one code."""
+    texts = list(dict.fromkeys(cells))  # in order of first appearance
+    parse = _parse_number if kind == NUMBER else _parse_text
+    bad_raw = None
+    try:
+        values = list(map(parse, texts))
+    except ValueError:
+        values = []
+        for raw in texts:
             try:
-                parsed[raw] = _parse_cell(raw, kind)
+                values.append(parse(raw))
             except ValueError:
-                i = cells.index(raw)
-                if bad is None or (i, j) < bad[:2]:
-                    bad = (i, j, CsvTypeError(numbered[i][0], name, f"not a number: {raw!r}"))
-        column = [parsed.get(raw) for raw in cells]
-        if any(v != v for v in parsed.values()):  # each NaN cell is its own object
-            column = [float(raw) if v != v else v for raw, v in zip(cells, column)]
-        columns.append(column)
-    _check_identifiers(schema, columns, numbered, len(numbered) if bad is None else bad[0])
-    if bad is not None:
-        raise bad[2]
-    values = zip(*columns) if columns else [()] * len(numbered)
-    dataset = Dataset(schema, [Record(tuple(zip(names, vals))) for vals in values])
-    dataset.columns = {name: _encode(column) for name, column in zip(names, columns)}
-    return dataset
+                values.append(None)
+                bad_raw = raw if bad_raw is None else bad_raw
+    if not all(map(operator.eq, values, values)):  # each NaN cell is its own value
+        nan_texts = {raw for raw, v in zip(texts, values) if v != v}
+        value_of = dict(zip(texts, values))
+        column = [float(raw) if raw in nan_texts else value_of[raw] for raw in cells]
+        return _encode(column), bad_raw
+    code_of_text = range(len(texts))
+    if len(set(values)) < len(values):  # some values are equal, maybe of one key
+        code_of_key, merged, code_of_text = {}, [], []
+        for value in values:
+            code = code_of_key.setdefault(_key(value), len(merged))
+            if code == len(merged):
+                merged.append(value)
+            code_of_text.append(code)
+        values = merged
+    code_of = dict(zip(texts, code_of_text))
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return Column(tuple(values), _frozen(codes)), bad_raw
 
 
-def _check_identifiers(schema, columns, numbered, stop):
-    """Raise for the first of the first ``stop`` records whose identifier is
-    missing or repeats an earlier one."""
+def _identifiers_unique(schema, columns, length) -> bool:
+    """Whether every record has an identifier, and no two equal ones."""
+    parts = [columns[name] for name in schema.identifying]
+    if not parts:
+        return True
+    if any(None in part.values for part in parts):
+        return False
+    if len(parts) == 1:  # one value per code; set() merges 1, 1.0 and -0.0, 0
+        return len(parts[0].values) == length and len(set(parts[0].values)) == length
+    return len(set(zip(*(part.decode() for part in parts)))) == length
+
+
+def _check_identifiers(schema, parts, row_nos, stop):
+    """Raise for the first of the first ``stop`` records whose identifier
+    (the values ``parts`` of the identifying variables) is missing or
+    repeats an earlier one."""
     if not schema.identifying:
         return
-    names = schema.names()
-    parts = [columns[names.index(n)] for n in schema.identifying]
     seen_ids = set()
     for i, ids in zip(range(stop), zip(*parts)):
         ident = ids[0] if len(ids) == 1 else ids
-        row_no = numbered[i][0]
         if ident is None or (isinstance(ident, tuple) and None in ident):
-            raise CsvTypeError(row_no, schema.identifying[0], "missing identifier")
+            raise CsvTypeError(row_nos[i], schema.identifying[0], "missing identifier")
         if ident in seen_ids:
-            raise DuplicateIdentifier(f"row {row_no}: {ident!r}")
+            raise DuplicateIdentifier(f"row {row_nos[i]}: {ident!r}")
         seen_ids.add(ident)
 
 

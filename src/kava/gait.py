@@ -569,10 +569,11 @@ class TrialSet:
         is read now, a patient's two force files on first use."""
         root = Path(path)
         meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
-        metadata = {}
-        for r in meta.records:
-            pid = str(r.get("patientId"))
-            metadata[pid] = {"patientId": pid, "age": r.get("age"), "bodyMass": r.get("bodyMass")}
+        columns = [meta.columns[name].decode() for name in _METADATA_SCHEMA.names()]
+        metadata = {  # patientId is a STRING identifier, so never missing
+            pid: {"patientId": pid, "age": age, "bodyMass": mass}
+            for pid, age, mass in zip(*columns)
+        }
         return cls(metadata, lambda pid: _load_trial(root, metadata[pid]))
 
     def trial(self, pid: str) -> GaitTrial:

@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dataset import Dataset
 from .errors import (
     ForeignDialect,
     InvalidKind,
@@ -25,6 +23,9 @@ from .rdf import (
     Triple,
     literal_for,
 )
+
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 KAVA_NS = DEFAULT_PREFIXES["kava"]
 DCT_NS = DEFAULT_PREFIXES["dct"]
@@ -288,6 +289,8 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
     Raises ForeignDialect for query mappings in a foreign dialect and
     UnknownVariable when a referenced variable is not in the schema.
     """
+    import numpy as np  # here, so that graph-only commands never load numpy
+
     known = set(dataset.schema.names())
     kind = m.kind
     if isinstance(kind, DirectMapping):

@@ -6,8 +6,8 @@ from __future__ import annotations
 import functools
 import json
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .dataset import Dataset
 from .errors import (
     CyclicScheme,
     UnknownVariable,
@@ -23,6 +23,9 @@ from .manifestation import (
 from .predicate import Comparison, parse_predicate
 from .rdf import shrink
 from .skos import ConceptScheme, has_broader_cycle
+
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 # An array property whose schema is exactly this is checked element by
 # element with is_type instead of through the validator.

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, fixture_text
+from kava import cli
 from kava.cli import main, read_graph, read_table
 from kava.gait import square_wave_trial, write_trials_dir
 from kava.manifestation import DirectMapping, load_manifestations
@@ -198,6 +199,67 @@ def test_commands_without_fragments_do_not_import_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_graph_only_commands_do_not_import_numpy(tmp_path):
+    data = tmp_path / "patients.csv"
+    data.write_text("patientId,bloodSugar\n1,150\n2,250\n")
+    script = (
+        "import sys\n"
+        "from kava.cli import main\n"
+        "listing4, data, out = sys.argv[1:]\n"
+        "assert main(['validate', listing4]) == 0\n"
+        "assert main(['convert', listing4, '--to', 'jsonld', '-o', out + '.jsonld']) == 0\n"
+        "assert main(['convert', out + '.jsonld', '--to', 'ttl', '-o', out + '.ttl']) == 0\n"
+        "assert main(['annotate', out + '.ttl', '--concept', 'icd10:R73',\n"
+        "             '--prototype', 'patientId=1', '--creator', 'A']) == 0\n"
+        "assert main(['export-vis', listing4, '--pattern', 'threshold',\n"
+        "             '-o', out + '.json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert main(['manifest', listing4, data, '--concept', 'icd10:R73']) == 0\n"
+        "assert 'numpy' in sys.modules, 'data read without numpy'\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURES / "listing4.ttl"), str(data),
+         str(tmp_path / "store")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_parser_built_once_answers_like_a_fresh_one(capsys, tmp_path):
+    data = _sugar_csv(tmp_path)
+    listing4 = str(FIXTURES / "listing4.ttl")
+    commands = [
+        ["validate", listing4],
+        ["manifest", listing4, data, "--concept", "icd10:R73"],
+        ["manifest", listing4, data],  # argparse: --concept is required
+        ["convert", listing4, "--to", "jsonld"],
+        ["export-vis", listing4, data, "--pattern", "marks"],
+        ["gait", "analyze", "--knowledge", listing4],  # argparse: missing options
+        ["export-vis", listing4, "--pattern", "threshold"],
+        ["manifest", listing4, data, "--concept", "icd10:R73", "--id-var", "bloodSugar"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in commands:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    reused = answers(fresh=False)
+    assert [a[0] for a in reused] == [0, 0, ("exit", 2), 0, 0, ("exit", 2), 0, 0]
+    assert reused == answers(fresh=True)
+
+
 def test_gait_demo_script_writes_its_outputs(tmp_path):
     root = Path(__file__).parent.parent
     out = tmp_path / "demo"
@@ -265,6 +327,24 @@ def test_manifest_inclusive_range(capsys, tmp_path):
     )
     assert code == 0
     assert lines[0] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "header, id_var",
+    [("patientId,bloodSugar,bloodSugar", None), ("patientId,bloodSugar", "glucose")],
+)
+@pytest.mark.parametrize("command", ["manifest", "export-vis"])
+def test_bad_data_header_or_id_var_is_input_error(capsys, tmp_path, header, id_var, command):
+    data = tmp_path / "patients.csv"
+    data.write_text(header + "\n" + "\n".join(f"{i},1,2" for i in range(3)) + "\n")
+    argv = [command, str(FIXTURES / "listing4.ttl"), str(data)]
+    argv += ["--concept", "icd10:R73"] if command == "manifest" else ["--pattern", "marks"]
+    argv += ["--id-var", id_var] if id_var else []
+    code, lines, err = run(capsys, *argv)
+    assert code == 2
+    assert lines == []
+    assert "internal error" not in err
+    assert ("more than once" in err) if id_var is None else ("'glucose' is not in header" in err)
 
 
 def test_manifest_strict_query(capsys, tmp_path):

@@ -1,12 +1,16 @@
-"""The column-encoded evaluators against a per-record reference.
+"""The column-encoded evaluators and loader against per-record references.
 
 ``evaluate_manifestation``, ``filter_records``, ``encoded_marks_spec`` and
 ``aggregate_mark_spec`` work on dictionary-encoded columns. The reference
 below walks the records one by one, as the evaluators did before the
 columns existed, and must agree with them on every generated dataset:
 results, the types and signs of the values written out, and errors.
+``load_csv`` and the CLI's schema inference parse each distinct cell text
+once, straight into columns; their reference reads the CSV row by row.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -15,8 +19,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kava import predicate
-from kava.dataset import NUMBER, STRING, Dataset, Record, Schema, filter_records, load_csv
-from kava.errors import ForeignDialect, UnknownVariable
+from kava.cli import _infer_schema
+from kava.dataset import (
+    NUMBER,
+    STRING,
+    Dataset,
+    Record,
+    Schema,
+    _encode,
+    filter_records,
+    load_csv,
+    write_csv,
+)
+from kava.errors import (
+    CsvTypeError,
+    DuplicateIdentifier,
+    ForeignDialect,
+    HeaderMismatch,
+    KavaError,
+    UnknownVariable,
+)
 from kava.manifestation import (
     DirectMapping,
     IndirectQueryMapping,
@@ -147,6 +169,69 @@ def ref_aggregate(dataset, m, time_variable):
     return doc
 
 
+def ref_parse_cell(raw, kind):
+    if raw == "" or raw is None:
+        return None
+    if kind == NUMBER:
+        return int(raw) if raw.lstrip("-").isdigit() else float(raw)
+    return raw
+
+
+def ref_load_csv(text, schema):
+    """load_csv as a row-by-row read: the records, and each variable's
+    values in record order (a missing cell is None)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise HeaderMismatch("missing header row")
+    header = rows[0]
+    names = schema.names()
+    if sorted(header) != sorted(names):
+        raise HeaderMismatch(f"header {header} does not match schema variables {names}")
+    records, seen_ids = [], set()
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not any(row):
+            continue
+        values = []
+        for name in names:  # the first bad cell of the row, in schema order
+            pos = header.index(name)
+            raw = row[pos] if pos < len(row) else None
+            try:
+                values.append((name, ref_parse_cell(raw, schema.kind(name))))
+            except ValueError:
+                raise CsvTypeError(row_no, name, f"not a number: {raw!r}") from None
+        record = Record(tuple(values))
+        if schema.identifying:
+            ident = record.identifier(schema)
+            if ident is None or (isinstance(ident, tuple) and None in ident):
+                raise CsvTypeError(row_no, schema.identifying[0], "missing identifier")
+            if ident in seen_ids:
+                raise DuplicateIdentifier(f"row {row_no}: {ident!r}")
+            seen_ids.add(ident)
+        records.append(record)
+    return records
+
+
+def ref_infer_schema(rows, id_var):
+    """The CLI's schema inference, one float() per non-empty cell."""
+    if not rows:
+        raise KavaError("empty CSV file")
+    header = rows[0]
+
+    def numeric(col):
+        cells = [r[col] for r in rows[1:] if col < len(r) and r[col] != ""]
+        if not cells:
+            return False
+        try:
+            for c in cells:
+                float(c)
+            return True
+        except ValueError:
+            return False
+
+    variables = tuple((name, NUMBER if numeric(i) else STRING) for i, name in enumerate(header))
+    return Schema(variables=variables, identifying=(id_var or header[0],))
+
+
 # --- generators -----------------------------------------------------------
 
 # Values whose comparisons a float64 kernel would get wrong: ints past 2**53,
@@ -184,11 +269,11 @@ def datasets(draw):
     return dataset
 
 
-def predicates(depth=2):
-    leaf = st.builds(Comparison, st.sampled_from(NAMES), OPS, CONSTANTS)
+def predicates(depth=2, names=NAMES):
+    leaf = st.builds(Comparison, st.sampled_from(names), OPS, CONSTANTS)
     if depth == 0:
         return leaf
-    sub = predicates(depth - 1)
+    sub = predicates(depth - 1, names)
     return st.one_of(
         leaf,
         st.builds(Not, sub),
@@ -271,6 +356,28 @@ def test_filter_matches_per_record_reference(dataset, pred):
     kept, series = ref_filter(dataset, pred)
     assert [id(r) for r in out.records] == [id(r) for r in kept]
     assert out.series == series
+    assert len(out) == len(kept)
+    assert columns_form(out) == canonical_form(out)
+
+
+def typed(values):
+    """Values as text that tells 1 / 1.0 / True, 0.0 / -0.0 and "1" / 1
+    apart, and finds two NaN equal."""
+    return [(type(v).__name__, repr(v)) for v in values]
+
+
+def columns_form(dataset):
+    return {name: (typed(c.values), c.codes.tolist()) for name, c in dataset.columns.items()}
+
+
+def canonical_form(dataset):
+    """columns_form of the columns _encode builds from the records."""
+    rows = [r.as_dict() for r in dataset.records]
+    return columns_form(Dataset.from_columns(
+        dataset.schema,
+        {name: _encode([row.get(name) for row in rows]) for name in dataset.schema.names()},
+        len(rows),
+    ))
 
 
 def test_loaded_columns_equal_columns_built_from_records():
@@ -286,6 +393,12 @@ def test_loaded_columns_equal_columns_built_from_records():
         assert a.codes.tolist() == b.codes.tolist()
     # each NaN cell is its own value, as each was parsed on its own
     assert len(loaded.columns["v"].values) == 7
+    # a filtered dataset's columns hold only the values its records use
+    kept = filter_records(load_csv(text, schema), parse_predicate('[s] = "a" AND [id] > 1'))
+    assert typed(kept.columns["v"].values) == typed([0, float("nan"), 2**53 + 1])
+    assert [r.get("id") for r in kept.records] == [3, 5, 7]
+    assert columns_form(kept) == canonical_form(kept)
+    assert columns_form(loaded) == canonical_form(loaded)
 
 
 def test_compare_runs_once_per_distinct_value(monkeypatch):
@@ -321,3 +434,103 @@ def test_column_masks_are_numpy_booleans():
     assert column.equal(3).dtype == np.bool_
     with pytest.raises(ValueError):
         column.codes[0] = 1  # read-only
+
+
+# --- loader against the row-by-row reference ------------------------------
+
+# Cell texts a row-wise read tells apart or merges: ints and floats that
+# print alike, signs, text float() accepts but int() does not, digits that
+# are not numbers, NaN (one value per cell), 2**53 + 1, and quoted cells.
+CELL_TEXTS = ["1", "01", "1.0", "1.00", "-0", "-0.0", "0", "0.0", "+5", " 5", "5", "5_0",
+              "\u00b2", "--5", "-", "nan", "NaN", "inf", "-inf", str(BIG), str(BIG - 1),
+              "a", "b", "", '"1"', '"a,b"', '""', '" 7"']
+# numbers only, so that more generated files load
+NUMBER_TEXTS = ["1", "01", "1.0", "1.00", "-0", "-0.0", "0", "0.0", "+5", " 5", "5", "5_0",
+                "nan", "inf", str(BIG), str(BIG - 1), "2", "3", "-7", "2.5", '"4"']
+LOADER_NAMES = ("id", "k", "s")
+LOADER_SCHEMAS = [
+    Schema((("id", NUMBER), ("k", NUMBER), ("s", STRING)), identifying)
+    for identifying in [("id",), ("id", "k"), (), ("s",), ("k",)]
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over the columns id, k and s: a header (mostly the schema's
+    names in some order), then rows drawn from one small pool of cells, so
+    that identifiers repeat, with short, long and blank rows now and then."""
+    header = list(draw(st.permutations(LOADER_NAMES)))
+    shape = draw(st.sampled_from(["plain", "plain", "plain", "ragged", "header"]))
+    if shape == "header":
+        header = draw(st.sampled_from(
+            [header, header[:2], header + ["x"], ["id", "k", "k"], ["id", "id", "s"], []]
+        ))
+    alphabet = st.sampled_from(draw(st.sampled_from([CELL_TEXTS, NUMBER_TEXTS])))
+    pool = draw(st.lists(alphabet, min_size=1, max_size=5))
+    cell = st.sampled_from(pool) | alphabet
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        width = len(header)
+        if shape == "ragged":
+            width = draw(st.sampled_from([width, width, 0, 1, width - 1, width + 1]))
+        lines.append(",".join(draw(cell) for _ in range(max(width, 0))))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def typed_records(records):
+    return [[(name, typed([v])[0]) for name, v in r.values] for r in records]
+
+
+def load_outcome(load, text, schema):
+    try:
+        return ("ok", load(text, schema))
+    except Exception as exc:  # both paths must fail alike
+        return ("error", type(exc).__name__, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from(LOADER_SCHEMAS), predicates(1, LOADER_NAMES))
+@example("id,k,s\n1,1,a\n01,1.0,b\n1.0,1.00,a\n", LOADER_SCHEMAS[1], Comparison("k", "=", 1))
+@example("id,k,s\n1,1,a\n2,01,b\n3,1.0,a\n4,1.00,b\n", LOADER_SCHEMAS[0], Comparison("k", "=", 1))
+@example("id,k,s\n-0,nan,a\n-0.0,nan,\n", LOADER_SCHEMAS[0], Comparison("k", "!=", 1))
+@example("id,k,s\n1,x,a\n1,2,b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 0))
+@example("id,k,s\n1,2,a\n1,x,b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 0))
+@example("id,k,s\n2,\u00b2,--5\n,1,\n", LOADER_SCHEMAS[2], Comparison("id", "<", 3))
+@example("id,k,s\n", LOADER_SCHEMAS[0], Comparison("id", "=", 1))
+def test_load_csv_matches_row_reference(text, schema, pred):
+    got = load_outcome(load_csv, text, schema)
+    want = load_outcome(ref_load_csv, text, schema)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+        return
+    loaded, records = got[1], want[1]
+    assert len(loaded) == len(records)
+    assert typed_records(loaded.records) == typed_records(records)
+    # the columns are those _encode builds from the records, in either form
+    assert columns_form(loaded) == canonical_form(Dataset(schema, records))
+    assert columns_form(loaded) == canonical_form(loaded)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert columns_form(load_csv(rows, schema)) == columns_form(loaded)
+    assert write_csv(loaded) == write_csv(Dataset(schema, records))
+    kept = filter_records(loaded, pred)
+    want_kept = ref_filter(Dataset(schema, records), pred)[0]
+    assert typed_records(kept.records) == typed_records(want_kept)
+    assert columns_form(kept) == canonical_form(kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.sampled_from([None, "id", "k", "s", "x"]))
+@example("id,k\n1,\u00b2\n2,5_0\n", None)
+@example("id,k\n1, 5\n,\n3\n", "k")
+def test_infer_schema_matches_row_reference(text, id_var):
+    rows = list(csv.reader(io.StringIO(text)))
+    got = load_outcome(_infer_schema, rows, id_var)
+    want = load_outcome(ref_infer_schema, rows, id_var)
+    if want[:2] == ("error", "ValueError"):
+        # a repeated header name or an --id-var not in the header; the
+        # reference crashes on them, the CLI reports an input error
+        assert got[:2] in {("error", "HeaderMismatch"), ("error", "UnknownVariable")}
+    else:
+        assert got == want
