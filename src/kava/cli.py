@@ -2,7 +2,8 @@
 manifestation evaluation, visualization export, and the gait pipeline.
 
 Exit codes: 0 success, 1 validation findings, 2 input/parse error,
-3 internal error. JSON lines go to stdout, diagnostics to stderr.
+3 internal error; ``main`` alone maps exceptions to 2 and 3. JSON lines go
+to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def _infer_schema(rows: list, id_var: str | None) -> Schema:
     if not rows:
         raise KavaError("empty CSV file")
     header = rows[0]
+    if not header and not id_var:
+        raise HeaderMismatch("the header row is blank")
     if len(set(header)) != len(header):
         raise HeaderMismatch(f"header {header} names a variable more than once")
     ident = id_var or header[0]
@@ -211,14 +214,10 @@ def read_table(path: str, id_var: str | None) -> Dataset:
 
 
 def cmd_manifest(args) -> int:
-    try:
-        graph = read_graph(args.knowledge)
-        dataset = read_table(args.data, args.id_var)
-        concept = expand(args.concept, graph.prefixes)
-        manifests = manifestation.load_manifestations(graph)
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    graph = read_graph(args.knowledge)
+    dataset = read_table(args.data, args.id_var)
+    concept = expand(args.concept, graph.prefixes)
+    manifests = manifestation.load_manifestations(graph)
     matched = set()
     foreign = False
     for m in manifests:
@@ -256,14 +255,6 @@ def _number_or_text(raw):
         return raw
 
 
-def _with_manifestation(graph, m):
-    """graph plus m; a value no literal can hold, such as NaN, is an input error."""
-    try:
-        return manifestation.add_manifestation_to_graph(graph, m)
-    except ValueError as exc:
-        raise KavaError(str(exc)) from None
-
-
 def _write_validated(graph, path) -> int:
     findings = graph_findings(graph)
     errors = [f for f in findings if f.severity == "error"]
@@ -276,13 +267,9 @@ def _write_validated(graph, path) -> int:
 
 
 def cmd_annotate(args) -> int:
-    try:
-        graph = read_graph(args.knowledge)
-        concept = expand(args.concept, graph.prefixes)
-        bindings = _parse_bindings(args.prototype)
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    graph = read_graph(args.knowledge)
+    concept = expand(args.concept, graph.prefixes)
+    bindings = _parse_bindings(args.prototype)
     if not args.creator:
         _diag("warning: no --creator given; provenance omitted")
     m = manifestation.create_manifestation(
@@ -300,7 +287,7 @@ def cmd_annotate(args) -> int:
         ):
             _emit({"written": args.knowledge, "changed": False})
             return EXIT_OK
-    graph = _with_manifestation(graph, m)
+    graph = manifestation.add_manifestation_to_graph(graph, m)
     code = _write_validated(graph, args.knowledge)
     if code == EXIT_OK:
         _emit({"written": args.knowledge, "changed": True})
@@ -319,43 +306,32 @@ def _single_scheme(graph, scheme_arg):
 
 
 def cmd_export_vis(args) -> int:
-    try:
-        graph = read_graph(args.knowledge)
-        manifests = manifestation.load_manifestations(graph)
-        if args.pattern == "tree":
-            scheme = skos.load_scheme(graph, _single_scheme(graph, args.scheme))
-            frequencies = None
-            doc = utilization.concept_tree_spec(
-                scheme, frequencies, prefixes=graph.prefixes
+    graph = read_graph(args.knowledge)
+    manifests = manifestation.load_manifestations(graph)
+    if args.pattern == "tree":
+        scheme = skos.load_scheme(graph, _single_scheme(graph, args.scheme))
+        doc = utilization.concept_tree_spec(scheme, None, prefixes=graph.prefixes)
+    elif args.pattern == "threshold":
+        selected = _select_manifestation(manifests, graph, args.concept, indirect_only=True)
+        axis = args.axis_var
+        if axis is None and isinstance(selected.kind, manifestation.IndirectVariableMapping):
+            axis = selected.kind.variable_name()
+        if axis is None:
+            raise KavaError("--axis-var is required for query mappings")
+        doc = utilization.threshold_region_spec(selected.kind, axis)
+    else:
+        if not args.data:
+            raise KavaError(f"--pattern {args.pattern} requires a data CSV")
+        dataset = read_table(args.data, args.id_var)
+        if args.pattern == "marks":
+            doc = utilization.encoded_marks_spec(
+                dataset, manifests, channel=args.channel, prefixes=graph.prefixes
             )
-        elif args.pattern == "threshold":
-            selected = _select_manifestation(
-                manifests, graph, args.concept, indirect_only=True
+        else:  # aggregate
+            selected = _select_manifestation(manifests, graph, args.concept)
+            doc = utilization.aggregate_mark_spec(
+                dataset, selected, time_variable=args.time_var
             )
-            axis = args.axis_var
-            if axis is None and isinstance(
-                selected.kind, manifestation.IndirectVariableMapping
-            ):
-                axis = selected.kind.variable_name()
-            if axis is None:
-                raise KavaError("--axis-var is required for query mappings")
-            doc = utilization.threshold_region_spec(selected.kind, axis)
-        else:
-            if not args.data:
-                raise KavaError(f"--pattern {args.pattern} requires a data CSV")
-            dataset = read_table(args.data, args.id_var)
-            if args.pattern == "marks":
-                doc = utilization.encoded_marks_spec(
-                    dataset, manifests, channel=args.channel, prefixes=graph.prefixes
-                )
-            else:  # aggregate
-                selected = _select_manifestation(manifests, graph, args.concept)
-                doc = utilization.aggregate_mark_spec(
-                    dataset, selected, time_variable=args.time_var
-                )
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
     text = utilization.fragment_text(doc) + "\n"
     if args.output:
         write_atomic(args.output, text)
@@ -422,50 +398,36 @@ def _score_patient(args):
 def cmd_gait_analyze(args) -> int:
     from . import gait as gait_mod
 
-    try:
-        params, models = _score_patient(args)
-        for model in models:
-            result = gait_mod.match_category(params, model)
-            _emit(
-                {
-                    "concept": str(model.concept),
-                    "score": result.score,
-                    "perParameter": result.per_parameter,
-                }
-            )
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    params, models = _score_patient(args)
+    for model in models:
+        result = gait_mod.match_category(params, model)
+        _emit(
+            {
+                "concept": str(model.concept),
+                "score": result.score,
+                "perParameter": result.per_parameter,
+            }
+        )
     return EXIT_OK
 
 
 def cmd_gait_table(args) -> int:
     from . import gait as gait_mod
 
-    try:
-        params, models = _score_patient(args)
-        for row in gait_mod.knowledge_table(models, params):
-            _emit(row)
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    params, models = _score_patient(args)
+    for row in gait_mod.knowledge_table(models, params):
+        _emit(row)
     return EXIT_OK
 
 
 def cmd_gait_add_prototype(args) -> int:
     from . import gait as gait_mod
 
-    try:
-        graph = read_graph(args.knowledge)
-        trial = _patient_trials(args).trial(args.patient)
-        concept = expand(args.concept, graph.prefixes)
-        graph = gait_mod.add_prototype(
-            graph, concept, trial, creator=args.creator, date=args.date
-        )
-        code = _write_validated(graph, args.knowledge)
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    graph = read_graph(args.knowledge)
+    trial = _patient_trials(args).trial(args.patient)
+    concept = expand(args.concept, graph.prefixes)
+    graph = gait_mod.add_prototype(graph, concept, trial, creator=args.creator, date=args.date)
+    code = _write_validated(graph, args.knowledge)
     if code == EXIT_OK:
         _emit({"written": args.knowledge, "prototype": args.patient})
     return code
@@ -474,26 +436,22 @@ def cmd_gait_add_prototype(args) -> int:
 def cmd_gait_set_range(args) -> int:
     from . import gait as gait_mod
 
-    try:
-        graph = read_graph(args.knowledge)
-        concept = expand(args.concept, graph.prefixes)
-        if args.param not in gait_mod.PARAMETER_NAMES:
-            raise KavaError(f"unknown parameter {args.param!r}")
-        if args.min > args.max:
-            raise KavaError(f"inverted range: {args.min} > {args.max}")
-        m = manifestation.create_manifestation(
-            concept,
-            manifestation.IndirectVariableMapping(
-                variable=args.param, min_value=args.min, max_value=args.max
-            ),
-            creator_name=args.creator,
-            date=args.date,
-        )
-        graph = _with_manifestation(graph, m)
-        code = _write_validated(graph, args.knowledge)
-    except (OSError, KavaError) as exc:
-        _diag(str(exc))
-        return EXIT_INPUT
+    graph = read_graph(args.knowledge)
+    concept = expand(args.concept, graph.prefixes)
+    if args.param not in gait_mod.PARAMETER_NAMES:
+        raise KavaError(f"unknown parameter {args.param!r}")
+    if args.min > args.max:
+        raise KavaError(f"inverted range: {args.min} > {args.max}")
+    m = manifestation.create_manifestation(
+        concept,
+        manifestation.IndirectVariableMapping(
+            variable=args.param, min_value=args.min, max_value=args.max
+        ),
+        creator_name=args.creator,
+        date=args.date,
+    )
+    graph = manifestation.add_manifestation_to_graph(graph, m)
+    code = _write_validated(graph, args.knowledge)
     if code == EXIT_OK:
         _emit({"written": args.knowledge, "param": args.param})
     return code
@@ -587,7 +545,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except KavaError as exc:
+    except (OSError, KavaError) as exc:  # input the user can fix
         _diag(str(exc))
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover

@@ -11,6 +11,11 @@ class UnknownPrefix(KavaError):
         self.label = label
 
 
+class InvalidTerm(KavaError, ValueError):
+    """An IRI or numeric literal that RDF cannot hold, or a name that is not
+    a prefixed name."""
+
+
 class NonTreeBlankNodes(KavaError):
     """Blank nodes do not form trees (shared or cyclic blank nodes)."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import JsonLdSyntaxError, UnknownPrefix, UnsupportedKeyword
+from .errors import JsonLdSyntaxError, KavaError, UnknownPrefix, UnsupportedKeyword
 from .rdf import (
     DECIMAL,
     DEFAULT_PREFIXES,
@@ -26,11 +26,15 @@ class _DecimalLexical(str):
     """Raw lexical form of a JSON number with a fraction part."""
 
 
+# Names read as full IRIs; any other name is read as a prefixed name.
+_FULL_IRI_SCHEMES = ("http://", "https://", "urn:")
+
+
 def _expand_name(name, prefixes):
     if not isinstance(name, str):
         raise JsonLdSyntaxError(f"invalid IRI: {name!r}")
     try:
-        if name.startswith("http://") or name.startswith("https://") or name.startswith("urn:"):
+        if name.startswith(_FULL_IRI_SCHEMES):
             return Iri(name)
         return expand(name, prefixes)
     except ValueError as exc:
@@ -125,8 +129,33 @@ def parse_jsonld(text: str, prefixes=None) -> Graph:
 
 
 def _name_of(iri, prefixes):
-    pname = shrink(iri, prefixes)
-    return pname if pname is not None else iri.value
+    """The name ``_expand_name`` reads back as the IRI: its prefixed name
+    when that reads back, else the full IRI when that does."""
+    for name in (shrink(iri, prefixes), iri.value):
+        try:
+            if name is not None and _expand_name(name, prefixes) == iri:
+                return name
+        except (JsonLdSyntaxError, UnknownPrefix):
+            pass
+    raise KavaError(
+        f"cannot write {iri} in JSON-LD: neither a prefixed name nor the full IRI "
+        f"reads back as it"
+    )
+
+
+def _iri_names(graph):
+    """Every IRI the document writes, named once; rdf:type as a predicate
+    is written as @type."""
+    names = {}
+    for t in graph:
+        if t.predicate == RDF_TYPE:
+            terms = (t.subject, t.object)
+        else:
+            terms = (t.subject, t.predicate, t.object)
+        for term in terms:
+            if isinstance(term, Iri) and term not in names:
+                names[term] = _name_of(term, graph.prefixes)
+    return names
 
 
 class _JsonValue:
@@ -166,44 +195,31 @@ def _literal_json(lit):
     return lit.lexical
 
 
-def _object_json(term, graph, used):
+def _object_json(term, graph, names):
     if isinstance(term, Iri):
-        name = _name_of(term, graph.prefixes)
-        if ":" in name and not name.startswith("http"):
-            used.add(name.split(":")[0])
-        return {"@id": name}
+        return {"@id": names[term]}
     if isinstance(term, Literal):
         return _literal_json(term)
-    return _node_json(term, graph, used, with_id=False)
+    return _node_json(term, graph, names, with_id=False)
 
 
-def _node_json(subject, graph, used, with_id=True):
+def _node_json(subject, graph, names, with_id=True):
     node = {}
     if with_id:
-        name = _name_of(subject, graph.prefixes)
-        if ":" in name and not name.startswith("http"):
-            used.add(name.split(":")[0])
-        node["@id"] = name
+        node["@id"] = names[subject]
     triples = graph.match(s=subject)
-    types = [t.object for t in triples if t.predicate == RDF_TYPE]
+    types = sorted(names[t.object] for t in triples if t.predicate == RDF_TYPE)
     if types:
-        names = sorted(_name_of(o, graph.prefixes) for o in types)
-        for n in names:
-            if ":" in n and not n.startswith("http"):
-                used.add(n.split(":")[0])
-        node["@type"] = names[0] if len(names) == 1 else names
+        node["@type"] = types[0] if len(types) == 1 else types
     by_pred = {}
     for t in triples:
         if t.predicate == RDF_TYPE:
             continue
         by_pred.setdefault(t.predicate, []).append(t.object)
-    for pred in sorted(by_pred, key=lambda p: _name_of(p, graph.prefixes)):
-        key = _name_of(pred, graph.prefixes)
-        if ":" in key and not key.startswith("http"):
-            used.add(key.split(":")[0])
+    for pred in sorted(by_pred, key=names.__getitem__):
         objs = sorted(by_pred[pred], key=str)
-        rendered = [_object_json(o, graph, used) for o in objs]
-        node[key] = rendered[0] if len(rendered) == 1 else rendered
+        rendered = [_object_json(o, graph, names) for o in objs]
+        node[names[pred]] = rendered[0] if len(rendered) == 1 else rendered
     return node
 
 
@@ -211,15 +227,15 @@ def serialize_jsonld(graph: Graph) -> str:
     """Serialize a Graph with tree blank nodes to a JSON-LD subset array.
 
     The first node object carries an explicit @context with the prefixes
-    actually used. Output is pretty-printed with 2-space indentation.
+    of the prefixed names written. Output is pretty-printed with 2-space
+    indentation. Raises KavaError for an IRI that has no name the reader
+    reads back.
     """
     iri_subjects, root_bnodes, _ = _tree(graph)
-    used = set()
-    nodes = []
-    for subject in iri_subjects:
-        nodes.append(_node_json(subject, graph, used))
-    for subject in root_bnodes:
-        nodes.append(_node_json(subject, graph, used, with_id=False))
+    names = _iri_names(graph)
+    nodes = [_node_json(s, graph, names) for s in iri_subjects]
+    nodes += [_node_json(s, graph, names, with_id=False) for s in root_bnodes]
+    used = {n.split(":")[0] for n in names.values() if not n.startswith(_FULL_IRI_SCHEMES)}
     if nodes and used:
         context = {label: graph.prefixes[label] for label in sorted(used)}
         nodes[0] = {"@context": context, **nodes[0]}

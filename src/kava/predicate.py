@@ -176,18 +176,16 @@ def _compare(value, op, constant):
 
 
 def compile_predicate(pred: Predicate):
-    """Compile to a closure over a record dict (variable name -> value)."""
-    if isinstance(pred, Comparison):
-        var, op, const = pred.variable, pred.op, pred.constant
-        return lambda rec: _compare(rec.get(var), op, const)
-    if isinstance(pred, Not):
-        inner = compile_predicate(pred.operand)
-        return lambda rec: not inner(rec)
-    left = compile_predicate(pred.left)
-    right = compile_predicate(pred.right)
-    if isinstance(pred, And):
-        return lambda rec: left(rec) and right(rec)
-    return lambda rec: left(rec) or right(rec)
+    """Compile to a closure over a record dict (variable name -> value):
+    ``compile_mask`` evaluated on the columns of that one record."""
+    import numpy as np
+
+    from .dataset import Column  # dataset imports this module
+
+    mask = compile_mask(pred)
+    names = variables(pred)
+    code = np.zeros(1, dtype=np.intp)
+    return lambda rec: bool(mask({v: Column((rec.get(v),), code) for v in names})[0])
 
 
 def compile_mask(pred: Predicate):

@@ -7,7 +7,7 @@ import decimal
 import re
 from dataclasses import dataclass, field
 
-from .errors import NonTreeBlankNodes, UnknownPrefix
+from .errors import InvalidTerm, NonTreeBlankNodes, UnknownPrefix
 
 STRING = "string"
 INTEGER = "integer"
@@ -36,7 +36,7 @@ class Iri:
 
     def __post_init__(self):
         if not self.value or _IRI_FORBIDDEN.search(self.value):
-            raise ValueError(f"invalid IRI: {self.value!r}")
+            raise InvalidTerm(f"invalid IRI: {self.value!r}")
 
     def __str__(self):
         return f"<{self.value}>"
@@ -58,7 +58,7 @@ def _canonical_numeric(lexical: str, datatype: str) -> str:
     except (ValueError, decimal.InvalidOperation):
         d = None
     if d is None or not d.is_finite():  # NaN and Infinity have no xsd lexical
-        raise ValueError(f"not a valid {datatype} literal: {lexical!r}")
+        raise InvalidTerm(f"not a valid {datatype} literal: {lexical!r}")
     # Normalize in a context as precise as the input, so nothing is rounded.
     exact = decimal.Context(prec=max(1, len(d.as_tuple().digits)))
     out = format(d.normalize(exact), "f")
@@ -126,9 +126,12 @@ class Triple:
 
 
 def expand(name: str, prefixes: dict[str, str]) -> Iri:
-    """Expand a prefixed name like ``skos:prefLabel`` to a full IRI."""
+    """Expand a prefixed name like ``skos:prefLabel`` to a full IRI.
+
+    Raises UnknownPrefix for an undeclared label, and InvalidTerm for a
+    name that is not a prefixed name or expands to an invalid IRI."""
     if name.count(":") != 1:
-        raise ValueError(f"not a prefixed name: {name!r}")
+        raise InvalidTerm(f"not a prefixed name: {name!r}")
     label, local = name.split(":")
     if label not in prefixes:
         raise UnknownPrefix(label)

@@ -307,6 +307,51 @@ def test_convert_missing_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "iri",
+    ["urn:example:a", "https://example.org/a", "http://example.org/kava/vocab#a:b"],
+    ids=["urn", "https", "colon-in-local-part"],
+)
+def test_convert_to_jsonld_names_every_iri_readably(capsys, tmp_path, iri):
+    src = tmp_path / "names.ttl"
+    src.write_text(f'<{iri}> skos:related <{iri}> ;\n    skos:prefLabel "x" .\n')
+    out = tmp_path / "names.jsonld"
+    code, _, err = run(capsys, "convert", str(src), "--to", "jsonld", "-o", str(out))
+    assert (code, err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert doc[0]["@id"] == iri
+    assert doc[0]["@context"] == {"skos": "http://www.w3.org/2004/02/skos/core#"}
+    code, lines, _ = run(capsys, "validate", str(out))
+    assert code == 0 and lines == []
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(src)))
+
+
+def test_convert_to_jsonld_rejects_an_iri_it_cannot_name(capsys, tmp_path):
+    src = tmp_path / "mail.ttl"
+    src.write_text('<mailto:a@example.org> skos:prefLabel "x" .\n')
+    out = tmp_path / "mail.jsonld"
+    code, lines, err = run(capsys, "convert", str(src), "--to", "jsonld", "-o", str(out))
+    assert code == 2 and lines == []
+    assert "<mailto:a@example.org>" in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", str(FIXTURES / "listing1.ttl"), "--to", "jsonld"],
+        ["export-vis", str(FIXTURES / "gps_scheme.ttl"), "--pattern", "tree"],
+    ],
+    ids=["convert", "export-vis"],
+)
+def test_output_into_missing_directory_is_input_error(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "out.json"
+    code, lines, err = run(capsys, *argv, "-o", str(out))
+    assert code == 2 and lines == []
+    assert "No such file or directory" in err and "internal error" not in err
+    assert list(tmp_path.rglob("*")) == []
+
+
 # --- manifest -------------------------------------------------------------
 
 
@@ -331,7 +376,7 @@ def test_manifest_inclusive_range(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "header, id_var",
-    [("patientId,bloodSugar,bloodSugar", None), ("patientId,bloodSugar", "glucose")],
+    [("patientId,bloodSugar,bloodSugar", None), ("patientId,bloodSugar", "glucose"), ("", None)],
 )
 @pytest.mark.parametrize("command", ["manifest", "export-vis"])
 def test_bad_data_header_or_id_var_is_input_error(capsys, tmp_path, header, id_var, command):
@@ -344,7 +389,8 @@ def test_bad_data_header_or_id_var_is_input_error(capsys, tmp_path, header, id_v
     assert code == 2
     assert lines == []
     assert "internal error" not in err
-    assert ("more than once" in err) if id_var is None else ("'glucose' is not in header" in err)
+    want = {"": "the header row is blank", "patientId,bloodSugar": "'glucose' is not in header"}
+    assert want.get(header, "more than once") in err
 
 
 def test_manifest_strict_query(capsys, tmp_path):
@@ -936,3 +982,30 @@ def test_gait_non_increasing_stamps_are_input_errors(capsys, gait_workspace, sta
     )
     assert code == 2
     assert err.startswith(f"row {row}, column 't': not a strictly increasing time stamp")
+
+
+@pytest.mark.parametrize("name", ["R73", "icd10:a b"], ids=["unprefixed", "invalid-iri"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["manifest", "{store}", "{data}", "--concept", "{name}"],
+        ["annotate", "{store}", "--concept", "{name}", "--prototype", "a=1"],
+        ["export-vis", "{store}", "--pattern", "threshold", "--concept", "{name}"],
+        ["export-vis", "{store}", "--pattern", "tree", "--scheme", "{name}"],
+        ["gait", "add-prototype", "--knowledge", "{store}", "--trials", "{trials}",
+         "--patient", "1", "--concept", "{name}"],
+        ["gait", "set-range", "--knowledge", "{store}", "--concept", "{name}",
+         "--param", "cadence", "--min", "0", "--max", "1"],
+    ],
+    ids=["manifest", "annotate", "threshold", "tree", "add-prototype", "set-range"],
+)
+def test_bad_concept_or_scheme_name_is_input_error(capsys, gait_workspace, tmp_path, argv, name):
+    knowledge, trials = gait_workspace
+    before = Path(knowledge).read_bytes()
+    fill = {"{store}": knowledge, "{data}": _sugar_csv(tmp_path), "{trials}": trials,
+            "{name}": name}
+    code, lines, err = run(capsys, *(fill.get(a, a) for a in argv))
+    assert code == 2 and lines == []
+    assert "internal error" not in err
+    assert ("not a prefixed name" in err) if name == "R73" else ("invalid IRI" in err)
+    assert Path(knowledge).read_bytes() == before

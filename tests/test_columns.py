@@ -524,6 +524,7 @@ def test_load_csv_matches_row_reference(text, schema, pred):
 @given(csv_texts(), st.sampled_from([None, "id", "k", "s", "x"]))
 @example("id,k\n1,\u00b2\n2,5_0\n", None)
 @example("id,k\n1, 5\n,\n3\n", "k")
+@example("\nid,k\n1,2\n", None)
 def test_infer_schema_matches_row_reference(text, id_var):
     rows = list(csv.reader(io.StringIO(text)))
     got = load_outcome(_infer_schema, rows, id_var)
@@ -532,5 +533,9 @@ def test_infer_schema_matches_row_reference(text, id_var):
         # a repeated header name or an --id-var not in the header; the
         # reference crashes on them, the CLI reports an input error
         assert got[:2] in {("error", "HeaderMismatch"), ("error", "UnknownVariable")}
+    elif want[:2] == ("error", "IndexError"):
+        # a blank header line and no --id-var: the reference crashes, the
+        # CLI reports an input error
+        assert got == ("error", "HeaderMismatch", "the header row is blank")
     else:
         assert got == want
