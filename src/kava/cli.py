@@ -27,6 +27,7 @@ from .errors import (
     KavaError,
     MalformedManifestation,
     UnknownVariable,
+    read_text,
 )
 from .predicate import parse_predicate
 from .rdf import DEFAULT_PREFIXES, Graph, Iri, expand
@@ -48,7 +49,7 @@ def _env_prefixes():
     prefixes = dict(DEFAULT_PREFIXES)
     path = os.environ.get("KAVA_PREFIXES")
     if path:
-        for line in Path(path).read_text().splitlines():
+        for line in read_text(path).splitlines():
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
@@ -67,7 +68,7 @@ def _diag(message):
 
 def read_graph(path: str) -> Graph:
     p = Path(path)
-    text = p.read_text()
+    text = read_text(p)
     if p.suffix == ".ttl":
         return turtle.parse_turtle(text, _env_prefixes())
     if p.suffix == ".jsonld":
@@ -84,17 +85,20 @@ def serialize_graph(graph: Graph, suffix: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write-temp-then-rename; knowledge files are the system of record."""
+    """Write-temp-then-rename, as UTF-8; knowledge files are the system of
+    record. A failure is an OSError naming ``path``, not the temporary file."""
     p = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, str(p))
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # left behind by a failure
             os.unlink(tmp)
-        raise
 
 
 def graph_findings(graph: Graph) -> list[Finding]:
@@ -209,7 +213,7 @@ def read_table(path: str, id_var: str | None) -> Dataset:
     """Load a data CSV, inferring its schema from the same parsed rows."""
     from .dataset import load_csv
 
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    rows = list(csv.reader(io.StringIO(read_text(path))))
     return load_csv(rows, _infer_schema(rows, id_var))
 
 

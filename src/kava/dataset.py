@@ -252,7 +252,12 @@ class Dataset:
 def _parse_number(raw):
     if not raw:  # an empty cell, or one a short row lacks
         return None
-    return int(raw) if raw.lstrip("-").isdigit() else float(raw)
+    if raw.lstrip("-").isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # "--5", "²", or more digits than int() reads
+            pass
+    return float(raw)
 
 
 def _parse_text(raw):
@@ -281,58 +286,33 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
     body = list(filter(any, rows[1:]))  # a row of empty cells is no record
     by_position = list(zip_longest(*body))  # a short row has None for the cells it lacks
     columns = {}
-    bad = None  # (record index, variable name, raw text) of the first bad cell
     for name in names:
         pos = header.index(name)
         cells = by_position[pos] if pos < len(by_position) else (None,) * len(body)
-        columns[name], bad_raw = _parse_column(cells, schema.kind(name))
-        if bad_raw is not None and (bad is None or cells.index(bad_raw) < bad[0]):
-            bad = (cells.index(bad_raw), name, bad_raw)
-    if bad is not None or not _identifiers_unique(schema, columns, len(body)):
-        # word the error as a row-by-row read does
-        row_nos = [row_no for row_no, row in enumerate(rows[1:], start=2) if any(row)]
-        decoded = [columns[name].decode() for name in schema.identifying]
-        _check_identifiers(schema, decoded, row_nos, len(body) if bad is None else bad[0])
-        i, name, raw = bad
-        raise CsvTypeError(row_nos[i], name, f"not a number: {raw!r}")
+        columns[name] = _parse_column(cells, schema.kind(name))
+    if None in columns.values() or not _identifiers_unique(schema, columns, len(body)):
+        raise _first_row_error(rows, schema)
     return Dataset.from_columns(schema, columns, len(body))
 
 
 def _parse_column(cells, kind):
-    """The Column of one variable's cells, and the first cell text that is
-    not a number of a NUMBER variable (None when there is none; a bad cell
-    reads as missing). Cell texts whose values share one ``_key``, such as
-    "1" and "01", share one code."""
+    """The Column of one variable's cells, or None when a cell of a NUMBER
+    variable is not a number. Cell texts whose values share one ``_key``,
+    such as "1" and "01", share one code."""
     texts = list(dict.fromkeys(cells))  # in order of first appearance
-    parse = _parse_number if kind == NUMBER else _parse_text
-    bad_raw = None
     try:
-        values = list(map(parse, texts))
+        values = list(map(_parse_number if kind == NUMBER else _parse_text, texts))
     except ValueError:
-        values = []
-        for raw in texts:
-            try:
-                values.append(parse(raw))
-            except ValueError:
-                values.append(None)
-                bad_raw = raw if bad_raw is None else bad_raw
+        return None
     if not all(map(operator.eq, values, values)):  # each NaN cell is its own value
-        nan_texts = {raw for raw, v in zip(texts, values) if v != v}
-        value_of = dict(zip(texts, values))
-        column = [float(raw) if raw in nan_texts else value_of[raw] for raw in cells]
-        return _encode(column), bad_raw
+        return _encode(list(map(_parse_number, cells)))  # so each cell is parsed
     code_of_text = range(len(texts))
     if len(set(values)) < len(values):  # some values are equal, maybe of one key
-        code_of_key, merged, code_of_text = {}, [], []
-        for value in values:
-            code = code_of_key.setdefault(_key(value), len(merged))
-            if code == len(merged):
-                merged.append(value)
-            code_of_text.append(code)
-        values = merged
+        merged = _encode(values)
+        values, code_of_text = merged.values, merged.codes.tolist()
     code_of = dict(zip(texts, code_of_text))
     codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
-    return Column(tuple(values), _frozen(codes)), bad_raw
+    return Column(tuple(values), _frozen(codes))
 
 
 def _identifiers_unique(schema, columns, length) -> bool:
@@ -347,19 +327,33 @@ def _identifiers_unique(schema, columns, length) -> bool:
     return len(set(zip(*(part.decode() for part in parts)))) == length
 
 
-def _check_identifiers(schema, parts, row_nos, stop):
-    """Raise for the first of the first ``stop`` records whose identifier
-    (the values ``parts`` of the identifying variables) is missing or
-    repeats an earlier one."""
-    if not schema.identifying:
-        return
+def _first_row_error(rows, schema) -> Exception:
+    """The error a row-by-row read of ``rows`` meets first: a cell of a
+    NUMBER variable that is not a number, or a missing or repeated
+    identifier. load_csv calls it only when ``rows`` hold one."""
+    header = rows[0]
+    parsers = [
+        (name, header.index(name), _parse_number if kind == NUMBER else _parse_text)
+        for name, kind in schema.variables
+    ]
     seen_ids = set()
-    for i, ids in zip(range(stop), zip(*parts)):
-        ident = ids[0] if len(ids) == 1 else ids
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not any(row):
+            continue
+        values = []
+        for name, pos, parse in parsers:  # the first bad cell of the row, in schema order
+            raw = row[pos] if pos < len(row) else None
+            try:
+                values.append((name, parse(raw)))
+            except ValueError:
+                return CsvTypeError(row_no, name, f"not a number: {raw!r}")
+        if not schema.identifying:
+            continue
+        ident = Record(tuple(values)).identifier(schema)
         if ident is None or (isinstance(ident, tuple) and None in ident):
-            raise CsvTypeError(row_nos[i], schema.identifying[0], "missing identifier")
+            return CsvTypeError(row_no, schema.identifying[0], "missing identifier")
         if ident in seen_ids:
-            raise DuplicateIdentifier(f"row {row_nos[i]}: {ident!r}")
+            return DuplicateIdentifier(f"row {row_no}: {ident!r}")
         seen_ids.add(ident)
 
 
@@ -444,28 +438,23 @@ def _load_series_rows(text: str, label: str) -> TimeSeries:
     header = next(reader, None)
     if header is None or len(header) < 2:
         raise HeaderMismatch("expected a t,v header row")
-    t, v = [], []
-    blank = []  # row numbers of skipped rows, to find a sample's row
+    t, v, row_nos = [], [], []  # row_nos: each sample's row number
     for row_no, row in enumerate(reader, start=2):
         try:
             t.append(float(row[0]))
             v.append(float(row[1]))
         except (ValueError, IndexError):
-            if not row or all(cell == "" for cell in row):
-                blank.append(row_no)
+            if not any(row):
                 continue
             raise CsvTypeError(row_no, "t/v", f"bad sample row: {row!r}")
+        row_nos.append(row_no)
     try:
         return TimeSeries.from_arrays(t, v, label)
     except ValueError:
         # the first stamp that is NaN or not after the one before it
         i = next(i for i, s in enumerate(t) if not (s > t[i - 1] if i else s == s))
-        row_no = i + 2
-        for skipped in blank:
-            if skipped <= row_no:
-                row_no += 1
         raise CsvTypeError(
-            row_no, "t", f"not a strictly increasing time stamp: {t[i]}"
+            row_nos[i], "t", f"not a strictly increasing time stamp: {t[i]}"
         ) from None
 
 

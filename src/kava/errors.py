@@ -1,8 +1,21 @@
-"""Exception hierarchy shared by all kava modules."""
+"""Exception hierarchy shared by all kava modules, and the UTF-8 file reader."""
 
 
 class KavaError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class UndecodableText(KavaError):
+    """A file that is not UTF-8 text."""
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UndecodableText(f"{str(path)!r} is not UTF-8 text: {exc}") from None
 
 
 class UnknownPrefix(KavaError):

@@ -29,6 +29,7 @@ from .errors import (
     NonPositivePhase,
     UnknownConcept,
     UnknownParameter,
+    read_text,
 )
 from .manifestation import (
     DirectMapping,
@@ -536,8 +537,8 @@ def _load_trial(root: Path, metadata: dict) -> GaitTrial:
     pid = metadata["patientId"]
     return GaitTrial(
         patient_id=pid,
-        fv_left=load_series_csv((root / f"{pid}_left.csv").read_text(), "Fv left"),
-        fv_right=load_series_csv((root / f"{pid}_right.csv").read_text(), "Fv right"),
+        fv_left=load_series_csv(read_text(root / f"{pid}_left.csv"), "Fv left"),
+        fv_right=load_series_csv(read_text(root / f"{pid}_right.csv"), "Fv right"),
         body_mass=metadata["bodyMass"],
         age=metadata["age"],
     )
@@ -568,7 +569,7 @@ class TrialSet:
         """A set over a trials directory (see load_trials_dir): metadata.csv
         is read now, a patient's two force files on first use."""
         root = Path(path)
-        meta = load_csv((root / "metadata.csv").read_text(), _METADATA_SCHEMA)
+        meta = load_csv(read_text(root / "metadata.csv"), _METADATA_SCHEMA)
         columns = [meta.columns[name].decode() for name in _METADATA_SCHEMA.names()]
         metadata = {  # patientId is a STRING identifier, so never missing
             pid: {"patientId": pid, "age": age, "bodyMass": mass}

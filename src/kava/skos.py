@@ -138,34 +138,26 @@ def validate_scheme(scheme: ConceptScheme) -> list[Finding]:
 
 
 def _broader_cycles(scheme: ConceptScheme) -> list[Finding]:
-    color = {}  # 0 absent, 1 on stack, 2 done
+    """A finding per broader edge back to a concept on the path of a
+    depth-first walk, roots and edges in IRI order. The walk keeps its own
+    stack, so a chain of any depth is walked."""
+    color = {}  # 1 on the path, 2 done
     findings = []
-
-    def visit(cid, path):
-        color[cid] = 1
-        path.append(cid)
-        for nxt in sorted(scheme.concepts[cid].broader, key=str):
-            if nxt not in scheme.concepts:
-                continue
-            state = color.get(nxt, 0)
-            if state == 0:
-                visit(nxt, path)
-            elif state == 1:
-                cycle = path[path.index(nxt):] + [nxt]
-                findings.append(
-                    Finding(
-                        "BroaderCycle",
-                        "error",
-                        str(cid),
-                        " -> ".join(str(x) for x in cycle),
-                    )
-                )
-        path.pop()
-        color[cid] = 2
-
-    for cid in scheme.sorted_ids():
-        if color.get(cid, 0) == 0:
-            visit(cid, [])
+    path, pending = [], [iter(scheme.sorted_ids())]  # pending[i + 1]: path[i]'s edges to walk
+    while pending:
+        cid = next(pending[-1], None)
+        if cid is None:
+            pending.pop()
+            if path:
+                color[path.pop()] = 2
+        elif cid not in color:
+            color[cid] = 1
+            path.append(cid)
+            broader = scheme.concepts[cid].broader
+            pending.append(iter(sorted((b for b in broader if b in scheme.concepts), key=str)))
+        elif color[cid] == 1:
+            cycle = " -> ".join(str(x) for x in path[path.index(cid):] + [cid])
+            findings.append(Finding("BroaderCycle", "error", str(path[-1]), cycle))
     return findings
 
 

@@ -13,7 +13,7 @@ from kava import cli
 from kava.cli import main, read_graph, read_table
 from kava.gait import square_wave_trial, write_trials_dir
 from kava.manifestation import DirectMapping, load_manifestations
-from kava.rdf import isomorphic_trees
+from kava.rdf import DEFAULT_PREFIXES, isomorphic_trees
 from kava.skos import load_scheme
 from kava.turtle import parse_turtle
 from kava.utilization import (
@@ -89,6 +89,57 @@ def test_env_prefixes(capsys, tmp_path, monkeypatch):
                    "skos:inScheme ex:s .")
     code, _, _ = run(capsys, "validate", str(doc))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "convert", "manifest", "gait-analyze"])
+def test_undecodable_input_is_input_error(capsys, gait_workspace, tmp_path, command):
+    knowledge, trials = gait_workspace
+    store, data, metadata = tmp_path / "bad.ttl", tmp_path / "bad.csv", Path(trials, "metadata.csv")
+    store.write_bytes(b"\xffgps:a gps:b 5 .\n")
+    data.write_bytes(b"\xffpatientId,bloodSugar\n1,150\n")
+    metadata.write_bytes(b"\xff" + metadata.read_bytes())
+    argv, bad = {
+        "validate": (["validate", str(store)], store),
+        "convert": (["convert", str(store), "--to", "jsonld"], store),
+        "manifest": (["manifest", str(FIXTURES / "listing4.ttl"), str(data),
+                      "--concept", "icd10:R73"], data),
+        "gait-analyze": (["gait", "analyze", "--knowledge", knowledge, "--trials", trials,
+                          "--patient", "1"], metadata),
+    }[command]
+    code, lines, err = run(capsys, *argv)
+    assert code == 2 and lines == []
+    assert "internal error" not in err
+    assert f"{str(bad)!r} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle-at-bottom"])
+def test_deep_broader_chain_is_walked(capsys, tmp_path, cycle):
+    depth = 3000
+    store = tmp_path / "chain.ttl"
+    store.write_text("".join(
+        f'gps:c{i} rdf:type skos:Concept; skos:prefLabel "c{i}"; skos:inScheme gps:s'
+        + (f"; skos:broader gps:c{i + 1}" if i + 1 < depth else "")
+        + (f"; skos:broader gps:c{i - 1}" if cycle and i + 1 == depth else "")
+        + " .\n"
+        for i in range(depth)
+    ))
+    code, lines, err = run(capsys, "validate", str(store))
+    cycles = [l for l in lines if l["kind"] == "BroaderCycle"]
+    before_last, last = (f"<{DEFAULT_PREFIXES['gps']}c{i}>" for i in (depth - 2, depth - 1))
+    if cycle:  # the walk from c0 reaches c2999 last, and its edge back to c2998
+        assert (code, err) == (1, "")
+        assert [(l["subject"], l["detail"]) for l in cycles] == [
+            (last, f"{before_last} -> {last} -> {before_last}")
+        ]
+    else:
+        assert (code, err, cycles) == (0, "", [])
+    out = tmp_path / "tree.json"
+    code, _, err = run(capsys, "export-vis", str(store), "--pattern", "tree", "-o", str(out))
+    if cycle:
+        assert code == 2 and "internal error" not in err and not out.exists()
+    else:
+        assert (code, err) == (0, "")
+        assert len(json.loads(out.read_text())["data"]["values"]) == depth
 
 
 # --- convert --------------------------------------------------------------
@@ -349,6 +400,7 @@ def test_output_into_missing_directory_is_input_error(capsys, tmp_path, argv):
     code, lines, err = run(capsys, *argv, "-o", str(out))
     assert code == 2 and lines == []
     assert "No such file or directory" in err and "internal error" not in err
+    assert str(out) in err and ".tmp" not in err  # the path given, not the temporary file
     assert list(tmp_path.rglob("*")) == []
 
 

@@ -58,6 +58,7 @@ from kava.utilization import (
 from test_predicate import oracle_eval
 
 BIG = 2**53 + 1  # not a float64
+LONG_INT = "9" * 5000  # digits that float() reads and int() refuses
 
 
 # --- per-record reference -----------------------------------------------
@@ -173,7 +174,10 @@ def ref_parse_cell(raw, kind):
     if raw == "" or raw is None:
         return None
     if kind == NUMBER:
-        return int(raw) if raw.lstrip("-").isdigit() else float(raw)
+        try:
+            return int(raw) if raw.lstrip("-").isdigit() else float(raw)
+        except ValueError:  # int() reads at most 4,300 digits; float() reads more
+            return float(raw)
     return raw
 
 
@@ -498,6 +502,7 @@ def load_outcome(load, text, schema):
 @example("id,k,s\n1,2,a\n1,x,b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 0))
 @example("id,k,s\n2,\u00b2,--5\n,1,\n", LOADER_SCHEMAS[2], Comparison("id", "<", 3))
 @example("id,k,s\n", LOADER_SCHEMAS[0], Comparison("id", "=", 1))
+@example(f"id,k,s\n1,{LONG_INT},a\n2,-{LONG_INT},b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 0))
 def test_load_csv_matches_row_reference(text, schema, pred):
     got = load_outcome(load_csv, text, schema)
     want = load_outcome(ref_load_csv, text, schema)
@@ -525,6 +530,7 @@ def test_load_csv_matches_row_reference(text, schema, pred):
 @example("id,k\n1,\u00b2\n2,5_0\n", None)
 @example("id,k\n1, 5\n,\n3\n", "k")
 @example("\nid,k\n1,2\n", None)
+@example(f"id,k\n1,{LONG_INT}\n2,3\n", None)
 def test_infer_schema_matches_row_reference(text, id_var):
     rows = list(csv.reader(io.StringIO(text)))
     got = load_outcome(_infer_schema, rows, id_var)
@@ -539,3 +545,7 @@ def test_infer_schema_matches_row_reference(text, id_var):
         assert got == ("error", "HeaderMismatch", "the header row is blank")
     else:
         assert got == want
+    if got[0] == "ok":
+        # a column typed NUMBER loads: each of its cells is a number
+        loaded = load_outcome(load_csv, rows, got[1])
+        assert loaded[0] == "ok" or "not a number" not in loaded[2], loaded
