@@ -1,0 +1,231 @@
+#!/usr/bin/env python3
+"""Check that two kava source trees give byte-identical command outputs.
+
+    python3 scripts/same_outputs.py OLD_SRC NEW_SRC [--seeds 1 2 3]
+        [--scales 1 16] [--rounds 3] [--workloads curation records gait]
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. The inputs
+are:
+
+- the benchmark's stores, made by ``bench/workloads.py``'s generators (with
+  OLD_SRC's kava) for every workload, seed and scale;
+- the test fixtures;
+- a set of edge-case CSVs (NaN, infinities, -0.0, duplicate, missing and
+  NaN identifiers, a header-only file);
+- a store without manifestations.
+
+On each input, every benchmark command (``rounds`` rounds of the workload's
+ops, built by the workload's own ``argv``) and ``export-vis`` with each
+``--pattern`` run through each tree's ``kava.cli.main``, in one fresh
+interpreter per tree and input, in the same working directory. Compared per
+command: exit code, stdout, stderr and the bytes of every file it changed.
+Prints "all equal" and exits 0, or names each command that differs and
+exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+FIXTURES = ROOT / "tests" / "fixtures"
+
+# Runs in a fresh interpreter: reads a job from stdin, writes one JSON list
+# of [argv, exit code, stdout, stderr, {changed file: sha256}] to stdout.
+RUNNER = r"""
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+job = json.load(sys.stdin)
+sys.path[:0] = [job["src"], job["bench"]]
+from kava import cli
+
+work = Path(job["work"])
+if job["workload"]:
+    from workloads import WORKLOADS
+    workload = WORKLOADS[job["workload"]](work, job["plan"])
+
+def digests():
+    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*")) if p.is_file()}
+
+results = []
+for step in job["steps"]:
+    # a benchmark op's argv may first restore the store it edits
+    argv = workload.argv(step[1], step[2]) if step[0] == "bench" else step[1]
+    before = digests()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    after = digests()
+    changed = {k: after.get(k) for k in sorted(before.keys() | after.keys())
+               if before.get(k) != after.get(k)}
+    results.append([argv, code, out.getvalue(), err.getvalue(), changed])
+json.dump(results, sys.__stdout__)
+"""
+
+EDGE_CSVS = {
+    "edge_values.csv": "id,glucose,t\n1,nan,1\n2,inf,2\n3,-inf,3\n-0.0,-0.0,4\n"
+                       "5,250,nan\n6,,6\n1.5,201,-0.0\n7,201,inf\n",
+    "nan_ids.csv": "id,glucose,t\nnan,250,1\nnan,260,2\n4,210,3\n",
+    "duplicate_ids.csv": "id,glucose,t\n1,250,1\n1.0,150,2\n",
+    "missing_id.csv": "id,glucose,t\n1,250,1\n,150,2\n",
+    "header_only.csv": "id,glucose,t\n",
+}
+
+
+def _bench_case(name, seed, scale, rounds):
+    """(label, a function that writes the inputs into ``base`` and returns
+    (workload, plan, steps) for a run in ``work``, a copy of ``base``)."""
+
+    def make(base: Path, work: Path):
+        from workloads import GENERATORS, WORKLOADS
+
+        plan = GENERATORS[name](base, seed, scale)
+        ops = WORKLOADS[name].trace_ops
+        steps = [["bench", op, r] for r in range(rounds) for op in ops]
+        store = str(work / plan["store"])
+        steps.append(["argv", ["export-vis", store, "--pattern", "tree"]])
+        if name == "records":
+            data = str(work / "data.csv")
+            for concept in plan["concepts"][:2]:
+                steps += [
+                    ["argv", ["export-vis", store, "--pattern", "threshold",
+                              "--concept", concept]],
+                    ["argv", ["export-vis", store, "--pattern", "threshold",
+                              "--concept", concept, "--axis-var", "glucose"]],
+                    ["argv", ["export-vis", store, data, "--pattern", "aggregate",
+                              "--concept", concept, "--time-var", "glucose"]],
+                ]
+            steps += [
+                ["argv", ["export-vis", store, data, "--pattern", "marks"]],
+                ["argv", ["export-vis", store, data, "--pattern", "marks",
+                          "--channel", "size"]],
+                # no manifestations
+                ["argv", ["export-vis", str(work / "no_manifestations.ttl"), data,
+                          "--pattern", "marks"]],
+            ]
+            shutil.copyfile(FIXTURES / "gps_scheme.ttl", base / "no_manifestations.ttl")
+        return name, plan, steps
+
+    return f"{name} seed {seed} scale {scale}", make
+
+
+def _fixture_case(base: Path, work: Path):
+    shutil.copytree(FIXTURES, base / "fixtures")
+    for text_name, text in EDGE_CSVS.items():
+        (base / text_name).write_text(text)
+    fixtures = work / "fixtures"
+    steps = []
+    for path in sorted(fixtures / p.name for p in (base / "fixtures").iterdir()):
+        other = "jsonld" if path.suffix == ".ttl" else "ttl"
+        steps += [
+            ["argv", ["validate", str(path)]],
+            ["argv", ["convert", str(path), "--to", other]],
+            ["argv", ["convert", str(path), "--to", other, "-o", str(work / f"out.{other}")]],
+            ["argv", ["export-vis", str(path), "--pattern", "tree"]],
+        ]
+    store = str(fixtures / "listing5.ttl")
+    empty = str(fixtures / "gps_scheme.ttl")  # no manifestations
+    for path, axis in (("listing4.ttl", []), ("listing5.ttl", ["--axis-var", "glucose"])):
+        steps.append(["argv", ["export-vis", str(fixtures / path), "--pattern", "threshold",
+                               "--concept", "icd10:R73", *axis]])
+    for text_name in EDGE_CSVS:
+        data = str(work / text_name)
+        steps += [
+            ["argv", ["manifest", store, data, "--concept", "icd10:R73"]],
+            ["argv", ["export-vis", store, data, "--pattern", "marks"]],
+            ["argv", ["export-vis", store, data, "--pattern", "aggregate",
+                      "--concept", "icd10:R73", "--time-var", "t"]],
+            ["argv", ["export-vis", store, data, "--pattern", "aggregate",
+                      "--concept", "icd10:R73", "--time-var", "glucose"]],
+            ["argv", ["export-vis", empty, data, "--pattern", "marks"]],
+        ]
+    return None, None, steps
+
+
+def _run(src: Path, work: Path, workload, plan, steps):
+    job = {"src": str(src), "bench": str(BENCH), "work": str(work),
+           "workload": workload, "plan": plan, "steps": steps}
+    proc = subprocess.run([sys.executable, "-B", "-c", RUNNER], input=json.dumps(job),
+                          capture_output=True, text=True, cwd=work)
+    if proc.returncode != 0:
+        raise SystemExit(f"runner failed under {src}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _differences(label, work, old, new):
+    out = []
+    for (argv, *a), (_, *b) in zip(old, new):
+        if a != b:
+            fields = [n for n, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b)
+                      if x != y]
+            shown = " ".join(argv).replace(str(work), "<work>")
+            out.append(f"{label}: {shown}: {', '.join(fields)} differ")
+    if len(old) != len(new):
+        out.append(f"{label}: {len(old)} against {len(new)} commands")
+    return out
+
+
+def compare(old_src, new_src, seeds, scales, rounds, workloads) -> list[str]:
+    """Descriptions of the commands whose outputs differ; empty when all
+    are equal."""
+    sys.path[:0] = [str(old_src), str(BENCH)]  # the generators write with OLD_SRC's kava
+    sys.dont_write_bytecode = True  # leave no cache files in either tree or in bench/
+    cases = [("fixtures and edge CSVs", _fixture_case)]
+    cases += [_bench_case(name, seed, scale, rounds)
+              for seed in seeds for scale in scales for name in workloads]
+    differences = []
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        base, work = Path(tmp, "base"), Path(tmp, "work")
+        for label, make in cases:
+            base.mkdir()
+            workload, plan, steps = make(base, work)
+            results = []
+            for src in (old_src, new_src):
+                shutil.copytree(base, work)  # both trees run at one path
+                results.append(_run(src, work, workload, plan, steps))
+                shutil.rmtree(work)
+            shutil.rmtree(base)
+            differences += _differences(label, work, *results)
+            print(f"{label}: {len(steps)} commands compared", file=sys.stderr)
+    return differences
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--scales", type=float, nargs="+", default=[1.0])
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--workloads", nargs="+", default=["curation", "records", "gait"],
+                        choices=["curation", "records", "gait"])
+    args = parser.parse_args(argv)
+    srcs = [p.resolve() for p in (args.old_src, args.new_src)]
+    for src in srcs:
+        if not (src / "kava" / "cli.py").is_file():
+            parser.error(f"{src} holds no kava/cli.py")
+    differences = compare(*srcs, args.seeds, args.scales, args.rounds, args.workloads)
+    for line in differences:
+        print(line)
+    if differences:
+        return 1
+    print("all equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ from .errors import (
     UnknownVariable,
     read_text,
 )
-from .predicate import parse_predicate
+from .predicate import parse_number, parse_predicate
 from .rdf import DEFAULT_PREFIXES, Graph, Iri, expand
 from .skos import Finding
 
@@ -248,13 +248,8 @@ def _parse_bindings(pairs):
 
 
 def _number_or_text(raw):
-    if raw.lstrip("-").isdigit():
-        try:
-            return int(raw)
-        except ValueError:  # "--5" and "²" are digits to str.isdigit only
-            pass
     try:
-        return float(raw)
+        return parse_number(raw) if raw else raw
     except ValueError:
         return raw
 

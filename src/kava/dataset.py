@@ -17,7 +17,7 @@ from .errors import (
     HeaderMismatch,
     UnknownVariable,
 )
-from .predicate import Predicate, compile_mask, variables
+from .predicate import Predicate, compile_mask, parse_number, variables
 
 NUMBER = "number"
 STRING = "string"
@@ -160,6 +160,13 @@ class Column:
             groups.setdefault(value, []).append(code)
         return groups
 
+    @cached_property
+    def canonical_codes(self) -> np.ndarray:
+        """Per code, the first code whose value is equal to its value as a
+        dict key: 1, 1.0 and True share one, each NaN object keeps its own."""
+        groups = self._equal_codes
+        return np.fromiter((groups[v][0] for v in self.values), np.intp, len(self.values))
+
 
 def _frozen(codes: np.ndarray) -> np.ndarray:
     codes.flags.writeable = False
@@ -249,17 +256,6 @@ class Dataset:
         return {values[c] for c in dict.fromkeys(column.codes[mask].tolist())}
 
 
-def _parse_number(raw):
-    if not raw:  # an empty cell, or one a short row lacks
-        return None
-    if raw.lstrip("-").isdigit():
-        try:
-            return int(raw)
-        except ValueError:  # "--5", "²", or more digits than int() reads
-            pass
-    return float(raw)
-
-
 def _parse_text(raw):
     return raw or None
 
@@ -301,11 +297,11 @@ def _parse_column(cells, kind):
     such as "1" and "01", share one code."""
     texts = list(dict.fromkeys(cells))  # in order of first appearance
     try:
-        values = list(map(_parse_number if kind == NUMBER else _parse_text, texts))
+        values = list(map(parse_number if kind == NUMBER else _parse_text, texts))
     except ValueError:
         return None
     if not all(map(operator.eq, values, values)):  # each NaN cell is its own value
-        return _encode(list(map(_parse_number, cells)))  # so each cell is parsed
+        return _encode(list(map(parse_number, cells)))  # so each cell is parsed
     code_of_text = range(len(texts))
     if len(set(values)) < len(values):  # some values are equal, maybe of one key
         merged = _encode(values)
@@ -333,7 +329,7 @@ def _first_row_error(rows, schema) -> Exception:
     identifier. load_csv calls it only when ``rows`` hold one."""
     header = rows[0]
     parsers = [
-        (name, header.index(name), _parse_number if kind == NUMBER else _parse_text)
+        (name, header.index(name), parse_number if kind == NUMBER else _parse_text)
         for name, kind in schema.variables
     ]
     seen_ids = set()

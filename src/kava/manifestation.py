@@ -283,7 +283,13 @@ def create_manifestation(
 
 
 def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
-    """Record identifiers matched by the manifestation.
+    """Record identifiers matched by the manifestation; the errors are
+    those of record_mask."""
+    return dataset.matched_identifiers(record_mask(m, dataset))
+
+
+def record_mask(m: Manifestation, dataset: Dataset):
+    """Boolean numpy mask of the records the manifestation matches.
 
     Works on the dataset's columns: each distinct value is tested once.
     Raises ForeignDialect for query mappings in a foreign dialect and
@@ -325,7 +331,7 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
         mask = compile_mask(pred)(dataset.columns)
     else:
         raise InvalidKind(f"unknown mapping kind: {kind!r}")
-    return dataset.matched_identifiers(mask)
+    return mask
 
 
 def evaluate_concept(

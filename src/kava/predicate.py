@@ -58,6 +58,20 @@ _TOKEN_RE = re.compile(
 )
 
 
+def parse_number(raw):
+    """The one number rule, for CSV cells, bindings and predicate constants:
+    None for an empty text, an int for digits that int() reads, else
+    float(raw), which raises ValueError on a text that is no number."""
+    if not raw:  # an empty cell, or one a short row lacks
+        return None
+    if raw.lstrip("-").isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # "--5", "²", or more digits than int() reads
+            pass
+    return float(raw)
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -80,7 +94,7 @@ def _tokenize(text):
         elif kind == "var":
             tokens.append(("VAR", value[1:-1], start))
         elif kind == "num":
-            tokens.append(("NUM", float(value) if "." in value else int(value), start))
+            tokens.append(("NUM", parse_number(value), start))
         elif kind == "str":
             tokens.append(("STR", value[1:-1].replace('\\"', '"').replace("\\\\", "\\"), start))
         elif kind == "op":

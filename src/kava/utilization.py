@@ -19,6 +19,7 @@ from .manifestation import (
     IndirectVariableMapping,
     Manifestation,
     evaluate_manifestation,
+    record_mask,
 )
 from .predicate import Comparison, parse_predicate
 from .rdf import shrink
@@ -162,22 +163,25 @@ def _flat_rows(rows, newline):
 def _rows_with_lists(rows, newline):
     item = newline + "  "
     field = item + "  "
-    lists = {}  # tuple of strings -> its indented text
+    sep = "," + field
+    heads = {}  # key -> its text, then ": "
+    lists = {}  # (key, tuple of strings) -> the field's text
 
-    def text(v):
+    def text(pair):
+        k, v = pair
+        head = heads.get(k)
+        if head is None:
+            head = heads[k] = _encode(k) + ": "
         if type(v) is not list:
-            return _encode(v)
-        key = tuple(v)
+            return head + _encode(v)
+        key = (k, tuple(v))
         out = lists.get(key)
         if out is None:
-            out = lists[key] = json.dumps(v, indent=2, ensure_ascii=False).replace("\n", field)
+            dumped = json.dumps(v, indent=2, ensure_ascii=False).replace("\n", field)
+            out = lists[key] = head + dumped
         return out
 
-    texts = (
-        "{" + field + ("," + field).join(_encode(k) + ": " + text(v) for k, v in row.items())
-        + item + "}"
-        for row in rows
-    )
+    texts = ("{" + field + sep.join(map(text, row.items())) + item + "}" for row in rows)
     return "[" + item + ("," + item).join(texts) + newline + "]"
 
 
@@ -233,34 +237,51 @@ def encoded_marks_spec(
 ) -> dict:
     """Per-record categorical concept field bound to an encoding channel.
 
-    Ties are broken by manifestation list order; overlaps are reported in
-    the fragment's diagnostics.
+    A record's concept is that of the first manifestation, in list order,
+    that matches a record with an equal identifier; overlaps are reported
+    in the fragment's diagnostics. The concepts are worked out once per
+    match pattern: the set of manifestations an identifier is matched by.
     """
+    import numpy as np  # here, so that graph-only commands never load numpy
+
     if channel not in channels():
         raise UnsupportedChannel(
             f"unsupported channel {channel!r}; expected one of: {', '.join(channels())}"
         )
     prefixes = prefixes or {}
-    matched_by = {}
-    for m in manifestations:
-        ids = evaluate_manifestation(m, dataset)
-        name = _concept_name(m.concept, prefixes)
-        for i in ids:
-            matched_by.setdefault(i, []).append(name)
     idents = dataset.identifier_column
-    concepts_of = [matched_by.get(ident, []) for ident in idents.values]
+    record_canon = idents.canonical_codes[idents.codes]
+    # bit j of an identifier's row: manifestation j matches a record with an
+    # equal identifier (only canonical codes get bits)
+    width = max(1, -(-len(manifestations) // 8))
+    bits = np.zeros((len(idents.values), width), dtype=np.uint8)
+    concept_names = []
+    for j, m in enumerate(manifestations):
+        bits[record_canon[record_mask(m, dataset)], j >> 3] |= 0x80 >> (j & 7)
+        concept_names.append(_concept_name(m.concept, prefixes))
+    patterns, pattern_of = np.unique(
+        bits.view(np.dtype((np.void, width))).ravel(), return_inverse=True
+    )
+    # the concepts of each pattern's manifestations, pattern by pattern
+    at, js = np.nonzero(np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1))
+    bounds = np.searchsorted(at, np.arange(len(patterns) + 1)).tolist()
+    concepts = list(map(concept_names.__getitem__, js.tolist()))
+    firsts, distinct = [], []  # per pattern
+    for lo, hi in zip(bounds, bounds[1:]):
+        firsts.append(concepts[lo] if hi > lo else "none")
+        distinct.append(list(dict.fromkeys(concepts[lo:hi])))
+    record_pattern = pattern_of[record_canon].tolist()
     names = dataset.schema.names()
     columns = [dataset.columns[n].decode() for n in names]
-    values = []
-    diagnostics = []
-    for i, code in enumerate(idents.codes.tolist()):
-        row = {name: column[i] for name, column in zip(names, columns)}
-        concepts = concepts_of[code]
-        row["concept"] = concepts[0] if concepts else "none"
-        values.append(row)
-        distinct = list(dict.fromkeys(concepts))
-        if len(distinct) > 1:
-            diagnostics.append({"record": str(idents.values[code]), "concepts": distinct})
+    keys = names + ["concept"]
+    concept_column = map(firsts.__getitem__, record_pattern)
+    values = [dict(zip(keys, row)) for row in zip(*columns, concept_column)]
+    codes = idents.codes.tolist()
+    diagnostics = [
+        {"record": str(idents.values[codes[i]]), "concepts": list(distinct[p])}
+        for i, p in enumerate(record_pattern)
+        if len(distinct[p]) > 1
+    ]
     doc = {
         "kind": "encodedMarks",
         "mark": "point",

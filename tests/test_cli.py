@@ -970,6 +970,30 @@ def _add_prototypes(knowledge, trials, *pids):
         ) == 0
 
 
+# A predicate constant of more digits than int() reads is read as a float.
+LONG_NINES = "9" * 5000
+
+
+def test_validate_store_with_long_predicate_constant(capsys, tmp_path):
+    store = tmp_path / "long.ttl"
+    store.write_text(fixture_text("listing5.ttl").replace("> 200", "> " + LONG_NINES))
+    code, _, err = run(capsys, "validate", str(store))
+    assert code in (0, 1, 2)
+    assert "internal error" not in err
+
+
+def test_gait_filter_with_long_predicate_constant(capsys, gait_workspace):
+    knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1", "3")
+    args = ["gait", "analyze", "--knowledge", knowledge, "--trials", trials, "--patient", "2"]
+    capsys.readouterr()
+    unfiltered = run(capsys, *args)
+    code, lines, err = run(capsys, *args, "--filter", f"[age] < {LONG_NINES}")
+    assert code in (0, 1, 2)
+    assert "internal error" not in err
+    assert (code, lines, err) == unfiltered  # every prototype is younger than that
+
+
 @pytest.mark.parametrize("command", ["analyze", "table"])
 def test_gait_scoring_reads_only_scored_trials(capsys, gait_workspace, command):
     knowledge, trials = gait_workspace

@@ -295,10 +295,11 @@ KINDS = st.one_of(
     st.builds(IndirectVariableMapping, st.sampled_from(NAMES), BOUNDS, BOUNDS),
     predicates().map(lambda p: IndirectQueryMapping(to_text(p))),
 )
-MANIFESTATIONS = st.lists(
-    st.builds(Manifestation, st.sampled_from([Iri("urn:c:a"), Iri("urn:c:b")]), KINDS),
-    max_size=4,
-)
+CONCEPTS = [Iri("urn:c:a"), Iri("urn:c:b"), Iri("urn:c:c")]
+# Up to 12 manifestations, with examples of 0, 9 and 17 below: the marks
+# export keeps one bit per manifestation, eight to a byte, so a match
+# pattern spans one, two or three bytes.
+MANIFESTATIONS = st.lists(st.builds(Manifestation, st.sampled_from(CONCEPTS), KINDS), max_size=12)
 
 
 def outcome(fn, *args):
@@ -330,9 +331,42 @@ _FIRST_MATCHED = Dataset(
 )
 
 
+# Equal identifiers (1, 1.0, True; 0 and -0.0), NaN identifiers that are
+# each their own, and records matched by several manifestations.
+_NAN = float("nan")
+_MANY_MATCHED = Dataset(
+    Schema(variables=(("id", NUMBER), ("v", NUMBER), ("s", STRING)), identifying=("id",)),
+    [
+        Record((("id", i), ("v", v), ("s", t)))
+        for i, v, t in (
+            (1, 0, "a"), (2, 5, "b"), (1.0, 3, "a"), (True, 7, None), (_NAN, 2, "b"),
+            (float("nan"), 2, "a"), (-0.0, 9, "b"), (0, 1, "a"), (3, None, None), (_NAN, 4, "b"),
+        )
+    ],
+)
+
+
+def _cycled(count):
+    """count manifestations over three concepts, each concept repeated, with
+    every kind among them."""
+    kinds = [
+        DirectMapping((("id", 1),)),
+        IndirectQueryMapping("[v] >= 9"),
+        IndirectVariableMapping("v", None, 4),
+        IndirectQueryMapping('[s] = "b" OR [v] < 1'),
+        DirectMapping((("s", "a"),)),
+        IndirectVariableMapping("v", 2, None),
+        IndirectQueryMapping("[v] > 1"),
+    ]
+    return [Manifestation(CONCEPTS[i % 3], kinds[i % len(kinds)]) for i in range(count)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(datasets(), MANIFESTATIONS)
 @example(_FIRST_MATCHED, [Manifestation(Iri("urn:c:a"), IndirectQueryMapping("[v] > 1"))])
+@example(_MANY_MATCHED, _cycled(0))
+@example(_MANY_MATCHED, _cycled(9))
+@example(_MANY_MATCHED, _cycled(17))
 def test_evaluate_and_marks_match_per_record_reference(dataset, manifestations):
     for m in manifestations:
         got = outcome(evaluate_manifestation, m, dataset)
@@ -350,6 +384,14 @@ def test_aggregate_matches_per_record_reference(dataset, manifestations, time_va
     for m in manifestations:
         got = outcome(aggregate_mark_spec, dataset, m, time_variable)
         want = outcome(ref_aggregate, dataset, m, time_variable)
+        assert exact(got) == exact(want)
+
+
+def test_aggregate_matches_reference_on_equal_identifiers():
+    # a match on 0 must flag -0.0, the equal identifier listed before it
+    for m in _cycled(7):
+        got = outcome(aggregate_mark_spec, _MANY_MATCHED, m, "v")
+        want = outcome(ref_aggregate, _MANY_MATCHED, m, "v")
         assert exact(got) == exact(want)
 
 

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 
@@ -126,6 +127,24 @@ def test_encoded_marks_overlap_diagnostic():
     assert matched[250] == "icd10:R73"  # first manifestation wins
     assert len(doc["diagnostics"]) == 1
     assert doc["diagnostics"][0]["concepts"] == ["icd10:R73", "urn:other"]
+
+
+def test_encoded_marks_rows_are_not_shared():
+    # the records share one match pattern, whose concepts are worked out once
+    other = Iri("urn:other")
+    ms = [
+        create_manifestation(R73, IndirectQueryMapping("[glucose] > 200")),
+        create_manifestation(other, IndirectQueryMapping("[glucose] > 100")),
+    ]
+    doc = encoded_marks_spec(_glucose_dataset((250, 260, 270)), ms, prefixes=DEFAULT_PREFIXES)
+    assert len(doc["diagnostics"]) == 3
+    before = copy.deepcopy(doc)
+    doc["diagnostics"][0]["concepts"].append("urn:changed")
+    doc["diagnostics"][0]["record"] = "changed"
+    doc["data"]["values"][0]["concept"] = "urn:changed"
+    doc["data"]["values"][0]["glucose"] = -1
+    assert doc["diagnostics"][1:] == before["diagnostics"][1:]
+    assert doc["data"]["values"][1:] == before["data"]["values"][1:]
 
 
 def test_aggregate_single_run():
