@@ -12,7 +12,12 @@ are:
 - the test fixtures;
 - a set of edge-case CSVs (NaN, infinities, -0.0, duplicate, missing and
   NaN identifiers, a header-only file);
-- a store without manifestations.
+- a store without manifestations;
+- a set of edge-case Turtle stores: one per error the Turtle reader
+  reports, and one well-formed store with escapes, comments, an empty
+  ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
+  nested 300 deep; each runs through ``validate`` and ``convert --to
+  jsonld``.
 
 On each input, every benchmark command (``rounds`` rounds of the workload's
 ops, built by the workload's own ``argv``) and ``export-vis`` with each
@@ -85,6 +90,41 @@ EDGE_CSVS = {
     "header_only.csv": "id,glucose,t\n",
 }
 
+_EX = "@prefix ex: <http://example.org/edge#> .\n"
+_DEPTH = 300
+EDGE_TTLS = {
+    # errors the scanner reports
+    "collection.ttl": _EX + "ex:a ex:b ( ex:c ) .\n",
+    "directive.ttl": "@base <http://example.org/> .\n",
+    "language_tag.ttl": _EX + 'ex:a ex:b "x"@en .\n',
+    "unterminated_iri.ttl": "<http://example.org/a\n> <http://example.org/b> 1 .\n",
+    "triple_quote.ttl": _EX + 'ex:a ex:b """long""" .\n',
+    "bad_escape.ttl": _EX + 'ex:a ex:b "tab\\x" .\n',
+    "unterminated_string.ttl": _EX + 'ex:a ex:b "open\n" .\n',
+    "bare_word.ttl": _EX + "ex:a ex:b true .\n",
+    "unexpected_character.ttl": _EX + "ex:a ex:b ex:c !\n",
+    "numeral_label.ttl": "\u00bdx:a <http://example.org/b> 1 .\n",
+    # errors the parser reports
+    "eof_after_comment.ttl": _EX + "ex:a ex:b ex:c # no final newline",
+    "missing_dot.ttl": _EX + "ex:a ex:b ex:c\nex:d ex:e ex:f .\n",
+    "missing_bracket.ttl": _EX + "ex:a ex:b [ ex:c 1 .\n",
+    "prefix_label.ttl": "@prefix ex:a <http://example.org/> .\n",
+    "prefix_iri.ttl": "@prefix ex: ex:b .\n",
+    "undeclared_prefix.ttl": "nope:a nope:b 1 .\n",
+    "unexpected_token.ttl": _EX + "ex:a ex:b ; ex:c .\n",
+    "literal_predicate.ttl": _EX + 'ex:a "p" ex:c .\n',
+    "invalid_iri.ttl": "<http://example.org/a b> <http://example.org/p> 1 .\n",
+    "bad_numeral.ttl": _EX + "ex:a ex:b \u00b2 .\n",
+    # well-formed
+    "edge_ok.ttl": (
+        "# a store with every construct the reader takes\n" + _EX
+        + 'ex:a ex:s "q\\" \\\\ \\n \\r \\t" , "", -0.0, 007 ; # comment\n'
+        + "    ex:e [] ;\n    ex:n [ ex:m ex:o ; ] ;\n    .\n"
+        + "ex:alone .\n[ ex:p 1 ] ex:q 2.50 .\r\n"
+        + "ex:deep " + "ex:d [ " * _DEPTH + "ex:v 1" + " ]" * _DEPTH + " .\n"
+    ),
+}
+
 
 def _bench_case(name, seed, scale, rounds):
     """(label, a function that writes the inputs into ``base`` and returns
@@ -125,7 +165,7 @@ def _bench_case(name, seed, scale, rounds):
 
 def _fixture_case(base: Path, work: Path):
     shutil.copytree(FIXTURES, base / "fixtures")
-    for text_name, text in EDGE_CSVS.items():
+    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS}.items():
         (base / text_name).write_text(text)
     fixtures = work / "fixtures"
     steps = []
@@ -152,6 +192,12 @@ def _fixture_case(base: Path, work: Path):
             ["argv", ["export-vis", store, data, "--pattern", "aggregate",
                       "--concept", "icd10:R73", "--time-var", "glucose"]],
             ["argv", ["export-vis", empty, data, "--pattern", "marks"]],
+        ]
+    for text_name in EDGE_TTLS:
+        path = str(work / text_name)
+        steps += [
+            ["argv", ["validate", path]],
+            ["argv", ["convert", path, "--to", "jsonld"]],
         ]
     return None, None, steps
 
@@ -184,7 +230,7 @@ def compare(old_src, new_src, seeds, scales, rounds, workloads) -> list[str]:
     are equal."""
     sys.path[:0] = [str(old_src), str(BENCH)]  # the generators write with OLD_SRC's kava
     sys.dont_write_bytecode = True  # leave no cache files in either tree or in bench/
-    cases = [("fixtures and edge CSVs", _fixture_case)]
+    cases = [("fixtures and edge CSVs, edge Turtle stores", _fixture_case)]
     cases += [_bench_case(name, seed, scale, rounds)
               for seed in seeds for scale in scales for name in workloads]
     differences = []

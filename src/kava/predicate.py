@@ -3,6 +3,8 @@ leaves combined with AND/OR/NOT."""
 
 from __future__ import annotations
 
+import decimal
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -219,12 +221,25 @@ def compile_mask(pred: Predicate):
     return lambda columns: left(columns) | right(columns)
 
 
+def _float_text(x: float) -> str:
+    """A float constant as a number the tokenizer reads back as ``x``:
+    positional, never in exponent form, and with a fraction so that it
+    stays a float. An infinity is written as a number too large for a
+    float, which float() reads back as that infinity."""
+    if math.isinf(x):
+        return ("-" if x < 0 else "") + "1" + "0" * 309 + ".0"
+    text = format(decimal.Decimal(repr(x)), "f")
+    return text if "." in text else text + ".0"
+
+
 def to_text(pred: Predicate) -> str:
     """Render a predicate back to its string form."""
     if isinstance(pred, Comparison):
         const = pred.constant
         if isinstance(const, str):
             const = '"' + const.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        elif isinstance(const, float):
+            const = _float_text(const)
         return f"[{pred.variable}] {pred.op} {const}"
     if isinstance(pred, Not):
         return f"NOT ({to_text(pred.operand)})"

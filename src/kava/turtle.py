@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import TurtleSyntaxError, UnknownPrefix
+from .errors import InvalidTerm, TurtleSyntaxError, UnknownPrefix
 from .rdf import (
     DECIMAL,
     DEFAULT_PREFIXES,
@@ -22,270 +22,245 @@ from .rdf import (
 
 RDF_TYPE = Iri(DEFAULT_PREFIXES["rdf"] + "type")
 
-_PUNCT = {".", ";", ",", "[", "]"}
-
 # String escapes (Turtle ECHAR) this codec reads and writes.
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _ESCAPE = str.maketrans({v: "\\" + k for k, v in _UNESCAPE.items()})
 
+# The characters str.isdigit accepts beyond \d (str.isdecimal): superscript,
+# subscript and circled digits and the like, as of Unicode 14.
+# tests/test_turtle.py checks this class against str.isdigit.
+_OTHER_DIGITS = (
+    r"\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a"
+)
+_LOCAL = r"(?:[\w.-]*[\w-])?"  # trailing dots end the statement
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\nrt])*'
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+# One token per match, after any whitespace and '#' comments; the name of
+# the group that matched is the token's kind. \s is str.isspace and \w is
+# str.isalnum plus '_'. A name that starts outside ASCII matches as "uname":
+# \w also holds numerals such as '½', so its first character is then checked
+# with str.isalpha. "error" matches where no token starts.
+_TOKEN = re.compile(
+    rf'''
+    \s* (?: (?P<comment> \# [^\n]* ) \s* )*
+    (?: (?P<pname> (?: [A-Za-z_][\w-]* )? : {_LOCAL} )
+      | (?P<punct> [.;,\[\]] )
+      | (?!""") " (?P<string> {_STRING_BODY} ) "
+      | (?P<decimal> -? [\d{_OTHER_DIGITS}]+ \. [\d{_OTHER_DIGITS}]+ )
+      | (?P<integer> -? [\d{_OTHER_DIGITS}]+ )
+      | (?P<a> a ) (?! [\w-] )
+      | < (?P<iri> [^>\n]* ) >
+      | (?P<prefix> @prefix )
+      | (?P<uname> [^\W\d\x00-\x7f] [\w-]* : {_LOCAL} )
+      | (?P<eof> \Z )
+      | (?P<error> )
+    )''',
+    re.VERBOSE,
+)
+_ECHAR = re.compile(r"\\(.)")
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+
+def _error(text, offset, message):
+    """A TurtleSyntaxError at the line and column of ``offset``."""
+    column = offset - text.rfind("\n", 0, offset)
+    return TurtleSyntaxError(text.count("\n", 0, offset) + 1, column, message)
 
 
-def _is_pname_char(c):
-    return c.isalnum() or c in "_-."
+def _scan_error(text, at):
+    """The error for text at ``at``, where no token starts."""
+    c = text[at]
+    if c == "(":
+        message = "unsupported Turtle feature: collections"
+    elif c == "@":
+        message = "unsupported Turtle feature: @-directive or language tag"
+    elif c == "<":
+        message = "unterminated IRI"
+    elif text.startswith('"""', at):
+        message = "unsupported Turtle feature: triple-quoted string"
+    elif c == '"':
+        end = re.compile(_STRING_BODY).match(text, at + 1).end()
+        message = "bad escape in string" if text.startswith("\\", end) else "unterminated string"
+    elif c.isalpha() or c == "_":
+        word = re.compile(r"[\w-]*").match(text, at)[0]
+        message = f"unexpected bare word {word!r}"
+    else:
+        message = f"unexpected character {c!r}"
+    return _error(text, at, message)
 
 
-def _tokenize(text):
+def _scan(text):
+    """The tokens of the text, as (kind, value, offset) tuples, the last
+    one of kind "eof". A pname's value is its text, such as "ex:a"."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg, l=None, c=None):
-        raise TurtleSyntaxError(l or line, c or col, msg)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "(":
-            err("unsupported Turtle feature: collections")
-        if c == "@":
-            if text.startswith("@prefix", i):
-                tokens.append(_Token("@prefix", "@prefix", line, col))
-                i += 7
-                col += 7
-                continue
-            err("unsupported Turtle feature: @-directive or language tag")
-        if c == "<":
-            j = text.find(">", i)
-            if j < 0 or "\n" in text[i:j]:
-                err("unterminated IRI")
-            tokens.append(_Token("iri", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == '"':
-            if text.startswith('"""', i):
-                err("unsupported Turtle feature: triple-quoted string")
-            j = i + 1
-            buf = []
-            while j < n:
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _UNESCAPE:
-                        err("bad escape in string", start_line, start_col)
-                    buf.append(_UNESCAPE[text[j + 1]])
-                    j += 2
-                    continue
-                if ch == '"':
-                    break
-                if ch == "\n":
-                    err("unterminated string", start_line, start_col)
-                buf.append(ch)
-                j += 1
-            else:
-                err("unterminated string", start_line, start_col)
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1 if c == "-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "integer"
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                kind = "decimal"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token(kind, text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_" or c == ":":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            if j < n and text[j] == ":":
-                prefix = text[i:j]
-                j += 1
-                k = j
-                while k < n and _is_pname_char(text[k]):
-                    k += 1
-                while k > j and text[k - 1] == ".":
-                    k -= 1  # trailing dots terminate the statement
-                tokens.append(_Token("pname", (prefix, text[j:k]), start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            word = text[i:j]
-            if word == "a":
-                tokens.append(_Token("a", "a", start_line, start_col))
-                col += j - i
-                i = j
-                continue
-            err(f"unexpected bare word {word!r}")
-        err(f"unexpected character {c!r}")
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, prefixes):
-        self.tokens = tokens
-        self.pos = 0
-        self.prefixes = dict(prefixes)
-        self.graph = None
-        self._bnode_count = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def err(self, tok, msg):
-        raise TurtleSyntaxError(tok.line, tok.col, msg)
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            self.err(tok, f"expected {kind!r}, found {tok.kind!r}")
-        return tok
-
-    def fresh_bnode(self):
-        self._bnode_count += 1
-        return BlankNode(f"b{self._bnode_count}")
-
-    def parse(self):
-        triples = []
-        while self.peek().kind != "eof":
-            if self.peek().kind == "@prefix":
-                self.parse_prefix()
-            else:
-                self.parse_statement(triples)
-        self.graph = Graph(triples, self.prefixes)
-        return self.graph
-
-    def parse_prefix(self):
-        self.next()
-        tok = self.expect("pname")
-        label, local = tok.value
-        if local:
-            self.err(tok, "prefix label must end with ':'")
-        ns = self.expect("iri").value
-        self.expect(".")
-        self.prefixes[label] = ns
-
-    def term_from(self, tok):
-        try:
-            if tok.kind == "iri":
-                return Iri(tok.value)
-            if tok.kind == "pname":
-                return expand(":".join(tok.value), self.prefixes)
-        except UnknownPrefix:
-            self.err(tok, f"undeclared prefix {tok.value[0]!r}")
-        except ValueError as exc:
-            self.err(tok, str(exc))
-        self.err(tok, f"unexpected token {tok.kind!r}")
-
-    def parse_statement(self, triples):
-        tok = self.next()
-        if tok.kind == "[":
-            subject = self.fresh_bnode()
-            self.parse_predicate_object_list(subject, triples, closing="]")
-            self.expect("]")
-            if self.peek().kind != ".":
-                self.parse_predicate_object_list(subject, triples, closing=".")
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        value = m[kind]
+        at = m.start(kind)
+        pos = m.end()
+        if kind == "pname" or kind == "integer" or kind == "decimal" or kind == "a":
+            append((kind, value, at))
+        elif kind == "punct":
+            append((value, value, at))
+        elif kind == "string":
+            if "\\" in value:
+                value = _ECHAR.sub(lambda e: _UNESCAPE[e[1]], value)
+            append((kind, value, at - 1))
+        elif kind == "iri":
+            append((kind, value, at - 1))
+        elif kind == "prefix":
+            append(("@prefix", value, at))
+        elif kind == "uname":
+            if not value[0].isalpha():
+                raise _error(text, at, f"unexpected character {value[0]!r}")
+            append(("pname", value, at))
+        elif kind == "eof":
+            # the column of eof after a last comment is that of its '#'
+            if m.end("comment") == pos:
+                at = m.start("comment")
+            append((kind, None, at))
+            return tokens
         else:
-            subject = self.term_from(tok)
-            self.parse_predicate_object_list(subject, triples, closing=".")
-        self.expect(".")
+            raise _scan_error(text, at)
 
-    def parse_predicate_object_list(self, subject, triples, closing):
-        while True:
-            tok = self.peek()
-            if tok.kind == closing:
-                return
-            predicate = self.parse_verb()
-            while True:
-                obj = self.parse_object(triples)
-                triples.append(Triple(subject, predicate, obj))
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
-            if self.peek().kind == ";":
-                self.next()
-                continue
-            return
 
-    def parse_verb(self):
-        tok = self.next()
-        if tok.kind == "a":
-            return RDF_TYPE
-        term = self.term_from(tok)
-        if not isinstance(term, Iri):
-            self.err(tok, "predicate must be an IRI")
-        return term
+def _term(token, terms, namespaces, text):
+    """The term of an IRI, prefixed-name or literal token, remembered in
+    ``terms`` so that each distinct token is built once."""
+    kind, value, at = token
+    if kind == "string":
+        term = Literal(value)
+    elif kind == INTEGER or kind == DECIMAL:
+        # the kind is the datatype; a bad lexical escapes as InvalidTerm
+        term = Literal(value, kind)
+    elif kind == "iri" or kind == "pname":
+        try:
+            term = Iri(value) if kind == "iri" else expand(value, namespaces)
+        except UnknownPrefix as exc:
+            raise _error(text, at, f"undeclared prefix {exc.label!r}") from None
+        except InvalidTerm as exc:
+            raise _error(text, at, str(exc)) from None
+    else:
+        raise _error(text, at, f"unexpected token {kind!r}")
+    terms[kind, value] = term
+    return term
 
-    def parse_object(self, triples):
-        tok = self.next()
-        if tok.kind == "string":
-            return Literal(tok.value)
-        if tok.kind == "integer":
-            return Literal(tok.value, INTEGER)
-        if tok.kind == "decimal":
-            return Literal(tok.value, DECIMAL)
-        if tok.kind == "[":
-            node = self.fresh_bnode()
-            self.parse_predicate_object_list(node, triples, closing="]")
-            self.expect("]")
-            return node
-        return self.term_from(tok)
+
+def _expected(text, token, kind):
+    return _error(text, token[2], f"expected {kind!r}, found {token[0]!r}")
 
 
 def parse_turtle(text: str, prefixes=None) -> Graph:
     """Parse the supported Turtle subset into a Graph.
 
     Directives in the document are merged over the default prefix map
-    (or the given one).
+    (or the given one). Blank nodes are labelled b1, b2, … in the order of
+    their '['.
     """
-    base = dict(DEFAULT_PREFIXES)
+    tokens = _scan(text)
+    namespaces = dict(DEFAULT_PREFIXES)
     if prefixes:
-        base.update(prefixes)
-    return _Parser(_tokenize(text), base).parse()
+        namespaces.update(prefixes)
+    terms = {}  # (kind, value) -> term, under the prefixes declared so far
+    triples = []
+    parents = []  # (subject, predicate, closing) around each open '[ … ]' object
+    blanks = 0
+    subject = None  # None between statements
+    i = 0
+    while True:
+        if subject is None:
+            token = tokens[i]
+            i += 1
+            kind = token[0]
+            if kind == "eof":
+                return Graph(triples, namespaces)
+            if kind == "@prefix":
+                i = _prefix(tokens, i, namespaces, text)
+                terms.clear()
+                continue
+            if kind == "[":
+                blanks += 1
+                subject, closing = BlankNode(f"b{blanks}"), "]"
+            elif kind == "pname" or kind == "iri":
+                subject = terms.get(token[:2]) or _term(token, terms, namespaces, text)
+                closing = "."
+            else:
+                raise _error(text, token[2], f"unexpected token {kind!r}")
+            predicate = None  # None at the start of each verb and its objects
+        if predicate is None and tokens[i][0] != closing:
+            token = tokens[i]
+            i += 1
+            kind = token[0]
+            if kind == "a":
+                predicate = RDF_TYPE
+            elif kind == "pname" or kind == "iri":
+                predicate = terms.get(token[:2]) or _term(token, terms, namespaces, text)
+            else:
+                raise _error(text, token[2], f"unexpected token {kind!r}")
+        if predicate is not None:
+            token = tokens[i]
+            i += 1
+            if token[0] == "[":
+                blanks += 1
+                node = BlankNode(f"b{blanks}")
+                triples.append(Triple(subject, predicate, node))
+                parents.append((subject, predicate, closing))
+                subject, predicate, closing = node, None, "]"
+                continue
+            obj = terms.get(token[:2]) or _term(token, terms, namespaces, text)
+            triples.append(Triple(subject, predicate, obj))
+        # After an object, or at the end of a list: ',' reads one more
+        # object, ';' a new verb; any other token must close the list. A
+        # closed '[ … ]' object is the last object its parent list read.
+        while True:
+            token = tokens[i]
+            kind = token[0]
+            if kind == ",":
+                i += 1
+                break
+            if kind == ";":
+                i += 1
+                predicate = None
+                break
+            if kind != closing:
+                raise _expected(text, token, closing)
+            i += 1
+            if closing == ".":
+                subject = None
+                break
+            if parents:
+                subject, predicate, closing = parents.pop()
+                continue
+            # a '[ … ]' subject: a list of its own may follow before the '.'
+            closing, predicate = ".", None
+            break
 
 
-# A prefixed name the tokenizer above reads back whole: the label empty or a
+def _prefix(tokens, i, namespaces, text):
+    """Read the '@prefix' directive whose label is tokens[i] into
+    ``namespaces``; the index after it."""
+    label = tokens[i]
+    if label[0] != "pname":
+        raise _expected(text, label, "pname")
+    name, _, local = label[1].partition(":")
+    if local:
+        raise _error(text, label[2], "prefix label must end with ':'")
+    iri = tokens[i + 1]
+    if iri[0] != "iri":
+        raise _expected(text, iri, "iri")
+    if tokens[i + 2][0] != ".":
+        raise _expected(text, tokens[i + 2], ".")
+    namespaces[name] = iri[1]
+    return i + 3
+
+
+# A prefixed name the scanner above reads back whole: the label empty or a
 # letter or '_' then word characters and '-'; the local part word
 # characters, '-' and '.', not ending in '.'.
 _READABLE_PNAME = re.compile(r"(?:[^\W\d][\w-]*)?:(?:[\w.-]*[\w-])?")

@@ -142,6 +142,17 @@ def test_deep_broader_chain_is_walked(capsys, tmp_path, cycle):
         assert len(json.loads(out.read_text())["data"]["values"]) == depth
 
 
+def test_deeply_nested_store_validates(capsys, tmp_path):
+    depth = 5000
+    store = tmp_path / "deep.ttl"
+    store.write_text(
+        "gps:a rdf:type skos:Concept; skos:prefLabel \"a\"; skos:inScheme gps:s;\n"
+        + "    dct:source [ " * depth + 'dct:title "bottom"' + " ]" * depth + " .\n"
+    )
+    code, _, err = run(capsys, "validate", str(store))
+    assert (code, err) == (0, "")
+
+
 # --- convert --------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -99,11 +100,27 @@ def test_to_text_roundtrip():
         "NOT ([a] = 1)",
         '[name] = "say \\"hi\\""',
         "[a] > 1 AND [b] < 2 OR [c] = 3",
+        "[a] > 100000000000000000000.5",
+        "[a] > 0.00001",
+        "[a] > " + "9" * 5000,
+        "[a] < -" + "9" * 5000,
     ]
     for text in texts:
         pred = parse_predicate(text)
         again = parse_predicate(to_text(pred))
         assert again == pred
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_to_text_roundtrips_every_float(x):
+    """Floats of any exponent, and the infinities, read back as the same
+    float, sign of zero included."""
+    pred = Comparison("a", ">", x)
+    again = parse_predicate(to_text(pred))
+    assert again == pred
+    assert type(again.constant) is float
+    assert math.copysign(1, again.constant) == math.copysign(1, x)
 
 
 def _random_predicate(rng, depth):

@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import turtle_reference
 from conftest import fixture_text, random_tree_graph
+from kava import turtle
 from kava.errors import TurtleSyntaxError
 from kava.jsonld import serialize_jsonld
 from kava.rdf import BlankNode, Graph, Iri, Literal, Triple, isomorphic_trees
@@ -178,3 +181,122 @@ def test_serializer_text_is_canonical(seed):
         text = serialize(Graph(triples))
         assert serialize(Graph(shuffled)) == text
         assert serialize(Graph(relabeled)) == text
+
+
+# Pieces of Turtle, well-formed and not, that the reader must take exactly
+# as the reference reader does.
+_FRAGMENTS = [
+    "@prefix", "@prefix ex: <urn:ex#> .", "@prefix ex: <urn:other#> .",
+    "@prefix ex:a <urn:x> .", "@prefix ex: ex:b .", "@base", "@en",
+    "<urn:x>", "<>", "<a b>", "<a\nb>", "<urn:open",
+    '"v"', '""', '"q\\"q"', '"b\\\\b"', '"n\\nn"', '"r\\rr"', '"t\\tt"',
+    '"bad\\x"', '"end\\', '"open', '"line\nbreak"', '"""',
+    "-", "-1", "-1.5", "1", "1.", "1.5", "1.5.", "007",
+    "a", "a-", "a:", "_:b", "ex:a.", "ex:a", "ex:b", "ex:", ":x", "ex:.a", "ex:a-b",
+    "skos:Concept", "foo:bar", "(", ")", "# note", "#",
+    "\t", "\r", "\n", " ", "\x0b", "\u00a0",
+    "²", "①", "٣", "½", "é", "éx:a", "½x:a", "x²:a",
+    ".", ";", ",", "[", "]", "[]", "ex:s ex:p ex:o .",
+    'ex:s a ex:C ; ex:p [ ex:q 1, 2 ; ex:r "w" ] .', '[ ex:p "v" ] .',
+    "[ ex:p [ ex:q [] ] ] ex:r 1.0 .", "[] ex:p ex:o .",
+]
+_OBJECTS = ['"v"', '""', '"q\\"q \\\\ \\n\\r\\t"', "1", "-1", "1.5", "007", "-0.0", "٣", "²",
+            "ex:a", "ex:b", "<urn:x>", "ex:.a", "ex:a-b", "skos:Concept"]
+_SEPARATORS = [" ", " ", "\n", "\t", "", "\r\n", " # c\n"]
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed document, sometimes with one token dropped or one
+    fragment put in."""
+    tokens = []
+
+    def objects(depth):  # a predicate-object list
+        items = draw(st.integers(0, 3))
+        for item in range(items):
+            if item:
+                tokens.append(";")
+            tokens.append(draw(st.sampled_from(["a", "ex:p", "ex:q", "<urn:p>"])))
+            for k in range(draw(st.integers(1, 2))):
+                if k:
+                    tokens.append(",")
+                if depth < 4 and draw(st.booleans()):
+                    tokens.append("[")
+                    objects(depth + 1)
+                    tokens.append("]")
+                else:
+                    tokens.append(draw(st.sampled_from(_OBJECTS)))
+        if items and draw(st.integers(0, 4)) == 0:
+            tokens.append(";")
+
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["prefix", "name", "name", "bracket"]))
+        if kind == "prefix":
+            label = draw(st.sampled_from(["ex:", ":", "skos:"]))
+            tokens += ["@prefix", label, draw(st.sampled_from(["<urn:ex#>", "<urn:new#>"])), "."]
+            continue
+        if kind == "name":
+            tokens.append(draw(st.sampled_from(["ex:s", "<urn:s>", ":s"])))
+        else:
+            tokens.append("[")
+            objects(1)
+            tokens.append("]")
+        objects(1)
+        tokens.append(".")
+    edit = draw(st.sampled_from(["none", "none", "drop", "insert"]))
+    if edit == "drop" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif edit == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_FRAGMENTS)))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    return "".join(t + sep for t, sep in zip(tokens, seps))
+
+
+_TEXTS = st.one_of(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join), _documents())
+
+
+def _outcome(parse, text):
+    """The graph, blank-node labels included, and the prefix map a parse
+    gives, or the type and text of what it raises."""
+    try:
+        graph = parse(text, {"ex": "urn:ex#", "": "urn:empty#"})
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return graph, list(graph.prefixes.items())
+
+
+@settings(max_examples=600, deadline=None)
+@given(_TEXTS)
+@example("ex:a ex:b ² .")  # str.isdigit holds for '²', \d does not match it
+@example("ex:a ex:b ① , 1²3 .")
+@example("ex:a ex:b -² .")
+@example("½x:a ex:b ex:c .")  # a label may not start with '½', though \w holds it
+@example("ex:a ex:b ½ .")
+@example('ex:a ex:b """x""" .')  # '"""' is refused before a string is read
+@example('ex:a ex:b """')
+@example("ex:a ex:b ex:c . @prefix ex: <urn:new#> . ex:a ex:b ex:c .")
+@example("ex:a ex:b ex:c # no final newline")  # eof sits at the column of '#'
+@example("ex:a ex:b ex:c .\n  # last line")
+@example('ex:a ex:b "x" . # "#" in a comment')
+def test_reader_matches_reference(text):
+    assert _outcome(parse_turtle, text) == _outcome(turtle_reference.parse_turtle, text)
+
+
+def test_reader_classes_are_the_str_predicates():
+    """The scanner's character classes hold exactly the characters the
+    str predicates of the reference hold, over every code point."""
+    everything = "".join(map(chr, range(0x110000)))
+    digits = re.compile(rf"[\d{turtle._OTHER_DIGITS}]")
+    assert set(digits.findall(everything)) == {c for c in everything if c.isdigit()}
+    assert set(re.findall(r"\s", everything)) == {c for c in everything if c.isspace()}
+    assert set(re.findall(r"\w", everything)) == {
+        c for c in everything if c.isalnum() or c == "_"
+    }
+
+
+@pytest.mark.parametrize("depth", [10, 100, 1000, 5000])
+def test_deep_nesting_is_read(depth):
+    text = "ex:s " + "ex:p [ " * depth + "ex:v 1" + " ]" * depth + " ."
+    graph = parse_turtle(text, {"ex": "urn:ex#"})
+    assert len(graph) == depth + 1
+    assert len(graph.match(p=Iri("urn:ex#p"))) == depth
