@@ -16,8 +16,11 @@ are:
 - a set of edge-case Turtle stores: one per error the Turtle reader
   reports, and one well-formed store with escapes, comments, an empty
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
-  nested 300 deep; each runs through ``validate`` and ``convert --to
-  jsonld``.
+  nested 300 deep, and one with ``rdf:type`` objects that are not IRIs;
+  each runs through ``validate`` and ``convert --to jsonld``;
+- a set of edge-case JSON-LD documents: numbers where a name or a
+  namespace belongs, an integer of 5,000 digits, and well-formed integers
+  and decimals; each runs through ``validate`` and ``convert --to ttl``.
 
 On each input, every benchmark command (``rounds`` rounds of the workload's
 ops, built by the workload's own ``argv``) and ``export-vis`` with each
@@ -123,6 +126,17 @@ EDGE_TTLS = {
         + "ex:alone .\n[ ex:p 1 ] ex:q 2.50 .\r\n"
         + "ex:deep " + "ex:d [ " * _DEPTH + "ex:v 1" + " ]" * _DEPTH + " .\n"
     ),
+    "non_iri_type.ttl": _EX + 'ex:a a "lit", ex:C .\nex:b a [ ex:p 1 ] .\n',
+}
+
+_ID = '"@id": "http://example.org/edge#a"'
+EDGE_JSONLDS = {
+    "integer_id.jsonld": '{"@id": 7, "http://example.org/edge#p": 1}\n',
+    "decimal_id.jsonld": '{"@id": 7.5, "http://example.org/edge#p": 1}\n',
+    "integer_type.jsonld": "{" + _ID + ', "@type": 7}\n',
+    "decimal_context.jsonld": '{"@context": {"ex": 1.5}, "@id": "ex:a", "ex:p": 1}\n',
+    "long_integer.jsonld": "{" + _ID + ', "http://example.org/edge#p": ' + "9" * 5000 + "}\n",
+    "numbers.jsonld": "{" + _ID + ', "http://example.org/edge#p": [7, -0, 1.50, 1e3, -2.5E-3]}\n',
 }
 
 
@@ -165,7 +179,7 @@ def _bench_case(name, seed, scale, rounds):
 
 def _fixture_case(base: Path, work: Path):
     shutil.copytree(FIXTURES, base / "fixtures")
-    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS}.items():
+    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS, **EDGE_JSONLDS}.items():
         (base / text_name).write_text(text)
     fixtures = work / "fixtures"
     steps = []
@@ -199,6 +213,12 @@ def _fixture_case(base: Path, work: Path):
             ["argv", ["validate", path]],
             ["argv", ["convert", path, "--to", "jsonld"]],
         ]
+    for text_name in EDGE_JSONLDS:
+        path = str(work / text_name)
+        steps += [
+            ["argv", ["validate", path]],
+            ["argv", ["convert", path, "--to", "ttl"]],
+        ]
     return None, None, steps
 
 
@@ -230,7 +250,7 @@ def compare(old_src, new_src, seeds, scales, rounds, workloads) -> list[str]:
     are equal."""
     sys.path[:0] = [str(old_src), str(BENCH)]  # the generators write with OLD_SRC's kava
     sys.dont_write_bytecode = True  # leave no cache files in either tree or in bench/
-    cases = [("fixtures and edge CSVs, edge Turtle stores", _fixture_case)]
+    cases = [("fixtures and edge CSVs, edge Turtle and JSON-LD stores", _fixture_case)]
     cases += [_bench_case(name, seed, scale, rounds)
               for seed in seeds for scale in scales for name in workloads]
     differences = []

@@ -1,4 +1,4 @@
-"""Typed record tables and per-record time series."""
+"""Typed record tables and time series."""
 
 from __future__ import annotations
 
@@ -192,28 +192,27 @@ def _encode(values: list) -> Column:
 
 
 class Dataset:
-    """Records over a schema, plus per-record time series.
+    """Records over a schema, stored as dictionary-encoded columns only.
 
-    A dataset stores either the records it was built from or, when
-    load_csv built it, only dictionary-encoded columns; the other form is
-    derived from the stored one on first use. Treat a dataset as
-    immutable. Values must be hashable.
+    ``Dataset(schema, records)`` encodes the records at once (a variable a
+    record lacks is a missing value, None); ``records`` is decoded from
+    the columns on first use. Treat a dataset as immutable. Values must
+    be hashable.
     """
 
-    def __init__(self, schema: Schema, records: list | None = None, series: dict | None = None):
+    def __init__(self, schema: Schema, records=()):
+        rows = [record.as_dict() for record in records]
         self.schema = schema
-        self.records = [] if records is None else records
-        self.series = {} if series is None else series  # record identifier -> TimeSeries
-        self._length = len(self.records)
+        self.columns = {name: _encode([row.get(name) for row in rows]) for name in schema.names()}
+        self._length = len(rows)
 
     @classmethod
-    def from_columns(cls, schema: Schema, columns: dict, length: int, series=None) -> Dataset:
+    def from_columns(cls, schema: Schema, columns: dict, length: int) -> Dataset:
         """A dataset of ``length`` records stored as ``columns`` (variable
         name -> Column, in schema order)."""
         dataset = cls.__new__(cls)
         dataset.schema = schema
         dataset.columns = columns
-        dataset.series = {} if series is None else series
         dataset._length = length
         return dataset
 
@@ -224,18 +223,15 @@ class Dataset:
     def records(self) -> list:
         """One Record per record, decoded from the columns."""
         names = self.schema.names()
-        columns = [self.columns[name].decode() for name in names]
-        values = zip(*columns) if names else [()] * len(self)
-        return [Record(tuple(zip(names, vals))) for vals in values]
+        return [Record(tuple(zip(names, vals))) for vals in self._rows()]
+
+    def _rows(self):
+        """Per record, the tuple of its values in schema order."""
+        columns = [self.columns[name].decode() for name in self.schema.names()]
+        return zip(*columns) if columns else [()] * len(self)
 
     def identifiers(self):
         return self.identifier_column.decode()
-
-    @cached_property
-    def columns(self) -> dict:
-        """Variable name -> Column, in schema order; a missing value is None."""
-        rows = [record.as_dict() for record in self.records]
-        return {name: _encode([row.get(name) for row in rows]) for name in self.schema.names()}
 
     @cached_property
     def identifier_column(self) -> Column:
@@ -357,25 +353,24 @@ def write_csv(dataset: Dataset) -> str:
     """Canonical CSV text: schema column order, empty cell for missing."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    names = dataset.schema.names()
-    writer.writerow(names)
-    for record in dataset.records:
-        vals = record.as_dict()
-        writer.writerow(["" if vals[n] is None else vals[n] for n in names])
+    writer.writerow(dataset.schema.names())
+    writer.writerows(["" if v is None else v for v in row] for row in dataset._rows())
     return out.getvalue()
 
 
 def filter_records(dataset: Dataset, predicate: Predicate) -> Dataset:
-    """Subset dataset of records satisfying the predicate; order preserved."""
+    """Subset dataset of records satisfying the predicate; order preserved.
+    Each kept column holds only the values its records use."""
     known = set(dataset.schema.names())
     missing = variables(predicate) - known
     if missing:
         raise UnknownVariable(", ".join(sorted(missing)))
-    mask = compile_mask(predicate)(dataset.columns)
-    kept = list(compress(dataset.records, mask.tolist()))
-    kept_ids = dataset.matched_identifiers(mask) if dataset.schema.identifying else set()
-    series = {k: v for k, v in dataset.series.items() if k in kept_ids}
-    return Dataset(schema=dataset.schema, records=kept, series=series)
+    keep = compile_mask(predicate)(dataset.columns).tolist()
+    columns = {
+        name: _encode(list(compress(column.decode(), keep)))
+        for name, column in dataset.columns.items()
+    }
+    return Dataset.from_columns(dataset.schema, columns, sum(keep))
 
 
 def load_series_csv(text: str, label: str = "") -> TimeSeries:

@@ -4,12 +4,14 @@ blank-node trees, and plain string/number literals."""
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .errors import JsonLdSyntaxError, KavaError, UnknownPrefix, UnsupportedKeyword
 from .rdf import (
     DECIMAL,
     DEFAULT_PREFIXES,
     INTEGER,
+    STRING,
     BlankNode,
     Graph,
     Iri,
@@ -22,8 +24,17 @@ from .rdf import (
 from .turtle import RDF_TYPE
 
 
-class _DecimalLexical(str):
-    """Raw lexical form of a JSON number with a fraction part."""
+@dataclass(slots=True)
+class _Number:
+    """A JSON number, read or to be written: its lexical form as in the
+    text, and its datatype, INTEGER or DECIMAL. Not a str, so no name or
+    namespace accepts it."""
+
+    lexical: str
+    datatype: str
+
+    def __repr__(self):
+        return self.lexical
 
 
 # Names read as full IRIs; any other name is read as a prefixed name.
@@ -64,10 +75,8 @@ class _Reader:
     def literal(self, value):
         if isinstance(value, bool):
             raise JsonLdSyntaxError("boolean values are not supported")
-        if isinstance(value, _DecimalLexical):
-            return Literal(str(value), DECIMAL)
-        if isinstance(value, int):
-            return Literal(str(value), INTEGER)
+        if isinstance(value, _Number):
+            return Literal(value.lexical, value.datatype)
         if isinstance(value, str):
             return Literal(value)
         raise JsonLdSyntaxError(f"unsupported literal value: {value!r}")
@@ -86,7 +95,7 @@ class _Reader:
         else:
             subject = self.fresh_bnode()
         types = obj.get("@type", [])
-        if isinstance(types, str):
+        if not isinstance(types, list):
             types = [types]
         for name in types:
             self.triples.append(
@@ -115,7 +124,11 @@ class _Reader:
 def parse_jsonld(text: str, prefixes=None) -> Graph:
     """Parse a JSON-LD subset document (node object or array of them)."""
     try:
-        data = json.loads(text, parse_float=_DecimalLexical)
+        data = json.loads(
+            text,
+            parse_int=lambda lexical: _Number(lexical, INTEGER),
+            parse_float=lambda lexical: _Number(lexical, DECIMAL),
+        )
     except json.JSONDecodeError as exc:
         raise JsonLdSyntaxError(str(exc)) from exc
     base = dict(DEFAULT_PREFIXES)
@@ -143,12 +156,17 @@ def _name_of(iri, prefixes):
     )
 
 
+def _is_type(triple):
+    """Whether the triple is written under @type: rdf:type with an IRI."""
+    return triple.predicate == RDF_TYPE and isinstance(triple.object, Iri)
+
+
 def _iri_names(graph):
     """Every IRI the document writes, named once; rdf:type as a predicate
-    is written as @type."""
+    is written as @type when its object is an IRI."""
     names = {}
     for t in graph:
-        if t.predicate == RDF_TYPE:
+        if _is_type(t):
             terms = (t.subject, t.object)
         else:
             terms = (t.subject, t.predicate, t.object)
@@ -158,19 +176,10 @@ def _iri_names(graph):
     return names
 
 
-class _JsonValue:
-    """Wrapper carrying an exact numeric lexical form through serialization."""
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw):
-        self.raw = raw
-
-
 def _dump(value, indent):
     pad = "  " * indent
-    if isinstance(value, _JsonValue):
-        return value.raw
+    if isinstance(value, _Number):
+        return value.lexical
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, list):
@@ -189,17 +198,11 @@ def _dump(value, indent):
     raise AssertionError(f"unexpected value {value!r}")
 
 
-def _literal_json(lit):
-    if lit.datatype in (INTEGER, DECIMAL):
-        return _JsonValue(lit.lexical)
-    return lit.lexical
-
-
 def _object_json(term, graph, names):
     if isinstance(term, Iri):
         return {"@id": names[term]}
     if isinstance(term, Literal):
-        return _literal_json(term)
+        return term.lexical if term.datatype == STRING else _Number(term.lexical, term.datatype)
     return _node_json(term, graph, names, with_id=False)
 
 
@@ -208,14 +211,13 @@ def _node_json(subject, graph, names, with_id=True):
     if with_id:
         node["@id"] = names[subject]
     triples = graph.match(s=subject)
-    types = sorted(names[t.object] for t in triples if t.predicate == RDF_TYPE)
+    types = sorted(names[t.object] for t in triples if _is_type(t))
     if types:
         node["@type"] = types[0] if len(types) == 1 else types
     by_pred = {}
     for t in triples:
-        if t.predicate == RDF_TYPE:
-            continue
-        by_pred.setdefault(t.predicate, []).append(t.object)
+        if not _is_type(t):
+            by_pred.setdefault(t.predicate, []).append(t.object)
     for pred in sorted(by_pred, key=names.__getitem__):
         objs = sorted(by_pred[pred], key=str)
         rendered = [_object_json(o, graph, names) for o in objs]

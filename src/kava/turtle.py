@@ -260,16 +260,14 @@ def _prefix(tokens, i, namespaces, text):
     return i + 3
 
 
-# A prefixed name the scanner above reads back whole: the label empty or a
-# letter or '_' then word characters and '-'; the local part word
-# characters, '-' and '.', not ending in '.'.
-_READABLE_PNAME = re.compile(r"(?:[^\W\d][\w-]*)?:(?:[\w.-]*[\w-])?")
-
-
 def _render_iri(iri, prefixes):
-    """The IRI as a prefixed name when that reads back, else as ``<IRI>``."""
+    """The IRI as a prefixed name when ``_scan`` reads that back as one
+    whole pname token, else as ``<IRI>``."""
     pname = shrink(iri, prefixes)
-    if pname is not None and _READABLE_PNAME.fullmatch(pname):
+    m = pname and _TOKEN.match(pname)
+    if m and m.span(m.lastgroup) == (0, len(pname)) and (
+        m.lastgroup == "pname" or m.lastgroup == "uname" and pname[0].isalpha()
+    ):
         return pname
     return f"<{iri.value}>"
 

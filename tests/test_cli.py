@@ -188,8 +188,13 @@ def test_convert_newline_label_to_turtle_validates(capsys, tmp_path):
         ("space.jsonld", '{"@id": "http://example.org/a b", "skos:prefLabel": "x"}'),
         ("angle.jsonld", '{"@id": "http://example.org/a>b", "skos:prefLabel": "x"}'),
         ("number.jsonld", '{"@id": "gps:a", "skos:broader": {"@id": 7}}'),
+        ("decimal.jsonld", '{"@id": "gps:a", "skos:broader": {"@id": 7.5}}'),
+        ("number_type.jsonld", '{"@id": "gps:a", "@type": 7}'),
     ],
-    ids=["turtle-space", "jsonld-space", "jsonld-angle", "jsonld-number"],
+    ids=[
+        "turtle-space", "jsonld-space", "jsonld-angle", "jsonld-number", "jsonld-decimal",
+        "jsonld-number-type",
+    ],
 )
 def test_invalid_iri_is_input_error(capsys, tmp_path, name, text):
     src = tmp_path / name
@@ -222,6 +227,57 @@ def test_convert_unreadable_prefixed_names_to_turtle_validates(capsys, tmp_path)
     code, _, _ = run(capsys, "validate", str(out))
     assert code == 0
     assert isomorphic_trees(parse_turtle(text), read_graph(str(src)))
+
+
+def test_convert_numeral_prefix_label_to_turtle_validates(capsys, tmp_path, monkeypatch):
+    # '½' is a word character that no Turtle name may start with
+    prefixes = tmp_path / "prefixes.txt"
+    prefixes.write_text("\u00bd=http://example.org/half#\n")
+    monkeypatch.setenv("KAVA_PREFIXES", str(prefixes))
+    src = tmp_path / "g.ttl"
+    src.write_text("@prefix ex: <http://example.org/half#> .\nex:a ex:b ex:c .\n")
+    out = tmp_path / "out.ttl"
+    code, _, _ = run(capsys, "convert", str(src), "--to", "ttl", "-o", str(out))
+    assert code == 0
+    text = out.read_text()
+    assert "\u00bd" not in text
+    code, _, err = run(capsys, "validate", str(out))
+    assert (code, err) == (0, "")
+    assert isomorphic_trees(parse_turtle(text), read_graph(str(src)))
+
+
+def test_convert_non_iri_type_to_jsonld_reads_back(capsys, tmp_path):
+    src = tmp_path / "types.ttl"
+    src.write_text(
+        "@prefix ex: <http://example.org/e#> .\n"
+        'ex:a a "lit", ex:C .\nex:b a [ ex:p 1 ] .\n'
+    )
+    out = tmp_path / "types.jsonld"
+    code, _, err = run(capsys, "convert", str(src), "--to", "jsonld", "-o", str(out))
+    assert (code, err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert doc[0]["@type"] == "ex:C" and doc[0]["rdf:type"] == "lit"
+    assert doc[1]["rdf:type"] == {"ex:p": 1}
+    code, _, err = run(capsys, "validate", str(out))
+    assert (code, err) == (0, "")
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(src)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"@id": "gps:a", "kava:n": ' + "9" * 5000 + "}", "not a valid integer literal"),
+        ('{"@context": {"ex": 1.5}, "@id": "ex:a", "kava:n": 1}', "@context entry 'ex'"),
+    ],
+    ids=["long-integer", "decimal-context"],
+)
+def test_json_number_refused_like_turtle(capsys, tmp_path, text, message):
+    src = tmp_path / "numbers.jsonld"
+    src.write_text(text)
+    for argv in (["validate", str(src)], ["convert", str(src), "--to", "ttl"]):
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines) == (2, [])
+        assert message in err and "internal error" not in err
 
 
 def test_roundtrip_script_on_every_fixture():

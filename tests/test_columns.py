@@ -12,6 +12,7 @@ once, straight into columns; their reference reads the CSV row by row.
 import csv
 import io
 import json
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -46,7 +47,16 @@ from kava.manifestation import (
     Manifestation,
     evaluate_manifestation,
 )
-from kava.predicate import And, Comparison, Not, Or, parse_predicate, to_text
+from kava.predicate import (
+    And,
+    Comparison,
+    Not,
+    Or,
+    compile_mask,
+    parse_predicate,
+    to_text,
+    variables,
+)
 from kava.rdf import Iri
 from kava.utilization import (
     _concept_name,
@@ -100,9 +110,30 @@ def ref_evaluate(m, dataset):
 
 
 def ref_filter(dataset, pred):
-    kept = [r for r in dataset.records if oracle_eval(pred, r.as_dict())]
-    ids = {r.identifier(dataset.schema) for r in kept} if dataset.schema.identifying else set()
-    return kept, {k: v for k, v in dataset.series.items() if k in ids}
+    return [r for r in dataset.records if oracle_eval(pred, r.as_dict())]
+
+
+def ref_write_csv(dataset: Dataset) -> str:
+    """write_csv as it was when a dataset stored Record objects."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    names = dataset.schema.names()
+    writer.writerow(names)
+    for record in dataset.records:
+        vals = record.as_dict()
+        writer.writerow(["" if vals[n] is None else vals[n] for n in names])
+    return out.getvalue()
+
+
+def ref_filter_records(dataset: Dataset, predicate) -> Dataset:
+    """filter_records as it was when a dataset stored Record objects."""
+    known = set(dataset.schema.names())
+    missing = variables(predicate) - known
+    if missing:
+        raise UnknownVariable(", ".join(sorted(missing)))
+    mask = compile_mask(predicate)(dataset.columns)
+    kept = list(compress(dataset.records, mask.tolist()))
+    return Dataset(schema=dataset.schema, records=kept)
 
 
 def ref_marks(dataset, manifestations):
@@ -265,12 +296,7 @@ def datasets(draw):
         Record(tuple((name, draw(st.sampled_from(pool) | VALUES)) for name in NAMES))
         for _ in range(n)
     ]
-    dataset = Dataset(schema, records)
-    if records and schema.identifying:
-        # a series per identifier of some records; unhashable ids never occur
-        ids = [r.identifier(schema) for r in records]
-        dataset.series = {i: f"series {k}" for k, i in enumerate(ids[: draw(st.integers(0, n))])}
-    return dataset
+    return Dataset(schema, records)
 
 
 def predicates(depth=2, names=NAMES):
@@ -399,11 +425,33 @@ def test_aggregate_matches_reference_on_equal_identifiers():
 @given(datasets(), predicates())
 def test_filter_matches_per_record_reference(dataset, pred):
     out = filter_records(dataset, pred)
-    kept, series = ref_filter(dataset, pred)
-    assert [id(r) for r in out.records] == [id(r) for r in kept]
-    assert out.series == series
+    kept = ref_filter(dataset, pred)
+    assert typed_records(out.records) == typed_records(kept)
     assert len(out) == len(kept)
     assert columns_form(out) == canonical_form(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), predicates())
+def test_column_writer_and_filter_match_record_versions(dataset, pred):
+    assert write_csv(dataset) == ref_write_csv(dataset)
+    got = outcome(filter_records, dataset, pred)
+    want = outcome(ref_filter_records, dataset, pred)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got == want
+        return
+    out, ref = got[1], want[1]
+    assert typed_records(out.records) == typed_records(ref.records)
+    assert write_csv(out) == ref_write_csv(ref)
+    assert columns_form(out) == columns_form(ref)
+
+
+def test_write_csv_leaves_a_missing_variable_empty():
+    schema = Schema(variables=(("id", NUMBER), ("v", NUMBER), ("s", STRING)), identifying=("id",))
+    dataset = Dataset(schema, [Record((("id", 1), ("s", "a"))), Record((("id", 2), ("v", 3)))])
+    assert write_csv(dataset) == "id,v,s\n1,,a\n2,3,\n"
+    assert [r.get("v") for r in dataset.records] == [None, 3]
 
 
 def typed(values):
@@ -562,7 +610,7 @@ def test_load_csv_matches_row_reference(text, schema, pred):
     assert columns_form(load_csv(rows, schema)) == columns_form(loaded)
     assert write_csv(loaded) == write_csv(Dataset(schema, records))
     kept = filter_records(loaded, pred)
-    want_kept = ref_filter(Dataset(schema, records), pred)[0]
+    want_kept = ref_filter(Dataset(schema, records), pred)
     assert typed_records(kept.records) == typed_records(want_kept)
     assert columns_form(kept) == canonical_form(kept)
 
