@@ -16,11 +16,14 @@ are:
 - a set of edge-case Turtle stores: one per error the Turtle reader
   reports, and one well-formed store with escapes, comments, an empty
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
-  nested 300 deep, and one with ``rdf:type`` objects that are not IRIs;
-  each runs through ``validate`` and ``convert --to jsonld``;
+  nested 300 deep, one with ``rdf:type`` objects that are not IRIs, one
+  whose sibling blank nodes are labelled in the opposite order to their
+  content, and one with ``[ … ]`` nested 1,200 deep; each runs through
+  ``validate``, ``convert --to jsonld`` and ``convert --to ttl``;
 - a set of edge-case JSON-LD documents: numbers where a name or a
-  namespace belongs, an integer of 5,000 digits, and well-formed integers
-  and decimals; each runs through ``validate`` and ``convert --to ttl``.
+  namespace belongs, an integer of 5,000 digits, well-formed integers
+  and decimals, and node objects nested one level past the reader's
+  limit; each runs through ``validate`` and ``convert --to ttl``.
 
 On each input, every benchmark command (``rounds`` rounds of the workload's
 ops, built by the workload's own ``argv``) and ``export-vis`` with each
@@ -127,6 +130,12 @@ EDGE_TTLS = {
         + "ex:deep " + "ex:d [ " * _DEPTH + "ex:v 1" + " ]" * _DEPTH + " .\n"
     ),
     "non_iri_type.ttl": _EX + 'ex:a a "lit", ex:C .\nex:b a [ ex:p 1 ] .\n',
+    # the reader labels blank nodes b1, b2, … in the order of their '[', so
+    # these siblings' labels run opposite to their content, and b10 < b2
+    "sibling_order.ttl": _EX + "ex:a ex:p "
+    + ", ".join(f"[ ex:v {n} ]" for n in range(12, 0, -1)) + " .\n"
+    + "[ ex:v 2 ] .\n[ ex:v 1 ] .\n",
+    "deep_1200.ttl": _EX + "ex:deep " + "ex:d [ " * 1200 + "ex:v 1" + " ]" * 1200 + " .\n",
 }
 
 _ID = '"@id": "http://example.org/edge#a"'
@@ -137,6 +146,9 @@ EDGE_JSONLDS = {
     "decimal_context.jsonld": '{"@context": {"ex": 1.5}, "@id": "ex:a", "ex:p": 1}\n',
     "long_integer.jsonld": "{" + _ID + ', "http://example.org/edge#p": ' + "9" * 5000 + "}\n",
     "numbers.jsonld": "{" + _ID + ', "http://example.org/edge#p": [7, -0, 1.50, 1e3, -2.5E-3]}\n',
+    # node objects nested one level past the reader's limit of 200
+    "deep_201.jsonld": "{" + _ID + ", " + '"http://example.org/edge#d": {' * 201
+    + '"http://example.org/edge#v": 1' + "}" * 201 + "}\n",
 }
 
 
@@ -212,6 +224,7 @@ def _fixture_case(base: Path, work: Path):
         steps += [
             ["argv", ["validate", path]],
             ["argv", ["convert", path, "--to", "jsonld"]],
+            ["argv", ["convert", path, "--to", "ttl"]],
         ]
     for text_name in EDGE_JSONLDS:
         path = str(work / text_name)

@@ -48,25 +48,6 @@ GRAVITY = 9.81
 
 # Artifact-defined roster; the underlying tool names only a few examples
 # (step time, stance time, cadence), so the exact list is fixed here.
-PARAMETER_NAMES = (
-    "step_time_left",
-    "step_time_right",
-    "stance_time_left",
-    "stance_time_right",
-    "swing_time_left",
-    "swing_time_right",
-    "stride_time_left",
-    "stride_time_right",
-    "double_support_left",
-    "double_support_right",
-    "peak_force_left",
-    "peak_force_right",
-    "time_to_peak_left",
-    "time_to_peak_right",
-    "cadence",
-    "support_asymmetry",
-)
-
 PARAMETER_UNITS = {
     "step_time_left": "s",
     "step_time_right": "s",
@@ -85,6 +66,7 @@ PARAMETER_UNITS = {
     "cadence": "steps/min",
     "support_asymmetry": "ratio",
 }
+PARAMETER_NAMES = tuple(PARAMETER_UNITS)
 
 CONTACT_THRESHOLD_FRACTION = 0.05
 DEBOUNCE_SECONDS = 0.05

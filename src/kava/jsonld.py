@@ -37,6 +37,11 @@ class _Number:
         return self.lexical
 
 
+# How deep node objects may nest below a top-level one, read or written. The
+# codec recurses per level, and json.loads refuses ~1,000 nested containers.
+MAX_DEPTH = 200
+_TOO_DEEP = f"node objects nest deeper than {MAX_DEPTH} levels"
+
 # Names read as full IRIs; any other name is read as a prefixed name.
 _FULL_IRI_SCHEMES = ("http://", "https://", "urn:")
 
@@ -81,8 +86,11 @@ class _Reader:
             return Literal(value)
         raise JsonLdSyntaxError(f"unsupported literal value: {value!r}")
 
-    def node(self, obj):
-        """Emit triples for one node object; returns its subject term."""
+    def node(self, obj, depth=0):
+        """Emit triples for one node object, nested ``depth`` levels below
+        a top-level one; returns its subject term."""
+        if depth > MAX_DEPTH:
+            raise JsonLdSyntaxError(_TOO_DEEP)
         if not isinstance(obj, dict):
             raise JsonLdSyntaxError("node object expected")
         if "@context" in obj:
@@ -107,15 +115,15 @@ class _Reader:
             predicate = _expand_name(key, self.prefixes)
             values = value if isinstance(value, list) else [value]
             for v in values:
-                self.triples.append(Triple(subject, predicate, self.value_term(v)))
+                self.triples.append(Triple(subject, predicate, self.value_term(v, depth)))
         return subject
 
-    def value_term(self, value):
+    def value_term(self, value, depth):
         if isinstance(value, dict):
             keys = set(value.keys())
             if keys == {"@id"}:
                 return _expand_name(value["@id"], self.prefixes)
-            return self.node(value)
+            return self.node(value, depth + 1)
         if isinstance(value, list):
             raise JsonLdSyntaxError("nested arrays are not supported")
         return self.literal(value)
@@ -131,6 +139,8 @@ def parse_jsonld(text: str, prefixes=None) -> Graph:
         )
     except json.JSONDecodeError as exc:
         raise JsonLdSyntaxError(str(exc)) from exc
+    except RecursionError:
+        raise JsonLdSyntaxError(_TOO_DEEP) from None
     base = dict(DEFAULT_PREFIXES)
     if prefixes:
         base.update(prefixes)
@@ -198,17 +208,17 @@ def _dump(value, indent):
     raise AssertionError(f"unexpected value {value!r}")
 
 
-def _object_json(term, graph, names):
+def _object_json(term, graph, names, key):
     if isinstance(term, Iri):
         return {"@id": names[term]}
     if isinstance(term, Literal):
         return term.lexical if term.datatype == STRING else _Number(term.lexical, term.datatype)
-    return _node_json(term, graph, names, with_id=False)
+    return _node_json(term, graph, names, key)
 
 
-def _node_json(subject, graph, names, with_id=True):
+def _node_json(subject, graph, names, key):
     node = {}
-    if with_id:
+    if isinstance(subject, Iri):
         node["@id"] = names[subject]
     triples = graph.match(s=subject)
     types = sorted(names[t.object] for t in triples if _is_type(t))
@@ -219,8 +229,8 @@ def _node_json(subject, graph, names, with_id=True):
         if not _is_type(t):
             by_pred.setdefault(t.predicate, []).append(t.object)
     for pred in sorted(by_pred, key=names.__getitem__):
-        objs = sorted(by_pred[pred], key=str)
-        rendered = [_object_json(o, graph, names) for o in objs]
+        objs = sorted(by_pred[pred], key=key)
+        rendered = [_object_json(o, graph, names, key) for o in objs]
         node[names[pred]] = rendered[0] if len(rendered) == 1 else rendered
     return node
 
@@ -230,13 +240,15 @@ def serialize_jsonld(graph: Graph) -> str:
 
     The first node object carries an explicit @context with the prefixes
     of the prefixed names written. Output is pretty-printed with 2-space
-    indentation. Raises KavaError for an IRI that has no name the reader
-    reads back.
+    indentation; sibling blank nodes come in the order of their keys.
+    Raises KavaError for an IRI that has no name the reader reads back, and
+    for a chain of more than MAX_DEPTH nested blank nodes.
     """
-    iri_subjects, root_bnodes, _ = _tree(graph)
+    iri_subjects, root_bnodes, key, tables = _tree(graph)
+    if len(tables) > MAX_DEPTH:
+        raise KavaError(f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels")
     names = _iri_names(graph)
-    nodes = [_node_json(s, graph, names) for s in iri_subjects]
-    nodes += [_node_json(s, graph, names, with_id=False) for s in root_bnodes]
+    nodes = [_node_json(s, graph, names, key) for s in iri_subjects + root_bnodes]
     used = {n.split(":")[0] for n in names.values() if not n.startswith(_FULL_IRI_SCHEMES)}
     if nodes and used:
         context = {label: graph.prefixes[label] for label in sorted(used)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -372,27 +373,20 @@ def prototype_conflicts(manifestations, dataset: Dataset) -> dict:
     return out
 
 
-class _BnodeAllocator:
-    def __init__(self, start=0, taken=frozenset()):
-        self.count = start
-        self.taken = taken
-
-    def fresh(self):
-        self.count += 1
-        while f"m{self.count}" in self.taken:
-            self.count += 1
-        return BlankNode(f"m{self.count}")
+def _fresh_bnodes(taken=frozenset()):
+    """Blank nodes m1, m2, … whose labels are not taken."""
+    return (BlankNode(f"m{n}") for n in count(1) if f"m{n}" not in taken)
 
 
-def _kind_triples(node, kind, alloc, triples):
+def _kind_triples(node, kind, fresh, triples):
     if isinstance(kind, DirectMapping):
         for var, value in kind.bindings:
-            proto = alloc.fresh()
+            proto = next(fresh)
             triples.append(Triple(node, KAVA_IS_PROTOTYPE, proto))
             triples.append(Triple(proto, KAVA_VARIABLE, literal_for(var)))
             triples.append(Triple(proto, KAVA_VALUE, literal_for(value)))
     elif isinstance(kind, IndirectVariableMapping):
-        inner = alloc.fresh()
+        inner = next(fresh)
         triples.append(Triple(node, KAVA_MATCH_VARIABLE, inner))
         var = kind.variable if isinstance(kind.variable, Iri) else literal_for(kind.variable)
         triples.append(Triple(inner, KAVA_VARIABLE, var))
@@ -406,15 +400,15 @@ def _kind_triples(node, kind, alloc, triples):
             triples.append(Triple(node, KAVA_DIALECT, literal_for(kind.dialect)))
 
 
-def _manifestation_triples(manifestations, alloc) -> list[Triple]:
+def _manifestation_triples(manifestations, fresh) -> list[Triple]:
     triples = []
     for m in manifestations:
         _validate_kind(m.kind)
-        node = alloc.fresh()
+        node = next(fresh)
         triples.append(Triple(m.concept, KAVA_MANIFEST, node))
-        _kind_triples(node, m.kind, alloc, triples)
+        _kind_triples(node, m.kind, fresh, triples)
         if m.provenance.creator_name is not None:
-            person = alloc.fresh()
+            person = next(fresh)
             triples.append(Triple(node, DCT_CREATOR, person))
             triples.append(Triple(person, FOAF_NAME, literal_for(m.provenance.creator_name)))
         if m.provenance.date_submitted is not None:
@@ -427,7 +421,7 @@ def _manifestation_triples(manifestations, alloc) -> list[Triple]:
 def manifestations_to_graph(manifestations, prefixes=None) -> Graph:
     """Inverse of load_manifestations up to blank-node labels."""
     return Graph(
-        _manifestation_triples(manifestations, _BnodeAllocator()),
+        _manifestation_triples(manifestations, _fresh_bnodes()),
         prefixes if prefixes is not None else DEFAULT_PREFIXES,
     )
 
@@ -441,7 +435,5 @@ def add_manifestation_to_graph(graph: Graph, m: Manifestation) -> Graph:
         for term in (t.subject, t.object)
         if isinstance(term, BlankNode)
     }
-    # Serializers write sibling blank nodes in label order, so this start
-    # point is part of the output format; uniqueness does not need it.
-    addition = _manifestation_triples([m], _BnodeAllocator(len(taken) + 1, taken))
+    addition = _manifestation_triples([m], _fresh_bnodes(taken))
     return Graph([*graph, *addition], graph.prefixes)

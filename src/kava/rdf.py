@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import decimal
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 
 from .errors import InvalidTerm, NonTreeBlankNodes, UnknownPrefix
 
@@ -212,68 +214,79 @@ def insert(graph: Graph, triple: Triple) -> Graph:
 
 
 def _tree(graph: Graph):
-    """Walk the blank-node trees of a graph once.
+    """Walk the blank-node trees of a graph once, without recursion.
 
     Returns the IRI subjects in ``str`` order, the root blank nodes (those
-    that are no triple's object) in signature order, and the memoized
-    signature function: the order- and label-independent form of a term
-    and, for a blank node, of its whole subtree. Raises NonTreeBlankNodes if
-    a blank node is the object of more than one triple or cannot be reached
-    from an IRI subject or a root.
+    that are no triple's object) in key order, the key function and the
+    per-height tables. A blank node's key is ``(1, height, rank)``: its rank
+    is the index of its sorted ``(str(predicate), key(object))`` pairs in
+    its height's table, so two blank nodes share a key exactly when their
+    subtrees are isomorphic (AHU tree canonization). Any other term's key is
+    ``(0, str(term))``. Raises NonTreeBlankNodes if a blank node is the
+    object of more than one triple or cannot be reached from an IRI subject
+    or a root.
     """
     index = graph._subject_index()
-    counts: dict[BlankNode, int] = {}
-    for t in graph:
-        if isinstance(t.object, BlankNode):
-            counts[t.object] = counts.get(t.object, 0) + 1
+    counts = Counter(t.object for t in graph if isinstance(t.object, BlankNode))
     for node, n in counts.items():
         if n > 1:
             raise NonTreeBlankNodes(f"blank node {node} is object of {n} triples")
 
-    signatures: dict[BlankNode, tuple] = {}
-
-    def signature(term: Term) -> tuple:
-        if not isinstance(term, BlankNode):
-            return ("term", str(term))
-        # Every blank node has at most one parent here, so no cycle can be
-        # reached from a root; a cycle's nodes are reported as unreachable.
-        if term not in signatures:
-            children = (
-                (str(t.predicate), signature(t.object)) for t in index.get(term, ())
-            )
-            signatures[term] = ("bnode", tuple(sorted(children, key=repr)))
-        return signatures[term]
-
     subjects = sorted((s for s in index if isinstance(s, Iri)), key=str)
-    for subject in subjects:
-        for t in index[subject]:
-            signature(t.object)
-    roots = sorted(
-        (s for s in index if isinstance(s, BlankNode) and s not in counts),
-        key=lambda b: repr(signature(b)),
-    )
-    unreached = {s for s in index if isinstance(s, BlankNode)} - signatures.keys()
+    roots = [s for s in index if isinstance(s, BlankNode) and s not in counts]
+    # Breadth first: each blank node has at most one parent here, so it is
+    # listed once, after its parent, and no cycle is reached.
+    order = roots.copy()
+    for node in chain(subjects, order):
+        order.extend(t.object for t in index.get(node, ()) if isinstance(t.object, BlankNode))
+    unreached = {s for s in index if isinstance(s, BlankNode)}.difference(order)
     if unreached:
         raise NonTreeBlankNodes(
             f"blank nodes unreachable from any root: {sorted(map(str, unreached))}"
         )
-    return subjects, roots, signature
+
+    height: dict[BlankNode, int] = {}
+    for node in reversed(order):
+        height[node] = max(
+            (height[t.object] + 1 for t in index.get(node, ()) if isinstance(t.object, BlankNode)),
+            default=0,
+        )
+    keys: dict[BlankNode, tuple] = {}
+
+    def key(term: Term) -> tuple:
+        return keys[term] if isinstance(term, BlankNode) else (0, str(term))
+
+    tables = []
+    for h, level in groupby(sorted(order, key=height.get), height.get):
+        level = list(level)
+        signatures = [
+            tuple(sorted((str(t.predicate), key(t.object)) for t in index.get(node, ())))
+            for node in level
+        ]
+        table = sorted(set(signatures))
+        rank = {signature: r for r, signature in enumerate(table)}
+        for node, signature in zip(level, signatures):
+            keys[node] = (1, h, rank[signature])
+        tables.append(tuple(table))
+    roots.sort(key=keys.get)
+    return subjects, roots, key, tuple(tables)
 
 
 def canonical_form(graph: Graph) -> tuple:
-    """Order- and label-independent form of a graph with tree blank nodes.
+    """Order- and label-independent form of a graph with tree blank nodes:
+    the per-height tables, the sorted (subject, predicate, object key) of
+    the triples with an IRI subject, and the root keys.
 
     Raises NonTreeBlankNodes if any blank node is the object of more than
     one triple or blank nodes form a cycle.
     """
-    _, roots, signature = _tree(graph)
-    entries = [
-        ("triple", str(t.subject), str(t.predicate), signature(t.object))
+    _, roots, key, tables = _tree(graph)
+    triples = sorted(
+        (str(t.subject), str(t.predicate), key(t.object))
         for t in graph
         if isinstance(t.subject, Iri)
-    ]
-    entries.extend(("root", signature(r)) for r in roots)
-    return tuple(sorted(entries, key=repr))
+    )
+    return tables, tuple(triples), tuple(map(key, roots))
 
 
 def isomorphic_trees(a: Graph, b: Graph) -> bool:

@@ -4,6 +4,8 @@ anonymous blank-node property lists, and plain literals."""
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import InvalidTerm, TurtleSyntaxError, UnknownPrefix
 from .rdf import (
@@ -282,70 +284,61 @@ def _iri_names(graph):
     return names
 
 
-def _render_object(term, graph, names, indent):
-    if isinstance(term, Iri):
-        return names[term]
-    if isinstance(term, Literal):
-        if term.datatype == "string":
-            return f'"{term.lexical.translate(_ESCAPE)}"'
-        return term.lexical
-    # tree blank node, rendered inline
-    return _render_bnode(term, graph, names, indent)
-
-
-def _render_bnode(node, graph, names, indent):
-    triples = graph.match(s=node)
-    if not triples:
-        return "[]"
-    pad = "    " * (indent + 1)
-    parts = []
-    for verb, objs in _grouped(triples, names):
-        rendered = ", ".join(_render_object(o, graph, names, indent + 1) for o in objs)
-        parts.append(f"{pad}{verb} {rendered}")
-    inner = ";\n".join(parts)
-    return "[\n" + inner + "\n" + "    " * indent + "]"
-
-
-def _grouped(triples, names):
-    """(rendered verb, objects) per predicate, both in canonical order."""
-    by_pred: dict = {}
-    order = []
-    for t in triples:
-        if t.predicate not in by_pred:
-            by_pred[t.predicate] = []
-            order.append(t.predicate)
-        by_pred[t.predicate].append(t.object)
-    order.sort(key=str)
-    for pred in order:
-        objs = sorted(by_pred[pred], key=str)
-        yield "a" if pred == RDF_TYPE else names[pred], objs
+def _body(subject, graph, names, key, separator, indent):
+    """The pieces of the subject's predicate-object list: strings, and
+    (blank node, ``indent``) pairs still to be written. Predicates come in
+    ``str`` order and each one's objects in key order."""
+    pieces = []
+    for predicate, group in groupby(graph.match(s=subject), attrgetter("predicate")):
+        if pieces:
+            pieces.append(separator)
+        pieces.append("a " if predicate == RDF_TYPE else names[predicate] + " ")
+        for n, term in enumerate(sorted((t.object for t in group), key=key)):
+            if n:
+                pieces.append(", ")
+            if isinstance(term, Iri):
+                pieces.append(names[term])
+            elif isinstance(term, BlankNode):
+                pieces.append((term, indent))
+            elif term.datatype == "string":
+                pieces.append(f'"{term.lexical.translate(_ESCAPE)}"')
+            else:
+                pieces.append(term.lexical)
+    return pieces
 
 
 def serialize_turtle(graph: Graph) -> str:
     """Serialize a Graph with tree blank nodes to canonical Turtle.
 
-    Raises NonTreeBlankNodes when a blank node is shared or cyclic.
+    Blank nodes are written inline as ``[ … ]``, nested to any depth, in
+    one pre-order pass over an explicit stack. Raises NonTreeBlankNodes
+    when a blank node is shared or cyclic.
     """
-    iri_subjects, root_bnodes, _ = _tree(graph)
+    iri_subjects, root_bnodes, key, _ = _tree(graph)
     names = _iri_names(graph)
     used = {name.split(":")[0] for name in names.values() if not name.startswith("<")}
     if any(t.predicate == RDF_TYPE for t in graph):
         used.add("rdf")
-    lines = []
-    for label in sorted(used):
-        lines.append(f"@prefix {label}: <{graph.prefixes[label]}> .")
-    if lines:
-        lines.append("")
-    for subject in iri_subjects:
-        lines.append(names[subject] + _statement_body(subject, graph, names) + " .")
-    for subject in root_bnodes:
-        lines.append("[ " + _statement_body(subject, graph, names).strip() + " ] .")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _statement_body(subject, graph, names):
-    parts = []
-    for verb, objs in _grouped(graph.match(s=subject), names):
-        rendered = ", ".join(_render_object(o, graph, names, 0) for o in objs)
-        parts.append(f"{verb} {rendered}")
-    return " " + ";\n    ".join(parts)
+    out = [f"@prefix {label}: <{graph.prefixes[label]}> .\n" for label in sorted(used)]
+    if out:
+        out.append("\n")
+    stack = []  # the pieces still to be written, the next one last
+    for subject in reversed(root_bnodes):
+        body = _body(subject, graph, names, key, ";\n    ", 0)
+        stack += [" ] .\n", *reversed(body), "[ "]
+    for subject in reversed(iri_subjects):
+        body = _body(subject, graph, names, key, ";\n    ", 0)
+        stack += [" .\n", *reversed(body), names[subject] + " "]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        node, indent = piece
+        pad = "    " * (indent + 1)
+        body = _body(node, graph, names, key, ";\n" + pad, indent + 1)
+        if body:
+            stack += ["\n" + "    " * indent + "]", *reversed(body), "[\n" + pad]
+        else:
+            out.append("[]")
+    return "".join(out)

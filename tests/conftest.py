@@ -27,13 +27,22 @@ _PREDICATE_POOL = [
 ]
 
 
+# Suffixes of string literals that the codecs must escape or may write raw:
+# quotes, backslashes, escapes' letters and control characters.
+_AWKWARD = ("", '"', "\\", '\\"', "\t\n\r", "\x00\x1b\x7f", 'a "b" \\n', "\u2028")
+
+
 def _random_literal(rng):
     pick = rng.randrange(3)
     if pick == 0:
-        return Literal("v" + str(rng.randrange(1000)))
+        n = rng.randrange(1000)
+        return Literal(f"v{n}{_AWKWARD[n % len(_AWKWARD)]}")
     if pick == 1:
         return Literal(str(rng.randrange(-500, 500)), "integer")
-    return Literal(f"{rng.randrange(0, 100)}.{rng.randrange(1, 100)}", "decimal")
+    whole, fraction = rng.randrange(0, 100), rng.randrange(1, 100)
+    # every third decimal has more digits than a float holds
+    digits = "123456789" * 3 if whole % 3 == 0 else ""
+    return Literal(f"{whole}.{fraction}{digits}", "decimal")
 
 
 def random_tree_graph(rng: random.Random, max_triples: int = 50) -> Graph:

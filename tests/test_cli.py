@@ -12,6 +12,7 @@ from conftest import FIXTURES, fixture_text
 from kava import cli
 from kava.cli import main, read_graph, read_table
 from kava.gait import square_wave_trial, write_trials_dir
+from kava.jsonld import MAX_DEPTH
 from kava.manifestation import DirectMapping, load_manifestations
 from kava.rdf import DEFAULT_PREFIXES, isomorphic_trees
 from kava.skos import load_scheme
@@ -151,6 +152,57 @@ def test_deeply_nested_store_validates(capsys, tmp_path):
     )
     code, _, err = run(capsys, "validate", str(store))
     assert (code, err) == (0, "")
+
+
+def _chain(depth):
+    """A store whose one IRI subject holds ``depth`` nested blank nodes."""
+    return (
+        "@prefix ex: <http://example.org/> .\nex:s "
+        + "ex:p [ " * depth + 'ex:p "x"' + " ]" * depth + " .\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [10, 100, 1200])
+def test_deep_store_converts_to_turtle_and_reads_back(capsys, tmp_path, depth):
+    store, out = tmp_path / "deep.ttl", tmp_path / "out.ttl"
+    store.write_text(_chain(depth))
+    code, _, err = run(capsys, "convert", str(store), "--to", "ttl", "-o", str(out))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "validate", str(out))
+    assert (code, err) == (0, "")
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
+
+
+def test_jsonld_is_written_to_its_depth_limit(capsys, tmp_path):
+    store, out = tmp_path / "deep.ttl", tmp_path / "out.jsonld"
+    store.write_text(_chain(MAX_DEPTH))
+    code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "validate", str(out))
+    assert (code, err) == (0, "")
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
+    # one level past the limit: refused before anything is written
+    out.unlink()
+    store.write_text(_chain(MAX_DEPTH + 1))
+    code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
+    assert code == 2
+    assert f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [600, 1200])
+def test_deep_jsonld_is_input_error(capsys, tmp_path, depth):
+    doc = tmp_path / "deep.jsonld"
+    doc.write_text(
+        '{"@id": "http://example.org/s", '
+        + '"http://example.org/p": {' * depth
+        + '"http://example.org/p": "x"'
+        + "}" * depth
+        + "}\n"
+    )
+    code, _, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert f"node objects nest deeper than {MAX_DEPTH} levels" in err
 
 
 # --- convert --------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text, random_tree_graph
@@ -100,3 +100,15 @@ def test_cross_format_random_trees(seed):
     assert isomorphic_trees(g, via_jsonld)
     via_both = parse_turtle(serialize_turtle(via_jsonld))
     assert isomorphic_trees(g, via_both)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+@example(663)  # in label order, empty [] siblings b10 and b11 moved ahead of b9
+def test_turtle_through_jsonld_is_a_fixpoint(seed):
+    """ttl -> jsonld -> ttl gives back the same text and an isomorphic graph."""
+    g = random_tree_graph(random.Random(seed), 40)
+    text = serialize_turtle(g)
+    again = serialize_turtle(parse_jsonld(serialize_jsonld(parse_turtle(text))))
+    assert again == text
+    assert isomorphic_trees(parse_turtle(again), g)

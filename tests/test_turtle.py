@@ -147,9 +147,7 @@ def test_roundtrip_random_trees(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_serializer_text_is_canonical(seed):
     """Both serializers give the same text whatever the triple order and the
-    blank-node names. Sibling blank nodes under one predicate are written in
-    the str order of their labels, so the renaming keeps that order for
-    nested nodes and scrambles it only for roots."""
+    blank-node labels: every label is replaced by a fresh one at random."""
     rng = random.Random(seed)
     # detach some trees from their IRI subject so that the graph has roots
     triples = [
@@ -158,17 +156,16 @@ def test_serializer_text_is_canonical(seed):
         if not (isinstance(t.subject, Iri) and isinstance(t.object, BlankNode))
         or rng.random() < 0.5
     ]
-    labels = {
-        term.label
-        for t in triples
-        for term in (t.subject, t.object)
-        if isinstance(term, BlankNode)
-    }
-    nested = sorted({t.object.label for t in triples if isinstance(t.object, BlankNode)})
-    roots = sorted(labels - set(nested))
-    rng.shuffle(roots)
-    fresh = iter(sorted(f"r{n}" for n in rng.sample(range(10**6), len(labels))))
-    rename = {label: next(fresh) for label in nested + roots}
+    labels = sorted(
+        {
+            term.label
+            for t in triples
+            for term in (t.subject, t.object)
+            if isinstance(term, BlankNode)
+        }
+    )
+    fresh = [f"r{n}" for n in rng.sample(range(10**6), len(labels))]
+    rename = dict(zip(labels, fresh))
 
     def relabel(term):
         return BlankNode(rename[term.label]) if isinstance(term, BlankNode) else term
@@ -181,6 +178,8 @@ def test_serializer_text_is_canonical(seed):
         text = serialize(Graph(triples))
         assert serialize(Graph(shuffled)) == text
         assert serialize(Graph(relabeled)) == text
+    text = serialize_turtle(Graph(triples))
+    assert serialize_turtle(parse_turtle(text)) == text
 
 
 # Pieces of Turtle, well-formed and not, that the reader must take exactly
