@@ -238,13 +238,15 @@ def cmd_manifest(args) -> int:
 
 
 def _parse_bindings(pairs):
-    bindings = []
+    bindings = {}
     for pair in pairs:
         if "=" not in pair:
             raise KavaError(f"bad --prototype binding {pair!r}; expected var=value")
         var, raw = pair.split("=", 1)
-        bindings.append((var, _number_or_text(raw)))
-    return tuple(sorted(bindings))
+        if var in bindings:
+            raise KavaError(f"--prototype binds variable {var!r} more than once")
+        bindings[var] = _number_or_text(raw)
+    return tuple(sorted(bindings.items()))
 
 
 def _number_or_text(raw):
@@ -254,14 +256,16 @@ def _number_or_text(raw):
         return raw
 
 
-def _write_validated(graph, path) -> int:
-    findings = graph_findings(graph)
-    errors = [f for f in findings if f.severity == "error"]
+def _write_validated(graph, path, result) -> int:
+    """Write an edited store and emit ``result``, or report the store's
+    validation errors and refuse."""
+    errors = [f for f in graph_findings(graph) if f.severity == "error"]
     if errors:
         _report(errors, path)
         _diag("refusing to write an invalid knowledge store")
         return EXIT_FINDINGS
     write_atomic(path, serialize_graph(graph, Path(path).suffix))
+    _emit(result)
     return EXIT_OK
 
 
@@ -277,20 +281,16 @@ def cmd_annotate(args) -> int:
         creator_name=args.creator,
         date=args.date,
     )
-    existing = manifestation.load_manifestations(graph)
-    for prior in existing:
-        if (
-            prior.concept == m.concept
-            and prior.kind == m.kind
-            and prior.provenance == m.provenance
-        ):
-            _emit({"written": args.knowledge, "changed": False})
-            return EXIT_OK
     graph = manifestation.add_manifestation_to_graph(graph, m)
-    code = _write_validated(graph, args.knowledge)
-    if code == EXIT_OK:
-        _emit({"written": args.knowledge, "changed": True})
-    return code
+    recorded = [
+        (prior.kind, prior.provenance)
+        for prior in manifestation.concept_manifestations(graph, concept)
+    ]
+    if recorded.count((m.kind, m.provenance)) > 1:  # it was recorded before this edit
+        _emit({"written": args.knowledge, "changed": False})
+        return EXIT_OK
+    result = {"written": args.knowledge, "changed": True}
+    return _write_validated(graph, args.knowledge, result)
 
 
 def _single_scheme(graph, scheme_arg):
@@ -426,10 +426,8 @@ def cmd_gait_add_prototype(args) -> int:
     trial = _patient_trials(args).trial(args.patient)
     concept = expand(args.concept, graph.prefixes)
     graph = gait_mod.add_prototype(graph, concept, trial, creator=args.creator, date=args.date)
-    code = _write_validated(graph, args.knowledge)
-    if code == EXIT_OK:
-        _emit({"written": args.knowledge, "prototype": args.patient})
-    return code
+    result = {"written": args.knowledge, "prototype": args.patient}
+    return _write_validated(graph, args.knowledge, result)
 
 
 def cmd_gait_set_range(args) -> int:
@@ -437,23 +435,11 @@ def cmd_gait_set_range(args) -> int:
 
     graph = read_graph(args.knowledge)
     concept = expand(args.concept, graph.prefixes)
-    if args.param not in gait_mod.PARAMETER_NAMES:
-        raise KavaError(f"unknown parameter {args.param!r}")
-    if args.min > args.max:
-        raise KavaError(f"inverted range: {args.min} > {args.max}")
-    m = manifestation.create_manifestation(
-        concept,
-        manifestation.IndirectVariableMapping(
-            variable=args.param, min_value=args.min, max_value=args.max
-        ),
-        creator_name=args.creator,
-        date=args.date,
+    graph = gait_mod.set_range(
+        graph, concept, args.param, args.min, args.max, creator=args.creator, date=args.date
     )
-    graph = manifestation.add_manifestation_to_graph(graph, m)
-    code = _write_validated(graph, args.knowledge)
-    if code == EXIT_OK:
-        _emit({"written": args.knowledge, "param": args.param})
-    return code
+    result = {"written": args.knowledge, "param": args.param}
+    return _write_validated(graph, args.knowledge, result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,6 +38,7 @@ from .manifestation import (
     add_manifestation_to_graph,
     concept_manifestations,
     create_manifestation,
+    without_manifestations,
 )
 from .predicate import Predicate, compile_predicate
 from .rdf import Graph, Iri
@@ -335,22 +336,50 @@ def override_range(
 ):
     """Manual range adjustment; returns (new model, manifestation for the
     knowledge graph)."""
+    m = range_manifestation(model.concept, parameter, min_value, max_value, creator, date)
+    overrides = {**model.overrides, parameter: (min_value, max_value)}
+    return replace(model, overrides=overrides), m
+
+
+def range_manifestation(
+    concept: Iri,
+    parameter: str,
+    min_value: float,
+    max_value: float,
+    creator: str | None = None,
+    date: str | None = None,
+) -> Manifestation:
+    """A manual [min, max] override of one roster parameter, as an indirect
+    variable mapping. Raises UnknownParameter and InvertedRange."""
     if parameter not in PARAMETER_NAMES:
-        raise UnknownParameter(parameter)
+        raise UnknownParameter(f"unknown parameter {parameter!r}")
     if min_value > max_value:
-        raise InvertedRange(f"{parameter}: {min_value} > {max_value}")
-    overrides = dict(model.overrides)
-    overrides[parameter] = (min_value, max_value)
-    new_model = replace(model, overrides=overrides)
-    m = create_manifestation(
-        model.concept,
-        IndirectVariableMapping(
-            variable=parameter, min_value=min_value, max_value=max_value
-        ),
+        raise InvertedRange(f"inverted range: {min_value} > {max_value}")
+    return create_manifestation(
+        concept,
+        IndirectVariableMapping(variable=parameter, min_value=min_value, max_value=max_value),
         creator_name=creator,
         date=date,
     )
-    return new_model, m
+
+
+def set_range(
+    graph: Graph,
+    concept: Iri,
+    parameter: str,
+    min_value: float,
+    max_value: float,
+    creator: str | None = None,
+    date: str | None = None,
+) -> Graph:
+    """Record a manual range override, replacing any earlier override of
+    the same parameter on the concept."""
+    m = range_manifestation(concept, parameter, min_value, max_value, creator, date)
+
+    def earlier(kind):
+        return isinstance(kind, IndirectVariableMapping) and kind.variable_name() == parameter
+
+    return add_manifestation_to_graph(without_manifestations(graph, concept, earlier), m)
 
 
 def match_category(params: SpatioTemporalParams, model: CategoryModel) -> MatchResult:
@@ -403,20 +432,22 @@ def add_prototype(
     """Append a direct-mapping prototype for the trial's patient.
 
     The concept must be typed skos:Concept in the graph; re-adding the
-    same patient raises DuplicatePrototype.
+    same patient raises DuplicatePrototype. The check reads the edited
+    graph, so validating that graph loads no manifestations again.
     """
     if not graph.match(s=concept, p=RDF_TYPE, o=SKOS_CONCEPT):
         raise UnknownConcept(str(concept))
-    existing = prototype_ids(graph, concept)
-    if any(str(i) == str(trial.patient_id) for i in existing):
-        raise DuplicatePrototype(f"{concept}: {trial.patient_id}")
     m = create_manifestation(
         concept,
         DirectMapping(bindings=(("patientId", _coerce_id(trial.patient_id)),)),
         creator_name=creator,
         date=date,
     )
-    return add_manifestation_to_graph(graph, m)
+    edited = add_manifestation_to_graph(graph, m)
+    pid = str(trial.patient_id)
+    if sum(str(i) == pid for i in prototype_ids(edited, concept)) > 1:
+        raise DuplicatePrototype(f"{concept}: {trial.patient_id}")
+    return edited
 
 
 def _coerce_id(patient_id):

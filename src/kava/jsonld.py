@@ -235,6 +235,20 @@ def _node_json(subject, graph, names, key):
     return node
 
 
+def _depth(graph, roots, key) -> int:
+    """How deep the written node objects nest below a top-level one, counted
+    as the reader counts: a root blank node is a top-level node object, an
+    IRI subject's blank object is one level below one, and below each come
+    as many levels as its height, ``key(node)[1]``."""
+    depths = [key(node)[1] for node in roots]
+    depths += [
+        key(t.object)[1] + 1
+        for t in graph
+        if isinstance(t.subject, Iri) and isinstance(t.object, BlankNode)
+    ]
+    return max(depths, default=0)
+
+
 def serialize_jsonld(graph: Graph) -> str:
     """Serialize a Graph with tree blank nodes to a JSON-LD subset array.
 
@@ -242,10 +256,11 @@ def serialize_jsonld(graph: Graph) -> str:
     of the prefixed names written. Output is pretty-printed with 2-space
     indentation; sibling blank nodes come in the order of their keys.
     Raises KavaError for an IRI that has no name the reader reads back, and
-    for a chain of more than MAX_DEPTH nested blank nodes.
+    for blank nodes nested more than MAX_DEPTH levels below a top-level
+    node object.
     """
-    iri_subjects, root_bnodes, key, tables = _tree(graph)
-    if len(tables) > MAX_DEPTH:
+    iri_subjects, root_bnodes, key, _ = _tree(graph)
+    if _depth(graph, root_bnodes, key) > MAX_DEPTH:
         raise KavaError(f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels")
     names = _iri_names(graph)
     nodes = [_node_json(s, graph, names, key) for s in iri_subjects + root_bnodes]

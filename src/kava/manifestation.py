@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     ForeignDialect,
     InvalidKind,
+    KavaError,
     MalformedManifestation,
     UnknownVariable,
 )
@@ -217,6 +218,23 @@ def concept_manifestations(graph: Graph, concept: Iri) -> tuple[Manifestation, .
     return _loaded(graph)[1].get(concept, ())
 
 
+def _load_kind(graph, subject, node) -> Kind:
+    """The mapping kind of one manifestation node; MalformedManifestation
+    unless it has exactly one."""
+    kinds = []
+    if graph.match(s=node, p=KAVA_IS_PROTOTYPE):
+        kinds.append(_load_direct(graph, subject, node))
+    if graph.match(s=node, p=KAVA_MATCH_VARIABLE):
+        kinds.append(_load_indirect_variable(graph, subject, node))
+    if graph.match(s=node, p=KAVA_MATCH_QUERY):
+        kinds.append(_load_indirect_query(graph, subject, node))
+    if len(kinds) != 1:
+        raise MalformedManifestation(
+            str(subject), f"expected exactly one mapping kind, found {len(kinds)}"
+        )
+    return kinds[0]
+
+
 def _load(graph: Graph) -> tuple[Manifestation, ...]:
     out = []
     for t in graph.match(p=KAVA_MANIFEST):
@@ -226,21 +244,10 @@ def _load(graph: Graph) -> tuple[Manifestation, ...]:
         node = t.object
         if not isinstance(node, BlankNode):
             raise MalformedManifestation(str(subject), "manifest object must be a node")
-        kinds = []
-        if graph.match(s=node, p=KAVA_IS_PROTOTYPE):
-            kinds.append(_load_direct(graph, subject, node))
-        if graph.match(s=node, p=KAVA_MATCH_VARIABLE):
-            kinds.append(_load_indirect_variable(graph, subject, node))
-        if graph.match(s=node, p=KAVA_MATCH_QUERY):
-            kinds.append(_load_indirect_query(graph, subject, node))
-        if len(kinds) != 1:
-            raise MalformedManifestation(
-                str(subject), f"expected exactly one mapping kind, found {len(kinds)}"
-            )
         out.append(
             Manifestation(
                 concept=subject,
-                kind=kinds[0],
+                kind=_load_kind(graph, subject, node),
                 provenance=_extract_provenance(graph, node),
             )
         )
@@ -313,12 +320,12 @@ def record_mask(m: Manifestation, dataset: Dataset):
             raise UnknownVariable(name)
         lo, hi = kind.min_value, kind.max_value
 
-        def inside(v):
-            return not (
-                v is None
-                or isinstance(v, str)
-                or (lo is not None and v < lo)
-                or (hi is not None and v > hi)
+        def inside(v):  # so NaN, which compares false, is never inside
+            return (
+                v is not None
+                and not isinstance(v, str)
+                and (lo is None or lo <= v)
+                and (hi is None or v <= hi)
             )
 
         mask = dataset.columns[name].select(inside)
@@ -437,3 +444,25 @@ def add_manifestation_to_graph(graph: Graph, m: Manifestation) -> Graph:
     }
     addition = _manifestation_triples([m], _fresh_bnodes(taken))
     return Graph([*graph, *addition], graph.prefixes)
+
+
+def without_manifestations(graph: Graph, concept: Iri, drop) -> Graph:
+    """The graph less the concept's manifestation trees whose kind ``drop``
+    accepts. A tree the loader refuses stays, for validation to report."""
+    removed = set()
+    for t in graph.match(s=concept, p=KAVA_MANIFEST):
+        if not isinstance(t.object, BlankNode):
+            continue
+        try:
+            kind = _load_kind(graph, concept, t.object)
+        except KavaError:
+            continue
+        if drop(kind):
+            removed.add(t)
+            nodes = [t.object]
+            for node in nodes:  # grows while read; each node is listed once
+                for child in graph.match(s=node):
+                    removed.add(child)
+                    if isinstance(child.object, BlankNode) and child.object not in nodes:
+                        nodes.append(child.object)
+    return Graph([t for t in graph if t not in removed], graph.prefixes)

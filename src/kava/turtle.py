@@ -317,7 +317,9 @@ def serialize_turtle(graph: Graph) -> str:
     iri_subjects, root_bnodes, key, _ = _tree(graph)
     names = _iri_names(graph)
     used = {name.split(":")[0] for name in names.values() if not name.startswith("<")}
-    if any(t.predicate == RDF_TYPE for t in graph):
+    if graph.prefixes.get("rdf") == DEFAULT_PREFIXES["rdf"] and any(
+        t.predicate == RDF_TYPE for t in graph
+    ):
         used.add("rdf")
     out = [f"@prefix {label}: <{graph.prefixes[label]}> .\n" for label in sorted(used)]
     if out:

@@ -9,11 +9,16 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, fixture_text
-from kava import cli
+from kava import cli, manifestation
 from kava.cli import main, read_graph, read_table
-from kava.gait import square_wave_trial, write_trials_dir
+from kava.gait import (
+    prototype_ids,
+    range_overrides_from_graph,
+    square_wave_trial,
+    write_trials_dir,
+)
 from kava.jsonld import MAX_DEPTH
-from kava.manifestation import DirectMapping, load_manifestations
+from kava.manifestation import DirectMapping, IndirectVariableMapping, load_manifestations
 from kava.rdf import DEFAULT_PREFIXES, isomorphic_trees
 from kava.skos import load_scheme
 from kava.turtle import parse_turtle
@@ -184,6 +189,34 @@ def test_jsonld_is_written_to_its_depth_limit(capsys, tmp_path):
     # one level past the limit: refused before anything is written
     out.unlink()
     store.write_text(_chain(MAX_DEPTH + 1))
+    code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
+    assert code == 2
+    assert f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels" in err
+    assert not out.exists()
+
+
+def _root_chain_jsonld(depth):
+    """A document whose top-level blank node object holds ``depth`` nested
+    node objects, the deepest the reader takes at MAX_DEPTH."""
+    return (
+        '{"http://example.org/p": ' + '{"http://example.org/p": ' * depth
+        + '"x"' + "}" * depth + "}\n"
+    )
+
+
+def test_jsonld_root_blank_node_is_written_to_the_readers_limit(capsys, tmp_path):
+    store, out = tmp_path / "deep.jsonld", tmp_path / "out.jsonld"
+    store.write_text(_root_chain_jsonld(MAX_DEPTH))
+    code, _, err = run(capsys, "validate", str(store))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
+    assert (code, err) == (0, "")
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
+    # one level deeper, as the reader counts: the writer refuses it too
+    store = tmp_path / "deeper.ttl"
+    store.write_text("[ " + "<http://example.org/p> [ " * (MAX_DEPTH + 1)
+                     + '<http://example.org/p> "x"' + " ]" * (MAX_DEPTH + 2) + " .\n")
+    out.unlink()
     code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
     assert code == 2
     assert f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels" in err
@@ -545,6 +578,20 @@ def test_manifest_inclusive_range(capsys, tmp_path):
     assert lines[0] == [2, 3]
 
 
+def test_nan_cell_is_outside_every_range(capsys, tmp_path):
+    store = tmp_path / "store.ttl"
+    store.write_text(
+        'icd10:R73 kava:manifest [ kava:matchVariable [ kava:variable "glucose"; '
+        "kava:minValue 100; kava:maxValue 300 ] ] .\n"
+        'icd10:R74 kava:manifest [ kava:matchQuery "[glucose] >= 100 AND [glucose] <= 300" ] .\n'
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("id,glucose\n1,5.0\n2,nan\n3,200\n")
+    for concept in ("icd10:R73", "icd10:R74"):
+        code, lines, _ = run(capsys, "manifest", str(store), str(data), "--concept", concept)
+        assert (code, lines) == (0, [[3]])
+
+
 @pytest.mark.parametrize(
     "header, id_var",
     [("patientId,bloodSugar,bloodSugar", None), ("patientId,bloodSugar", "glucose"), ("", None)],
@@ -718,6 +765,20 @@ def test_annotate_keeps_digit_like_text_as_string(capsys, tmp_path, raw):
     assert code == 0 and lines[0]["changed"] is True
     [m] = load_manifestations(parse_turtle(store.read_text()))
     assert m.kind == DirectMapping(bindings=(("patientId", raw),))
+
+
+@pytest.mark.parametrize("values", [("1", "x"), ("1", "2")])
+def test_annotate_variable_bound_twice_is_input_error(capsys, tmp_path, values):
+    store = tmp_path / "store.ttl"
+    shutil.copy(FIXTURES / "listing3.ttl", store)
+    before = store.read_bytes()
+    code, lines, err = run(
+        capsys, "annotate", str(store), "--concept", "icd10:R73", "--creator", "analyst",
+        "--prototype", *(f"a={v}" for v in values),
+    )
+    assert code == 2 and lines == []
+    assert err == "--prototype binds variable 'a' more than once\n"
+    assert store.read_bytes() == before
 
 
 # --- export-vis -----------------------------------------------------------
@@ -1087,6 +1148,63 @@ def _add_prototypes(knowledge, trials, *pids):
                 "--concept", "gps:affectedKnee",
             ]
         ) == 0
+
+
+def _set_range(knowledge, concept, param, lo, hi):
+    argv = ["gait", "set-range", "--knowledge", knowledge, "--concept", concept,
+            "--param", param, "--min", lo, "--max", hi]
+    assert main(argv) == 0
+
+
+def test_gait_set_range_replaces_the_parameters_earlier_override(capsys, gait_workspace):
+    knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1", "3")
+    _set_range(knowledge, "gps:affectedHip", "cadence", "1", "2")
+    _set_range(knowledge, "gps:affectedKnee", "stance_time_left", "0.5", "0.7")
+    for lo, hi in (("100", "125"), ("95", "130"), ("110", "120")):
+        _set_range(knowledge, "gps:affectedKnee", "cadence", lo, hi)
+    capsys.readouterr()
+    code, lines, _ = run(
+        capsys, "gait", "table", "--knowledge", knowledge, "--trials", trials, "--patient", "2"
+    )
+    assert code == 0
+    assert lines[0]["parameters"]["cadence"]["range"] == [110.0, 120.0]
+    graph = read_graph(knowledge)
+    knee, hip = (graph.expand(f"gps:affected{c}") for c in ("Knee", "Hip"))
+    overrides = [
+        (m.concept, m.kind.variable_name())
+        for m in load_manifestations(graph)
+        if isinstance(m.kind, IndirectVariableMapping)
+    ]
+    assert sorted(overrides, key=str) == sorted(
+        [(knee, "cadence"), (knee, "stance_time_left"), (hip, "cadence")], key=str
+    )
+    assert range_overrides_from_graph(graph, hip) == {"cadence": (1, 2)}
+    assert prototype_ids(graph, knee) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annotate", "{store}", "--concept", "gps:affectedKnee", "--prototype", "patientId=2"],
+        ["gait", "add-prototype", "--knowledge", "{store}", "--trials", "{trials}",
+         "--patient", "2", "--concept", "gps:affectedKnee"],
+        ["gait", "set-range", "--knowledge", "{store}", "--concept", "gps:affectedKnee",
+         "--param", "cadence", "--min", "0", "--max", "1"],
+    ],
+    ids=["annotate", "add-prototype", "set-range"],
+)
+def test_editing_commands_load_manifestations_once(capsys, gait_workspace, monkeypatch, argv):
+    knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1")
+    _set_range(knowledge, "gps:affectedKnee", "cadence", "50", "60")
+    load, loads = manifestation._load, []
+    monkeypatch.setattr(manifestation, "_load", lambda graph: loads.append(graph) or load(graph))
+    fill = {"{store}": knowledge, "{trials}": trials}
+    capsys.readouterr()
+    code, lines, _ = run(capsys, *(fill.get(a, a) for a in argv))
+    assert code == 0 and len(lines) == 1
+    assert len(loads) == 1
 
 
 # A predicate constant of more digits than int() reads is read as a float.

@@ -95,9 +95,9 @@ def ref_evaluate(m, dataset):
             v = r.as_dict().get(name)
             if v is None or isinstance(v, str):
                 continue
-            if kind.min_value is not None and v < kind.min_value:
+            if kind.min_value is not None and not kind.min_value <= v:
                 continue
-            if kind.max_value is not None and v > kind.max_value:
+            if kind.max_value is not None and not v <= kind.max_value:
                 continue
             out.add(r.identifier(dataset.schema))
         return out

@@ -84,6 +84,20 @@ def test_prefix_directive_overrides_default():
     assert g.match(s=Iri("urn:ex#a"))
 
 
+def test_rdf_prefix_is_declared_only_for_the_rdf_namespace():
+    rebound = parse_turtle(
+        "@prefix rdf: <http://example.org/x#> .\n@prefix ex: <http://example.org/> .\n"
+        "ex:s a ex:C .\n"
+    )
+    assert serialize_turtle(rebound) == (
+        "@prefix ex: <http://example.org/> .\n\nex:s a ex:C .\n"
+    )
+    bare = Graph([Triple(Iri("http://x/s"), RDF_TYPE, Iri("http://x/C"))], prefixes={})
+    out = serialize_turtle(bare)
+    assert out == "<http://x/s> a <http://x/C> .\n"
+    assert parse_turtle(out) == bare
+
+
 def test_comment_and_whitespace_tolerance():
     text = '# header\ngps:a   gps:b\t"v" ;# trailing\n  gps:c 5 .\n'
     g = parse_turtle(text)
