@@ -13,6 +13,10 @@ are:
 - a set of edge-case CSVs (NaN, infinities, -0.0, duplicate, missing and
   NaN identifiers, a header-only file);
 - a store without manifestations;
+- a store in which one concept has several overlapping manifestations, one
+  of each mapping kind, and a copy of it with one more in a foreign
+  dialect; each meets every edge-case CSV through ``manifest``,
+  ``--pattern marks`` and ``--pattern aggregate``;
 - a set of edge-case Turtle stores: one per error the Turtle reader
   reports, and one well-formed store with escapes, comments, an empty
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
@@ -95,6 +99,20 @@ EDGE_CSVS = {
     "missing_id.csv": "id,glucose,t\n1,250,1\n,150,2\n",
     "header_only.csv": "id,glucose,t\n",
 }
+
+# Overlapping manifestations: most records of edge_values.csv match two or more.
+MULTI_STORES = {
+    "multi.ttl": (
+        "icd10:R73 kava:manifest\n"
+        '  [ kava:matchQuery "[glucose] > 200 OR [t] < 3" ],\n'
+        '  [ kava:matchVariable [ kava:variable "glucose"; kava:minValue 200 ] ],\n'
+        '  [ kava:isPrototype [ kava:variable "id"; kava:value 1 ] ] .\n'
+        'icd10:R74 kava:manifest [ kava:matchQuery "[t] >= 2" ] .\n'
+    ),
+}
+MULTI_STORES["multi_foreign.ttl"] = MULTI_STORES["multi.ttl"] + (
+    'icd10:R73 kava:manifest [ kava:matchQuery "SELECT * FROM t"; kava:queryDialect "sql" ] .\n'
+)
 
 _EX = "@prefix ex: <http://example.org/edge#> .\n"
 _DEPTH = 300
@@ -191,7 +209,7 @@ def _bench_case(name, seed, scale, rounds):
 
 def _fixture_case(base: Path, work: Path):
     shutil.copytree(FIXTURES, base / "fixtures")
-    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS, **EDGE_JSONLDS}.items():
+    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS, **EDGE_JSONLDS, **MULTI_STORES}.items():
         (base / text_name).write_text(text)
     fixtures = work / "fixtures"
     steps = []
@@ -203,20 +221,27 @@ def _fixture_case(base: Path, work: Path):
             ["argv", ["convert", str(path), "--to", other, "-o", str(work / f"out.{other}")]],
             ["argv", ["export-vis", str(path), "--pattern", "tree"]],
         ]
-    store = str(fixtures / "listing5.ttl")
     empty = str(fixtures / "gps_scheme.ttl")  # no manifestations
     for path, axis in (("listing4.ttl", []), ("listing5.ttl", ["--axis-var", "glucose"])):
         steps.append(["argv", ["export-vis", str(fixtures / path), "--pattern", "threshold",
                                "--concept", "icd10:R73", *axis]])
     for text_name in EDGE_CSVS:
         data = str(work / text_name)
+        stores = [str(fixtures / "listing5.ttl"), *(str(work / name) for name in MULTI_STORES)]
+        for store in stores:
+            steps += [
+                ["argv", ["manifest", store, data, "--concept", "icd10:R73"]],
+                ["argv", ["export-vis", store, data, "--pattern", "marks"]],
+                ["argv", ["export-vis", store, data, "--pattern", "aggregate",
+                          "--concept", "icd10:R73", "--time-var", "t"]],
+                ["argv", ["export-vis", store, data, "--pattern", "aggregate",
+                          "--concept", "icd10:R73", "--time-var", "glucose"]],
+            ]
+        multi = str(work / "multi.ttl")
         steps += [
-            ["argv", ["manifest", store, data, "--concept", "icd10:R73"]],
-            ["argv", ["export-vis", store, data, "--pattern", "marks"]],
-            ["argv", ["export-vis", store, data, "--pattern", "aggregate",
-                      "--concept", "icd10:R73", "--time-var", "t"]],
-            ["argv", ["export-vis", store, data, "--pattern", "aggregate",
-                      "--concept", "icd10:R73", "--time-var", "glucose"]],
+            ["argv", ["manifest", multi, data, "--concept", "icd10:R74"]],
+            ["argv", ["export-vis", multi, data, "--pattern", "aggregate",
+                      "--concept", "icd10:R74", "--time-var", "t"]],
             ["argv", ["export-vis", empty, data, "--pattern", "marks"]],
         ]
     for text_name in EDGE_TTLS:

@@ -218,22 +218,23 @@ def read_table(path: str, id_var: str | None) -> Dataset:
 
 
 def cmd_manifest(args) -> int:
+    import numpy as np
+
     graph = read_graph(args.knowledge)
     dataset = read_table(args.data, args.id_var)
     concept = expand(args.concept, graph.prefixes)
-    manifests = manifestation.load_manifestations(graph)
-    matched = set()
+    mask = np.zeros(len(dataset), dtype=bool)
     foreign = False
-    for m in manifests:
-        if m.concept != concept:
-            continue
+    for m in manifestation.concept_manifestations(graph, concept):
         try:
-            matched |= manifestation.evaluate_manifestation(m, dataset)
+            mask |= manifestation.record_mask(m, dataset)
         except ForeignDialect as exc:
             foreign = True
             _diag(f"warning: manifestation {m.anchor} uses foreign dialect "
                   f"{exc.dialect!r}; not evaluated")
-    _emit(sorted(matched, key=lambda x: (str(type(x)), x)))
+    # load_csv refuses equal identifiers: one per matched record; NaN sorts last
+    matched = dataset.matched_identifiers(mask)
+    _emit(sorted(matched, key=lambda x: (str(type(x)), x != x, x)))
     return EXIT_FINDINGS if foreign else EXIT_OK
 
 

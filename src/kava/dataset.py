@@ -244,6 +244,15 @@ class Dataset:
         parts = [self.columns[name].decode() for name in ident]
         return _encode(list(zip(*parts)) if parts else [()] * len(self))
 
+    def identifier_hits(self, mask: np.ndarray) -> np.ndarray:
+        """Per identifier code, whether a record the boolean mask selects
+        has an equal identifier (one in the code's canonical_codes class)."""
+        column = self.identifier_column
+        canon = column.canonical_codes
+        hits = np.zeros(len(column.values), dtype=bool)
+        hits[canon[column.codes[mask]]] = True
+        return hits[canon]
+
     def matched_identifiers(self, mask: np.ndarray) -> set:
         """Identifiers of the records a boolean mask selects, added to the
         set in record order (of equal identifiers the first one is kept)."""

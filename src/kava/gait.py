@@ -373,7 +373,8 @@ def set_range(
     date: str | None = None,
 ) -> Graph:
     """Record a manual range override, replacing any earlier override of
-    the same parameter on the concept."""
+    the same parameter on the concept, which must be typed skos:Concept."""
+    _require_concept(graph, concept)
     m = range_manifestation(concept, parameter, min_value, max_value, creator, date)
 
     def earlier(kind):
@@ -422,6 +423,12 @@ def prototype_ids(graph: Graph, concept: Iri) -> list:
     return ids
 
 
+def _require_concept(graph: Graph, concept: Iri) -> None:
+    """Raise UnknownConcept unless the graph types the concept skos:Concept."""
+    if not graph.match(s=concept, p=RDF_TYPE, o=SKOS_CONCEPT):
+        raise UnknownConcept(str(concept))
+
+
 def add_prototype(
     graph: Graph,
     concept: Iri,
@@ -435,8 +442,7 @@ def add_prototype(
     same patient raises DuplicatePrototype. The check reads the edited
     graph, so validating that graph loads no manifestations again.
     """
-    if not graph.match(s=concept, p=RDF_TYPE, o=SKOS_CONCEPT):
-        raise UnknownConcept(str(concept))
+    _require_concept(graph, concept)
     m = create_manifestation(
         concept,
         DirectMapping(bindings=(("patientId", _coerce_id(trial.patient_id)),)),

@@ -19,7 +19,7 @@ from .rdf import (
     Triple,
     _tree,
     expand,
-    shrink,
+    prefixed_names,
 )
 from .turtle import RDF_TYPE
 
@@ -152,11 +152,12 @@ def parse_jsonld(text: str, prefixes=None) -> Graph:
 
 
 def _name_of(iri, prefixes):
-    """The name ``_expand_name`` reads back as the IRI: its prefixed name
-    when that reads back, else the full IRI when that does."""
-    for name in (shrink(iri, prefixes), iri.value):
+    """The name ``_expand_name`` reads back as the IRI: the first of its
+    prefixed names, longest namespace first, that reads back, else the full
+    IRI when that does."""
+    for name in (*prefixed_names(iri, prefixes), iri.value):
         try:
-            if name is not None and _expand_name(name, prefixes) == iri:
+            if _expand_name(name, prefixes) == iri:
                 return name
         except (JsonLdSyntaxError, UnknownPrefix):
             pass

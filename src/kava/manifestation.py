@@ -291,8 +291,8 @@ def create_manifestation(
 
 
 def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
-    """Record identifiers matched by the manifestation; the errors are
-    those of record_mask."""
+    """The set of record identifiers the manifestation matches, for library
+    callers (commands stay on record_mask); the errors are record_mask's."""
     return dataset.matched_identifiers(record_mask(m, dataset))
 
 
@@ -340,44 +340,6 @@ def record_mask(m: Manifestation, dataset: Dataset):
     else:
         raise InvalidKind(f"unknown mapping kind: {kind!r}")
     return mask
-
-
-def evaluate_concept(
-    manifestations: list[Manifestation], concept: Iri, dataset: Dataset
-) -> set:
-    """Union of all evaluable manifestations of one concept."""
-    out = set()
-    for m in manifestations:
-        if m.concept == concept:
-            out |= evaluate_manifestation(m, dataset)
-    return out
-
-
-def prototype_conflicts(manifestations, dataset: Dataset) -> dict:
-    """Per concept: prototype records that fall outside every indirect
-    mapping's region. Reported, not resolved."""
-    by_concept = {}
-    for m in manifestations:
-        by_concept.setdefault(m.concept, []).append(m)
-    out = {}
-    for concept, ms in by_concept.items():
-        direct = [m for m in ms if isinstance(m.kind, DirectMapping)]
-        indirect = [m for m in ms if not isinstance(m.kind, DirectMapping)]
-        if not direct or not indirect:
-            continue
-        proto_ids = set()
-        for m in direct:
-            proto_ids |= evaluate_manifestation(m, dataset)
-        region = set()
-        for m in indirect:
-            try:
-                region |= evaluate_manifestation(m, dataset)
-            except ForeignDialect:
-                continue
-        conflicts = proto_ids - region
-        if conflicts:
-            out[concept] = conflicts
-    return out
 
 
 def _fresh_bnodes(taken=frozenset()):

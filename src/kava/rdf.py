@@ -140,15 +140,19 @@ def expand(name: str, prefixes: dict[str, str]) -> Iri:
     return Iri(prefixes[label] + local)
 
 
+def prefixed_names(iri: Iri, prefixes: dict[str, str]) -> list[str]:
+    """Every prefixed name of the IRI, longest namespace first; labels of
+    one namespace length keep their order in ``prefixes``."""
+    value = iri.value
+    labels = [label for label, ns in prefixes.items() if value.startswith(ns)]
+    labels.sort(key=lambda label: len(prefixes[label]), reverse=True)  # stable
+    return [f"{label}:{value[len(prefixes[label]):]}" for label in labels]
+
+
 def shrink(iri: Iri, prefixes: dict[str, str]) -> str | None:
     """Inverse of expand using the longest registered namespace, or None."""
-    best = None
-    for label, ns in prefixes.items():
-        if iri.value.startswith(ns) and (best is None or len(ns) > len(prefixes[best])):
-            best = label
-    if best is None:
-        return None
-    return f"{best}:{iri.value[len(prefixes[best]):]}"
+    names = prefixed_names(iri, prefixes)
+    return names[0] if names else None
 
 
 class Graph:

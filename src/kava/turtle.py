@@ -19,7 +19,7 @@ from .rdf import (
     Triple,
     _tree,
     expand,
-    shrink,
+    prefixed_names,
 )
 
 RDF_TYPE = Iri(DEFAULT_PREFIXES["rdf"] + "type")
@@ -263,14 +263,14 @@ def _prefix(tokens, i, namespaces, text):
 
 
 def _render_iri(iri, prefixes):
-    """The IRI as a prefixed name when ``_scan`` reads that back as one
-    whole pname token, else as ``<IRI>``."""
-    pname = shrink(iri, prefixes)
-    m = pname and _TOKEN.match(pname)
-    if m and m.span(m.lastgroup) == (0, len(pname)) and (
-        m.lastgroup == "pname" or m.lastgroup == "uname" and pname[0].isalpha()
-    ):
-        return pname
+    """The IRI as the first of its prefixed names, longest namespace first,
+    that ``_scan`` reads back as one whole pname token, else as ``<IRI>``."""
+    for pname in prefixed_names(iri, prefixes):
+        m = _TOKEN.match(pname)
+        if m and m.span(m.lastgroup) == (0, len(pname)) and (
+            m.lastgroup == "pname" or m.lastgroup == "uname" and pname[0].isalpha()
+        ):
+            return pname
     return f"<{iri.value}>"
 
 

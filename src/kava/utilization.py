@@ -18,7 +18,6 @@ from .manifestation import (
     IndirectQueryMapping,
     IndirectVariableMapping,
     Manifestation,
-    evaluate_manifestation,
     record_mask,
 )
 from .predicate import Comparison, parse_predicate
@@ -94,8 +93,9 @@ def validate_fragment(doc: dict) -> None:
     Arrays whose schema is exactly {"type": "array", "items": {"type":
     "object"}} (data.values, diagnostics) are held out: the validator runs on
     the document with each of them replaced by [], and their elements are
-    checked with the validator's own is_type(x, "object"). The paths are read
-    from the schema when the validator is built. If either check fails, the
+    checked with the validator's own is_type(x, "object"), once per distinct
+    element type: that check reads the type alone. The paths are read from
+    the schema when the validator is built. If either check fails, the
     whole document is validated and the best_match error is raised, so every
     verdict and message is that of a full validation.
     """
@@ -104,8 +104,9 @@ def validate_fragment(doc: dict) -> None:
     skeleton = doc
     for path in paths:
         skeleton = _hold_out(skeleton, path, validator.is_type, held)
+    one_per_type = {type(x): x for rows in held for x in rows}.values()
     if validator.is_valid(skeleton) and all(
-        validator.is_type(x, "object") for rows in held for x in rows
+        validator.is_type(x, "object") for x in one_per_type
     ):
         return
     from jsonschema.exceptions import best_match
@@ -250,14 +251,13 @@ def encoded_marks_spec(
         )
     prefixes = prefixes or {}
     idents = dataset.identifier_column
-    record_canon = idents.canonical_codes[idents.codes]
-    # bit j of an identifier's row: manifestation j matches a record with an
-    # equal identifier (only canonical codes get bits)
+    # bit j of an identifier code's row: manifestation j matches a record
+    # with an equal identifier
     width = max(1, -(-len(manifestations) // 8))
     bits = np.zeros((len(idents.values), width), dtype=np.uint8)
     concept_names = []
     for j, m in enumerate(manifestations):
-        bits[record_canon[record_mask(m, dataset)], j >> 3] |= 0x80 >> (j & 7)
+        bits[dataset.identifier_hits(record_mask(m, dataset)), j >> 3] |= 0x80 >> (j & 7)
         concept_names.append(_concept_name(m.concept, prefixes))
     patterns, pattern_of = np.unique(
         bits.view(np.dtype((np.void, width))).ravel(), return_inverse=True
@@ -270,7 +270,7 @@ def encoded_marks_spec(
     for lo, hi in zip(bounds, bounds[1:]):
         firsts.append(concepts[lo] if hi > lo else "none")
         distinct.append(list(dict.fromkeys(concepts[lo:hi])))
-    record_pattern = pattern_of[record_canon].tolist()
+    record_pattern = pattern_of[idents.codes].tolist()
     names = dataset.schema.names()
     columns = [dataset.columns[n].decode() for n in names]
     keys = names + ["concept"]
@@ -318,13 +318,12 @@ def aggregate_mark_spec(
         raise UnknownVariable(time_variable)
     if dataset.schema.kind(time_variable) != "number":
         raise UnknownVariable(f"{time_variable} is not numeric")
-    matched = evaluate_manifestation(m, dataset)
-    times = dataset.columns[time_variable].decode()
     idents = dataset.identifier_column
-    hit = [ident in matched for ident in idents.values]
+    hits = dataset.identifier_hits(record_mask(m, dataset))[idents.codes].tolist()
+    times = dataset.columns[time_variable].decode()
     codes = idents.codes.tolist()
     ordered = sorted(range(len(times)), key=lambda i: (times[i] is None, times[i]))
-    flags = [hit[codes[i]] for i in ordered]
+    flags = [hits[i] for i in ordered]
     layers = []
     for start, end in _runs([f and times[i] is not None for i, f in zip(ordered, flags)]):
         t0 = times[ordered[start]]

@@ -1,16 +1,22 @@
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_text
 from kava import cli, manifestation
 from kava.cli import main, read_graph, read_table
+from kava.errors import ForeignDialect, KavaError
 from kava.gait import (
     prototype_ids,
     range_overrides_from_graph,
@@ -18,7 +24,12 @@ from kava.gait import (
     write_trials_dir,
 )
 from kava.jsonld import MAX_DEPTH
-from kava.manifestation import DirectMapping, IndirectVariableMapping, load_manifestations
+from kava.manifestation import (
+    DirectMapping,
+    IndirectVariableMapping,
+    evaluate_manifestation,
+    load_manifestations,
+)
 from kava.rdf import DEFAULT_PREFIXES, isomorphic_trees
 from kava.skos import load_scheme
 from kava.turtle import parse_turtle
@@ -326,9 +337,26 @@ def test_convert_numeral_prefix_label_to_turtle_validates(capsys, tmp_path, monk
     assert code == 0
     text = out.read_text()
     assert "\u00bd" not in text
+    assert text == "@prefix ex: <http://example.org/half#> .\n\nex:a ex:b ex:c .\n"
     code, _, err = run(capsys, "validate", str(out))
     assert (code, err) == (0, "")
     assert isomorphic_trees(parse_turtle(text), read_graph(str(src)))
+
+
+def test_convert_to_jsonld_uses_another_label_that_reads_back(capsys, tmp_path, monkeypatch):
+    # the reader takes "urn:a" as a full IRI, so "urn" cannot name the namespace
+    prefixes = tmp_path / "prefixes.txt"
+    prefixes.write_text("urn=http://example.org/half#\n")
+    monkeypatch.setenv("KAVA_PREFIXES", str(prefixes))
+    src = tmp_path / "g.ttl"
+    src.write_text("@prefix ex: <http://example.org/half#> .\nex:a ex:b ex:c .\n")
+    out = tmp_path / "out.jsonld"
+    code, _, _ = run(capsys, "convert", str(src), "--to", "jsonld", "-o", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc == [{"@context": {"ex": "http://example.org/half#"}, "@id": "ex:a",
+                    "ex:b": {"@id": "ex:c"}}]
+    assert isomorphic_trees(read_graph(str(out)), read_graph(str(src)))
 
 
 def test_convert_non_iri_type_to_jsonld_reads_back(capsys, tmp_path):
@@ -645,6 +673,78 @@ def test_manifest_foreign_dialect_warns(capsys, tmp_path):
     assert code == 1
     assert lines[0] == []
     assert "foreign dialect" in err
+
+
+_UNION_STORE = (
+    "icd10:R73 kava:manifest\n"
+    '  [ kava:matchQuery "[glucose] > 240" ],\n'
+    '  [ kava:matchQuery "[glucose] < 160" ],\n'
+    '  [ kava:matchVariable [ kava:variable "glucose"; kava:minValue 140; kava:maxValue 155 ] ],\n'
+    '  [ kava:matchQuery "SELECT * FROM t"; kava:queryDialect "sql" ] .\n'
+    'icd10:R74 kava:manifest [ kava:matchQuery "[glucose] > 0" ] .\n'
+)
+
+
+def test_manifest_prints_the_union_and_warns_on_a_foreign_dialect(capsys, tmp_path):
+    knowledge = tmp_path / "union.ttl"
+    knowledge.write_text(_UNION_STORE)
+    data = tmp_path / "patients.csv"
+    data.write_text("patientId,glucose\n1,150\n2,200\n3,250\n4,155\n5,170\n")
+    code, lines, err = run(capsys, "manifest", str(knowledge), str(data), "--concept", "icd10:R73")
+    # 1 and 4 match two manifestations each; R74, which matches all five, is not asked for
+    assert (code, lines) == (1, [[1, 3, 4]])
+    assert err == "warning: manifestation m0 uses foreign dialect 'sql'; not evaluated\n"
+
+
+_ID_TEXTS = ["1", "2", "3", "1.0", "-0.0", "0", "0.5", "1.5", "2.5", "nan", "NaN", "inf",
+             "a", "007"]
+_GLUCOSE_TEXTS = ["", "100", "150", "200", "250", "nan", "x", "-0.0"]
+_MAPPINGS = [
+    '[ kava:matchQuery "[glucose] > 180" ]',
+    '[ kava:matchQuery "[glucose] < 160 OR [id] = 3" ]',
+    '[ kava:matchVariable [ kava:variable "glucose"; kava:minValue 150 ] ]',
+    '[ kava:isPrototype [ kava:variable "id"; kava:value 2 ] ]',
+    '[ kava:matchQuery "SELECT 1"; kava:queryDialect "sql" ]',
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(_ID_TEXTS), unique=True, max_size=8).flatmap(
+        lambda ids: st.lists(st.sampled_from(_GLUCOSE_TEXTS), min_size=len(ids),
+                             max_size=len(ids)).map(lambda gs: list(zip(ids, gs)))
+    ),
+    st.lists(st.sampled_from(_MAPPINGS), unique=True, max_size=4),
+)
+# NaN among other float identifiers: sorted with NaN last, not where the set put it
+@example([("5.0", "200"), ("nan", "200"), ("6.0", "200"), ("7.0", "200")], [_MAPPINGS[0]])
+def test_manifest_prints_the_sorted_union_of_evaluate_manifestation(rows, mappings):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, knowledge = Path(tmp, "data.csv"), Path(tmp, "store.ttl")
+        data.write_text("id,glucose\n" + "".join(f"{i},{g}\n" for i, g in rows))
+        knowledge.write_text(
+            "".join(f"icd10:R73 kava:manifest {m} .\n" for m in mappings)
+            + 'icd10:R74 kava:manifest [ kava:matchQuery "[glucose] > 0" ] .\n'
+        )
+        try:
+            dataset = read_table(str(data), None)
+        except KavaError:  # equal identifiers, such as 1 and 1.0
+            assume(False)
+        graph = read_graph(str(knowledge))
+        union, foreign = set(), False
+        for m in load_manifestations(graph):
+            if m.concept != graph.expand("icd10:R73"):
+                continue
+            try:
+                union |= evaluate_manifestation(m, dataset)
+            except ForeignDialect:
+                foreign = True
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["manifest", str(knowledge), str(data), "--concept", "icd10:R73"])
+    assert code == (1 if foreign else 0)
+    want = sorted(union, key=lambda x: (str(type(x)), x != x, x))
+    assert out.getvalue() == json.dumps(want) + "\n"
 
 
 # --- annotate -------------------------------------------------------------
@@ -1181,6 +1281,19 @@ def test_gait_set_range_replaces_the_parameters_earlier_override(capsys, gait_wo
     )
     assert range_overrides_from_graph(graph, hip) == {"cadence": (1, 2)}
     assert prototype_ids(graph, knee) == [1, 3]
+
+
+def test_gait_set_range_on_an_unknown_concept_is_input_error(capsys, tmp_path):
+    store = tmp_path / "store.ttl"
+    shutil.copy(FIXTURES / "gait_categories.ttl", store)
+    before = store.read_bytes()
+    code, lines, err = run(
+        capsys, "gait", "set-range", "--knowledge", str(store),
+        "--concept", "gps:noSuchCategory", "--param", "cadence", "--min", "1", "--max", "2",
+    )
+    assert (code, lines) == (2, [])
+    assert "noSuchCategory" in err and "internal error" not in err
+    assert store.read_bytes() == before
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,9 @@ from kava.manifestation import (
     Provenance,
     add_manifestation_to_graph,
     create_manifestation,
-    evaluate_concept,
     evaluate_manifestation,
     load_manifestations,
     manifestations_to_graph,
-    prototype_conflicts,
 )
 from kava.rdf import BlankNode, Graph, Iri, Triple, isomorphic_trees, literal_for
 from kava.turtle import parse_turtle, serialize_turtle
@@ -212,14 +210,6 @@ def test_roundtrip_empty():
     assert len(manifestations_to_graph([])) == 0
 
 
-def test_union_of_concept_manifestations():
-    ms = [
-        create_manifestation(R73, IndirectQueryMapping("[glucose] > 240")),
-        create_manifestation(R73, IndirectQueryMapping("[glucose] < 160")),
-    ]
-    assert evaluate_concept(ms, R73, _glucose_dataset()) == {1, 3}
-
-
 def test_add_manifestation_avoids_label_collisions():
     g = parse_turtle(fixture_text("listing3.ttl"))
     m = create_manifestation(R73, DirectMapping(bindings=(("patientId", 777),)))
@@ -243,13 +233,3 @@ def test_add_manifestation_avoids_label_collisions():
     g2 = add_manifestation_to_graph(g, m)
     assert len(load_manifestations(g2)) == 2
     assert isomorphic_trees(parse_turtle(serialize_turtle(g2)), g2)
-
-
-def test_prototype_conflict_diagnostic():
-    ms = [
-        create_manifestation(R73, DirectMapping(bindings=(("patientId", 1),))),
-        create_manifestation(R73, IndirectQueryMapping("[glucose] > 200")),
-    ]
-    ds = _glucose_dataset((150, 200, 250))  # patient 1 has glucose 150
-    conflicts = prototype_conflicts(ms, ds)
-    assert conflicts == {R73: {1}}

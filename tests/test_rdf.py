@@ -16,6 +16,7 @@ from kava.rdf import (
     expand,
     insert,
     isomorphic_trees,
+    prefixed_names,
     shrink,
 )
 
@@ -40,6 +41,13 @@ def test_shrink_longest_match():
     prefixes = {"a": "http://x/", "b": "http://x/y/"}
     assert shrink(Iri("http://x/y/z"), prefixes) == "b:z"
     assert shrink(Iri("http://other/z"), prefixes) is None
+
+
+def test_prefixed_names_longest_namespace_first():
+    # labels of one namespace keep their order in the map
+    prefixes = {"a": "http://x/", "c": "http://x/y/", "b": "http://x/y/"}
+    assert prefixed_names(Iri("http://x/y/z"), prefixes) == ["c:z", "b:z", "a:y/z"]
+    assert prefixed_names(Iri("http://other/z"), prefixes) == []
 
 
 @given(st.text(alphabet="abcdefghij/#.", min_size=1).filter(lambda s: s.strip()))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
+from kava import utilization
 from kava.dataset import NUMBER, Schema, load_csv
 from kava.errors import (
     CyclicScheme,
@@ -495,6 +496,25 @@ def test_validate_fragment_reports_what_full_validation_reports(doc):
 @given(_fragments())
 def test_validate_fragment_verdict_equals_full_validation(doc):
     assert _verdict(validate_fragment, doc) == _verdict(_full_check, doc)
+
+
+def test_held_out_rows_are_type_checked_once_per_type(monkeypatch):
+    validator_class = type(utilization._validator()[0])
+    is_type, checked = validator_class.is_type, []
+
+    def counting(self, instance, type_name):
+        checked.append(id(instance))
+        return is_type(self, instance, type_name)
+
+    monkeypatch.setattr(validator_class, "is_type", counting)
+    rows = [{"id": i, "concept": "none"} for i in range(1000)]
+    diagnostics = [{"record": str(i), "concepts": ["ex:a", "ex:b"]} for i in range(10)]
+    doc = {**_MARKS, "data": {"values": rows}, "diagnostics": diagnostics}
+    validate_fragment(doc)
+    held = {id(row) for row in rows + diagnostics}
+    assert sum(i in held for i in checked) == 1  # every held-out row is a dict
+    with pytest.raises(jsonschema.ValidationError):
+        validate_fragment({**doc, "diagnostics": diagnostics + ["not an object"]})
 
 
 def test_held_out_arrays_come_from_the_schema():
