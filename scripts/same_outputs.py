@@ -11,7 +11,9 @@ are:
   OLD_SRC's kava) for every workload, seed and scale;
 - the test fixtures;
 - a set of edge-case CSVs (NaN, infinities, -0.0, duplicate, missing and
-  NaN identifiers, a header-only file);
+  NaN identifiers, a header-only file, and the kind inference's edges:
+  cells such as `` 7 ``, ``1e3`` and ``2_50`` that ``float()`` reads, a
+  ``²`` cell, an all-empty column, short rows and a blank line);
 - a store without manifestations;
 - a store in which one concept has several overlapping manifestations, one
   of each mapping kind, and a copy of it with one more in a foreign
@@ -98,6 +100,12 @@ EDGE_CSVS = {
     "duplicate_ids.csv": "id,glucose,t\n1,250,1\n1.0,150,2\n",
     "missing_id.csv": "id,glucose,t\n1,250,1\n,150,2\n",
     "header_only.csv": "id,glucose,t\n",
+    # kind inference: float() reads every glucose cell here, a number column
+    "float_texts.csv": "id,glucose,t\n1, 7 ,1\n2,1e3,2\n3,2_50,3\n4,infinity,4\n5,1e3,5\n",
+    # "²" is a digit to str.isdigit() but no number: a string column
+    "superscript.csv": "id,glucose,t\n1,250,1\n2,\u00b2,2\n3,250,3\n",
+    "empty_glucose.csv": "id,glucose,t\n1,,1\n2,,2\n",
+    "ragged.csv": "id,glucose,t\n1,250\n\n2,150,2\n3\n4,260,4\n",
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

@@ -16,13 +16,11 @@ import json
 import os
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import jsonld, manifestation, skos, turtle, utilization
 from .errors import (
-    ForeignDialect,
     HeaderMismatch,
     KavaError,
     MalformedManifestation,
@@ -173,10 +171,9 @@ def cmd_convert(args) -> int:
 
 
 def _infer_schema(rows: list, id_var: str | None) -> Schema:
-    """A NUMBER variable per column whose non-empty cells all pass
-    ``float()``, tested once per distinct cell text, a STRING variable per
-    other column; identified by ``id_var`` or the first column."""
-    from .dataset import NUMBER, STRING, Schema
+    """The header's variables, each of a kind that ``load_csv`` decides from
+    its cells (INFER), identified by ``id_var`` or the first column."""
+    from .dataset import INFER, Schema
 
     if not rows:
         raise KavaError("empty CSV file")
@@ -188,29 +185,11 @@ def _infer_schema(rows: list, id_var: str | None) -> Schema:
     ident = id_var or header[0]
     if ident not in header:
         raise UnknownVariable(f"identifying variable {ident!r} is not in header {header}")
-
-    def numeric(cells):
-        texts = dict.fromkeys(cells)
-        texts.pop("", None)
-        texts.pop(None, None)  # a short row has no cell here
-        if not texts:
-            return False
-        try:
-            list(map(float, texts))
-            return True
-        except ValueError:
-            return False
-
-    columns = list(zip_longest(*rows[1:]))  # a short row has None for the cells it lacks
-    variables = tuple(
-        (name, NUMBER if pos < len(columns) and numeric(columns[pos]) else STRING)
-        for pos, name in enumerate(header)
-    )
-    return Schema(variables=variables, identifying=(ident,))
+    return Schema(variables=tuple((name, INFER) for name in header), identifying=(ident,))
 
 
 def read_table(path: str, id_var: str | None) -> Dataset:
-    """Load a data CSV, inferring its schema from the same parsed rows."""
+    """Load a data CSV; ``load_csv`` decides each column's kind as it parses it."""
     from .dataset import load_csv
 
     rows = list(csv.reader(io.StringIO(read_text(path))))
@@ -226,16 +205,24 @@ def cmd_manifest(args) -> int:
     mask = np.zeros(len(dataset), dtype=bool)
     foreign = False
     for m in manifestation.concept_manifestations(graph, concept):
-        try:
-            mask |= manifestation.record_mask(m, dataset)
-        except ForeignDialect as exc:
+        if _skip_foreign(m):
             foreign = True
-            _diag(f"warning: manifestation {m.anchor} uses foreign dialect "
-                  f"{exc.dialect!r}; not evaluated")
+        else:
+            mask |= manifestation.record_mask(m, dataset)
     # load_csv refuses equal identifiers: one per matched record; NaN sorts last
     matched = dataset.matched_identifiers(mask)
     _emit(sorted(matched, key=lambda x: (str(type(x)), x != x, x)))
     return EXIT_FINDINGS if foreign else EXIT_OK
+
+
+def _skip_foreign(m) -> bool:
+    """Whether ``m`` is a query in a dialect kava does not evaluate; if so,
+    warn that it is skipped. A skipped manifestation matches no record."""
+    dialect = getattr(m.kind, "dialect", manifestation.KAVA_PREDICATE_DIALECT)  # query mappings
+    if dialect == manifestation.KAVA_PREDICATE_DIALECT:
+        return False
+    _diag(f"warning: manifestation {m.anchor} uses foreign dialect {dialect!r}; not evaluated")
+    return True
 
 
 def _parse_bindings(pairs):
@@ -308,6 +295,7 @@ def _single_scheme(graph, scheme_arg):
 def cmd_export_vis(args) -> int:
     graph = read_graph(args.knowledge)
     manifests = manifestation.load_manifestations(graph)
+    status = EXIT_OK
     if args.pattern == "tree":
         scheme = skos.load_scheme(graph, _single_scheme(graph, args.scheme))
         doc = utilization.concept_tree_spec(scheme, None, prefixes=graph.prefixes)
@@ -324,8 +312,10 @@ def cmd_export_vis(args) -> int:
             raise KavaError(f"--pattern {args.pattern} requires a data CSV")
         dataset = read_table(args.data, args.id_var)
         if args.pattern == "marks":
+            local = [m for m in manifests if not _skip_foreign(m)]
+            status = EXIT_FINDINGS if len(local) < len(manifests) else EXIT_OK
             doc = utilization.encoded_marks_spec(
-                dataset, manifests, channel=args.channel, prefixes=graph.prefixes
+                dataset, local, channel=args.channel, prefixes=graph.prefixes
             )
         else:  # aggregate
             selected = _select_manifestation(manifests, graph, args.concept)
@@ -338,7 +328,7 @@ def cmd_export_vis(args) -> int:
         _emit({"written": args.output, "kind": doc["kind"]})
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return status
 
 
 def _select_manifestation(manifests, graph, concept_arg, indirect_only=False):

@@ -21,6 +21,7 @@ from .predicate import Predicate, compile_mask, parse_number, variables
 
 NUMBER = "number"
 STRING = "string"
+INFER = "infer"  # a kind load_csv decides from the cells: NUMBER or STRING
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,9 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
     of it.
 
     Header must contain exactly the schema variables, in any order. Each
-    distinct cell text of a column is parsed once and given one code.
+    distinct cell text of a column is parsed once and given one code. An
+    INFER variable is a NUMBER when that parse finds a number and no other
+    text, else a STRING; the dataset's schema holds the decided kinds.
     Errors are those of a row-by-row read: the first bad cell, or missing
     or repeated identifier, wins.
     """
@@ -286,11 +289,13 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
         )
     body = list(filter(any, rows[1:]))  # a row of empty cells is no record
     by_position = list(zip_longest(*body))  # a short row has None for the cells it lacks
-    columns = {}
-    for name in names:
+    columns, kinds = {}, []
+    for name, kind in schema.variables:
         pos = header.index(name)
         cells = by_position[pos] if pos < len(by_position) else (None,) * len(body)
-        columns[name] = _parse_column(cells, schema.kind(name))
+        columns[name], kind = _parse_column(cells, kind)
+        kinds.append((name, kind))
+    schema = Schema(tuple(kinds), schema.identifying)
     if None in columns.values() or not _identifiers_unique(schema, columns, len(body)):
         raise _first_row_error(rows, schema)
     return Dataset.from_columns(schema, columns, len(body))
@@ -298,22 +303,29 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
 
 def _parse_column(cells, kind):
     """The Column of one variable's cells, or None when a cell of a NUMBER
-    variable is not a number. Cell texts whose values share one ``_key``,
-    such as "1" and "01", share one code."""
+    variable is not a number, and the kind, decided for INFER. Each distinct
+    cell text is parsed once; texts whose values share one ``_key``, such as
+    "1" and "01", share one code."""
     texts = list(dict.fromkeys(cells))  # in order of first appearance
     try:
-        values = list(map(parse_number if kind == NUMBER else _parse_text, texts))
-    except ValueError:
-        return None
-    if not all(map(operator.eq, values, values)):  # each NaN cell is its own value
-        return _encode(list(map(parse_number, cells)))  # so each cell is parsed
+        values = list(map(_parse_text if kind == STRING else parse_number, texts))
+    except ValueError:  # at the first text that is no number
+        if kind == NUMBER:
+            return None, kind
+        kind, values = STRING, list(map(_parse_text, texts))
+    if kind == INFER:  # a number variable has a number
+        kind = NUMBER if values.count(None) < len(values) else STRING
+    if not all(map(operator.eq, values, values)):  # each NaN cell is its own value:
+        value_of = dict(zip(texts, values))  # float() makes a new NaN object per cell
+        cell_values = [value_of[c] if value_of[c] == value_of[c] else float(c) for c in cells]
+        return _encode(cell_values), kind
     code_of_text = range(len(texts))
     if len(set(values)) < len(values):  # some values are equal, maybe of one key
         merged = _encode(values)
         values, code_of_text = merged.values, merged.codes.tolist()
     code_of = dict(zip(texts, code_of_text))
     codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
-    return Column(tuple(values), _frozen(codes))
+    return Column(tuple(values), _frozen(codes)), kind
 
 
 def _identifiers_unique(schema, columns, length) -> bool:

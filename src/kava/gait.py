@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -290,17 +290,6 @@ def compute_params(trial: GaitTrial) -> SpatioTemporalParams:
     return SpatioTemporalParams(values=values)
 
 
-def combined_force(trial: GaitTrial) -> TimeSeries:
-    """Sum of both feet's vertical force on the union time grid, with
-    linear interpolation between unequal grids."""
-    left, right = trial.fv_left, trial.fv_right
-    grid = np.union1d(left.t, right.t)
-    total = np.interp(grid, left.t, left.v, left=0.0, right=0.0) + np.interp(
-        grid, right.t, right.v, left=0.0, right=0.0
-    )
-    return TimeSeries.from_arrays(grid, total, "Fv combined")
-
-
 def build_category_model(
     concept: Iri, trials, population_filter: Predicate | None = None
 ) -> CategoryModel:
@@ -324,21 +313,6 @@ def _category_model(concept, trials, ids, population_filter) -> CategoryModel:
     return CategoryModel(
         concept=concept, prototypes=prototypes, population_filter=population_filter
     )
-
-
-def override_range(
-    model: CategoryModel,
-    parameter: str,
-    min_value: float,
-    max_value: float,
-    creator: str | None = None,
-    date: str | None = None,
-):
-    """Manual range adjustment; returns (new model, manifestation for the
-    knowledge graph)."""
-    m = range_manifestation(model.concept, parameter, min_value, max_value, creator, date)
-    overrides = {**model.overrides, parameter: (min_value, max_value)}
-    return replace(model, overrides=overrides), m
 
 
 def range_manifestation(

@@ -54,9 +54,6 @@ class Provenance:
     creator_name: str | None = None
     date_submitted: str | None = None
 
-    def is_empty(self):
-        return self.creator_name is None and self.date_submitted is None
-
 
 @dataclass(frozen=True)
 class DirectMapping:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, random_tree_graph
 from kava import cli, manifestation
 from kava.cli import main, read_graph, read_table
 from kava.errors import ForeignDialect, KavaError
@@ -32,7 +33,7 @@ from kava.manifestation import (
 )
 from kava.rdf import DEFAULT_PREFIXES, isomorphic_trees
 from kava.skos import load_scheme
-from kava.turtle import parse_turtle
+from kava.turtle import parse_turtle, serialize_turtle
 from kava.utilization import (
     aggregate_mark_spec,
     concept_tree_spec,
@@ -263,6 +264,26 @@ def test_convert_roundtrip(capsys, tmp_path):
     assert isomorphic_trees(
         parse_turtle(back.read_text()), parse_turtle(fixture_text("listing3.ttl"))
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_convert_round_trips_random_stores(seed):
+    """convert --to jsonld and --to ttl each write a store that validates
+    as the input does and reads back isomorphic to it; the Turtle written
+    back is the input's bytes."""
+    text = serialize_turtle(random_tree_graph(random.Random(seed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp, "store.ttl")
+        store.write_text(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            want = main(["validate", str(store)])
+            for to in ("jsonld", "ttl"):
+                out = Path(tmp, f"out.{to}")
+                assert main(["convert", str(store), "--to", to, "-o", str(out)]) == 0
+                assert main(["validate", str(out)]) == want
+                assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
+        assert Path(tmp, "out.ttl").read_text() == text
 
 
 def test_convert_newline_label_to_turtle_validates(capsys, tmp_path):
@@ -694,6 +715,34 @@ def test_manifest_prints_the_union_and_warns_on_a_foreign_dialect(capsys, tmp_pa
     # 1 and 4 match two manifestations each; R74, which matches all five, is not asked for
     assert (code, lines) == (1, [[1, 3, 4]])
     assert err == "warning: manifestation m0 uses foreign dialect 'sql'; not evaluated\n"
+
+
+def test_marks_skips_a_foreign_dialect_as_manifest_does(capsys, tmp_path):
+    data = tmp_path / "patients.csv"
+    data.write_text("patientId,glucose\n1,150\n2,200\n3,250\n4,155\n5,170\n")
+    foreign_line = '  [ kava:matchQuery "SELECT * FROM t"; kava:queryDialect "sql" ] .\n'
+    native = _UNION_STORE.replace(",\n" + foreign_line, " .\n")
+    assert native != _UNION_STORE
+    fragments = {}
+    for name, store_text in (("union.ttl", _UNION_STORE), ("native.ttl", native)):
+        store = tmp_path / name
+        store.write_text(store_text)
+        out = tmp_path / f"{name}.json"
+        code, _, err = run(capsys, "export-vis", str(store), str(data), "--pattern", "marks",
+                           "-o", str(out))
+        fragments[name] = (code, err, out.read_text())
+    _, _, warning = run(capsys, "manifest", str(tmp_path / "union.ttl"), str(data),
+                        "--concept", "icd10:R73")
+    assert fragments["union.ttl"][:2] == (1, warning)
+    assert warning.startswith("warning: ") and warning.count("\n") == 1
+    assert fragments["native.ttl"][:2] == (0, "")
+    assert fragments["union.ttl"][2] == fragments["native.ttl"][2]
+    # aggregate over a foreign manifestation it selected is still an input error
+    foreign = tmp_path / "foreign.ttl"
+    foreign.write_text("icd10:R73 kava:manifest\n" + foreign_line)
+    code, _, err = run(capsys, "export-vis", str(foreign), str(data), "--pattern", "aggregate",
+                       "--concept", "icd10:R73", "--time-var", "glucose")
+    assert (code, err) == (2, "query dialect 'sql' is not evaluable locally\n")
 
 
 _ID_TEXTS = ["1", "2", "3", "1.0", "-0.0", "0", "0.5", "1.5", "2.5", "nan", "NaN", "inf",

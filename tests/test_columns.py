@@ -5,14 +5,15 @@
 below walks the records one by one, as the evaluators did before the
 columns existed, and must agree with them on every generated dataset:
 results, the types and signs of the values written out, and errors.
-``load_csv`` and the CLI's schema inference parse each distinct cell text
-once, straight into columns; their reference reads the CSV row by row.
+``load_csv`` parses each distinct cell text once, straight into columns,
+and decides there the kinds the CLI's schema inference leaves to it; its
+reference reads the CSV row by row.
 """
 
 import csv
 import io
 import json
-from itertools import compress
+from itertools import compress, zip_longest
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kava import predicate
-from kava.cli import _infer_schema
+from kava import dataset as dataset_module
+from kava.cli import _infer_schema, read_table
 from kava.dataset import (
     NUMBER,
     STRING,
@@ -623,8 +625,11 @@ def test_load_csv_matches_row_reference(text, schema, pred):
 @example(f"id,k\n1,{LONG_INT}\n2,3\n", None)
 def test_infer_schema_matches_row_reference(text, id_var):
     rows = list(csv.reader(io.StringIO(text)))
-    got = load_outcome(_infer_schema, rows, id_var)
-    want = load_outcome(ref_infer_schema, rows, id_var)
+
+    def read(infer):
+        return load_outcome(lambda rows, id_var: load_csv(rows, infer(rows, id_var)), rows, id_var)
+
+    got, want = read(_infer_schema), read(ref_infer_schema)
     if want[:2] == ("error", "ValueError"):
         # a repeated header name or an --id-var not in the header; the
         # reference crashes on them, the CLI reports an input error
@@ -633,9 +638,50 @@ def test_infer_schema_matches_row_reference(text, id_var):
         # a blank header line and no --id-var: the reference crashes, the
         # CLI reports an input error
         assert got == ("error", "HeaderMismatch", "the header row is blank")
-    else:
+    elif want[0] == "error":
         assert got == want
-    if got[0] == "ok":
-        # a column typed NUMBER loads: each of its cells is a number
-        loaded = load_outcome(load_csv, rows, got[1])
-        assert loaded[0] == "ok" or "not a number" not in loaded[2], loaded
+    else:
+        assert got[0] == "ok", got
+        assert got[1].schema == want[1].schema
+        assert columns_form(got[1]) == columns_form(want[1])
+
+
+def test_read_table_parses_each_distinct_cell_text_once(tmp_path, monkeypatch):
+    """One transpose of the rows, and at most one parse_number call per
+    distinct cell text of each column, whatever the column turns out to be;
+    the schema inference reads the header alone."""
+    text = ("id,glucose,t,note\n1, 7 ,nan,a\n2,1e3,nan,2\n3, 7 ,1,\u00b2\n\n"
+            "4,2_50,1,2\n5,infinity,-0.0\n6,,nan,a\n7,1e3\n")
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    rows = list(csv.reader(io.StringIO(text)))
+    distinct = [set(column) for column in zip_longest(*filter(any, rows[1:]))]  # None: no cell
+    calls, transposes = [], []
+
+    def counted_parse(raw, parse=dataset_module.parse_number):
+        calls.append(raw)
+        return parse(raw)
+
+    def counted_transpose(*rows, transpose=dataset_module.zip_longest):
+        transposes.append(len(rows))
+        return transpose(*rows)
+
+    monkeypatch.setattr(dataset_module, "parse_number", counted_parse)
+    monkeypatch.setattr(dataset_module, "zip_longest", counted_transpose)
+    loaded = read_table(str(data), None)
+    assert transposes == [7]  # the non-blank body rows, once
+    for raw in set(calls):
+        assert calls.count(raw) <= sum(raw in texts for texts in distinct), raw
+    assert dict(loaded.schema.variables) == {
+        "id": NUMBER, "glucose": NUMBER, "t": NUMBER, "note": STRING,
+    }
+    assert len(calls) <= sum(map(len, distinct))
+
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a body row was read")
+
+        __getitem__ = __len__ = __iter__
+
+    schema = _infer_schema([rows[0], Unread(), Unread()], None)
+    assert schema.names() == rows[0] and schema.identifying == ("id",)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,14 +33,14 @@ from kava.gait import (
     box_plot_stats,
     build_category_model,
     category_model_from_graph,
-    combined_force,
     compute_params,
     knowledge_table,
     load_trials_dir,
     match_category,
-    override_range,
     prototype_ids,
+    range_manifestation,
     range_overrides_from_graph,
+    set_range,
     square_wave_trial,
     write_trials_dir,
 )
@@ -192,7 +193,8 @@ def test_override_takes_precedence():
         _affected(_categories_graph()), _population(4)
     )
     before = model.effective_ranges()
-    after_model, m = override_range(model, "cadence", 100.0, 130.0, "analyst")
+    after_model = replace(model, overrides={**model.overrides, "cadence": (100.0, 130.0)})
+    m = range_manifestation(model.concept, "cadence", 100.0, 130.0, "analyst")
     after = after_model.effective_ranges()
     assert after["cadence"] == (100.0, 130.0)
     assert model.effective_ranges() == before  # original untouched
@@ -208,17 +210,15 @@ def test_override_rejects_bad_input():
         _affected(_categories_graph()), [square_wave_trial("p1")]
     )
     with pytest.raises(UnknownParameter):
-        override_range(model, "sprint_speed", 0, 1)
+        range_manifestation(model.concept, "sprint_speed", 0, 1)
     with pytest.raises(InvertedRange):
-        override_range(model, "cadence", 130.0, 100.0)
+        range_manifestation(model.concept, "cadence", 130.0, 100.0)
 
 
 def test_override_roundtrip_through_graph():
     g = _categories_graph()
     concept = _affected(g)
-    model = build_category_model(concept, [square_wave_trial("p1")])
-    _, m = override_range(model, "stance_time_left", 0.55, 0.72, "analyst", "2020-06-01")
-    g2 = add_manifestation_to_graph(g, m)
+    g2 = set_range(g, concept, "stance_time_left", 0.55, 0.72, "analyst", "2020-06-01")
     assert range_overrides_from_graph(g2, concept) == {
         "stance_time_left": (0.55, 0.72)
     }
@@ -236,13 +236,13 @@ def test_match_twelve_of_sixteen():
     trial = square_wave_trial("p1")
     model = build_category_model(_affected(_categories_graph()), [trial])
     # push 4 parameters out of range: 2 above, 2 below
-    for name, lo, hi in [
-        ("cadence", 0.0, 1.0),
-        ("stance_time_left", 0.0, 0.1),
-        ("support_asymmetry", 1.0, 2.0),
-        ("peak_force_right", 5000.0, 6000.0),
-    ]:
-        model, _ = override_range(model, name, lo, hi)
+    model = replace(model, overrides={
+        **model.overrides,
+        "cadence": (0.0, 1.0),
+        "stance_time_left": (0.0, 0.1),
+        "support_asymmetry": (1.0, 2.0),
+        "peak_force_right": (5000.0, 6000.0),
+    })
     result = match_category(compute_params(trial), model)
     assert result.score == pytest.approx(0.75)
     assert result.per_parameter["cadence"] == "above"
@@ -330,16 +330,6 @@ def test_box_plot_stats_equal_per_quantile_calls():
         }
     empty = CategoryModel(concept=model.concept, prototypes=[])
     assert box_plot_stats(empty) == {name: None for name in PARAMETER_NAMES}
-
-
-def test_combined_force_sums_overlap():
-    trial = square_wave_trial("p1")
-    combined = combined_force(trial)
-    by_time = dict(combined.samples)
-    # during double support both feet carry the square-wave amplitude
-    assert by_time[0.55] == pytest.approx(1600.0)
-    assert max(v for _, v in combined.samples) == pytest.approx(1600.0)
-    assert len(combined.samples) == len(trial.fv_left.samples)
 
 
 def test_contact_threshold_ignores_noise_floor():

@@ -63,7 +63,7 @@ def test_load_listing4():
     assert kind.variable_name() == "bloodSugar"
     assert kind.min_value == 200
     assert kind.max_value is None
-    assert ms[0].provenance.is_empty()
+    assert ms[0].provenance == Provenance()
 
 
 def test_load_listing5():
