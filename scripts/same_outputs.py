@@ -29,7 +29,11 @@ are:
 - a set of edge-case JSON-LD documents: numbers where a name or a
   namespace belongs, an integer of 5,000 digits, well-formed integers
   and decimals, and node objects nested one level past the reader's
-  limit; each runs through ``validate`` and ``convert --to ttl``.
+  limit; each runs through ``validate`` and ``convert --to ttl``;
+- a gait store and trials directory that the benchmark does not make: a
+  concept with one prototype, ``gait set-range`` overrides of which one
+  replaces an earlier one, and ``gait analyze`` and ``gait table`` with no
+  ``--filter``, one that keeps some prototypes and one that keeps none.
 
 On each input, every benchmark command (``rounds`` rounds of the workload's
 ops, built by the workload's own ``argv``) and ``export-vis`` with each
@@ -268,6 +272,36 @@ def _fixture_case(base: Path, work: Path):
     return None, None, steps
 
 
+def _gait_case(base: Path, work: Path):
+    from kava.gait import square_wave_trial, write_trials_dir
+
+    shutil.copyfile(FIXTURES / "gait_categories.ttl", base / "gait.ttl")
+    write_trials_dir(base / "trials", [
+        square_wave_trial(str(i), stance=0.5 + 0.03 * i, stride=0.9 + 0.04 * i,
+                          age=30 + 7 * i, body_mass=None if i % 3 else 60.0 + i)
+        for i in range(1, 8)
+    ])
+    store, trials = str(work / "gait.ttl"), str(work / "trials")
+    steps = []
+    for concept, pids in (("affectedKnee", "1234"), ("affectedHip", "26"), ("normData", "5")):
+        steps += [["argv", ["gait", "add-prototype", "--knowledge", store, "--trials", trials,
+                            "--patient", pid, "--concept", f"gps:{concept}"]] for pid in pids]
+    for concept, param, lo, hi in (
+        ("affectedKnee", "cadence", "100", "130"),
+        ("affectedKnee", "stance_time_left", "0.5", "0.6"),
+        ("affectedKnee", "cadence", "90", "140"),  # replaces the first
+        ("affectedHip", "support_asymmetry", "0", "0.1"),
+    ):
+        steps.append(["argv", ["gait", "set-range", "--knowledge", store, "--concept",
+                               f"gps:{concept}", "--param", param, "--min", lo, "--max", hi]])
+    for command in ("analyze", "table"):
+        for patient in ("1", "7"):
+            for population in ([], ["--filter", "[age] > 50"], ["--filter", "[age] > 1000"]):
+                steps.append(["argv", ["gait", command, "--knowledge", store, "--trials", trials,
+                                       "--patient", patient, *population]])
+    return None, None, steps
+
+
 def _run(src: Path, work: Path, workload, plan, steps):
     job = {"src": str(src), "bench": str(BENCH), "work": str(work),
            "workload": workload, "plan": plan, "steps": steps}
@@ -296,7 +330,8 @@ def compare(old_src, new_src, seeds, scales, rounds, workloads) -> list[str]:
     are equal."""
     sys.path[:0] = [str(old_src), str(BENCH)]  # the generators write with OLD_SRC's kava
     sys.dont_write_bytecode = True  # leave no cache files in either tree or in bench/
-    cases = [("fixtures and edge CSVs, edge Turtle and JSON-LD stores", _fixture_case)]
+    cases = [("fixtures and edge CSVs, edge Turtle and JSON-LD stores", _fixture_case),
+             ("gait overrides, filters and a one-prototype concept", _gait_case)]
     cases += [_bench_case(name, seed, scale, rounds)
               for seed in seeds for scale in scales for name in workloads]
     differences = []

@@ -294,7 +294,8 @@ def _single_scheme(graph, scheme_arg):
 
 def cmd_export_vis(args) -> int:
     graph = read_graph(args.knowledge)
-    manifests = manifestation.load_manifestations(graph)
+    if args.pattern != "tree":  # a concept tree reads no manifestations
+        manifests = manifestation.load_manifestations(graph)
     status = EXIT_OK
     if args.pattern == "tree":
         scheme = skos.load_scheme(graph, _single_scheme(graph, args.scheme))

@@ -124,6 +124,11 @@ class NonPositivePhase(KavaError):
     pass
 
 
+class NonFiniteParameter(KavaError):
+    """A gait parameter that is NaN or infinite, such as a peak force
+    normalized by a NaN body mass."""
+
+
 class EmptyPopulation(KavaError):
     pass
 

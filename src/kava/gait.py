@@ -26,6 +26,7 @@ from .errors import (
     InsufficientSteps,
     InvertedRange,
     NoDefinedRanges,
+    NonFiniteParameter,
     NonPositivePhase,
     UnknownConcept,
     UnknownParameter,
@@ -114,17 +115,16 @@ class CategoryModel:
 
     def effective_ranges(self) -> dict:
         """Per parameter: override if present, else min/max over prototypes."""
-        ranges = {}
-        for i, name in enumerate(PARAMETER_NAMES):
-            if name in self.overrides:
-                ranges[name] = tuple(self.overrides[name])
-                continue
-            vals = [p.values[i] for _, p in self.prototypes]
-            if vals:
-                ranges[name] = (min(vals), max(vals))
-            else:
-                ranges[name] = None
-        return ranges
+        return {
+            name: tuple(self.overrides[name]) if name in self.overrides
+            else (min(column), max(column)) if column else None
+            for name, column in zip(PARAMETER_NAMES, self._table().T.tolist())
+        }
+
+    def _table(self):
+        """The prototypes x parameters array, one row per prototype."""
+        rows = [p.values for _, p in self.prototypes]
+        return np.array(rows, dtype=float).reshape(len(rows), len(PARAMETER_NAMES))
 
 
 @dataclass(frozen=True)
@@ -224,70 +224,47 @@ def compute_params(trial: GaitTrial) -> SpatioTemporalParams:
     """Deterministic 16-parameter vector for one trial.
 
     Raises InsufficientSteps with fewer than two detected contacts per
-    foot, NonPositivePhase when a derived phase is not positive.
+    foot, NonPositivePhase when a derived phase is not positive, and
+    NonFiniteParameter when a parameter is NaN or infinite.
     """
-    sides = {}
+    values = {}
+    contacts = {}
     for side, series in (("left", trial.fv_left), ("right", trial.fv_right)):
-        intervals = _contacts(series)
+        intervals = contacts[side] = _contacts(series)
         complete = _complete(intervals)
         onsets = [iv[0] for iv in intervals]
         if len(onsets) < 2 or not complete:
             raise InsufficientSteps(f"{side}: fewer than two detected steps")
         stance = _mean([b - a for a, b in complete])
-        strides = [b - a for a, b in zip(onsets, onsets[1:])]
-        stride = _mean(strides)
+        stride = _mean([b - a for a, b in zip(onsets, onsets[1:])])
         swing = stride - stance
         if stance <= 0 or stride <= 0 or swing <= 0:
             raise NonPositivePhase(f"{side}: degenerate gait phases")
-        peak, to_peak = _peak_stats(series, complete, trial.body_mass)
-        sides[side] = {
-            "intervals": intervals,
-            "complete": complete,
-            "onsets": onsets,
-            "stance": stance,
-            "stride": stride,
-            "swing": swing,
-            "peak": peak,
-            "to_peak": to_peak,
-        }
+        values[f"stance_time_{side}"] = stance
+        values[f"swing_time_{side}"] = swing
+        values[f"stride_time_{side}"] = stride
+        values[f"peak_force_{side}"], values[f"time_to_peak_{side}"] = _peak_stats(
+            series, complete, trial.body_mass
+        )
 
-    steps = {}
-    dsup = {}
     for side, other in (("left", "right"), ("right", "left")):
-        st = _step_times(sides[side]["onsets"], sides[other]["onsets"])
+        own, opposite = contacts[side], contacts[other]
+        st = _step_times([iv[0] for iv in own], [iv[0] for iv in opposite])
         if not st:
             raise InsufficientSteps(f"{side}: no alternating steps detected")
         if min(st) <= 0:
             raise NonPositivePhase(f"{side}: non-positive step time")
-        steps[side] = _mean(st)
-        overlaps = _initial_double_support(
-            sides[side]["intervals"], sides[other]["intervals"]
-        )
-        dsup[side] = _mean(overlaps) if overlaps else 0.0
+        values[f"step_time_{side}"] = _mean(st)
+        overlaps = _initial_double_support(own, opposite)
+        values[f"double_support_{side}"] = _mean(overlaps) if overlaps else 0.0
 
-    cadence = 60.0 / _mean([steps["left"], steps["right"]])
-    stance_l, stance_r = sides["left"]["stance"], sides["right"]["stance"]
-    asymmetry = abs(stance_l - stance_r) / ((stance_l + stance_r) / 2.0)
-
-    values = (
-        steps["left"],
-        steps["right"],
-        stance_l,
-        stance_r,
-        sides["left"]["swing"],
-        sides["right"]["swing"],
-        sides["left"]["stride"],
-        sides["right"]["stride"],
-        dsup["left"],
-        dsup["right"],
-        sides["left"]["peak"],
-        sides["right"]["peak"],
-        sides["left"]["to_peak"],
-        sides["right"]["to_peak"],
-        cadence,
-        asymmetry,
-    )
-    return SpatioTemporalParams(values=values)
+    values["cadence"] = 60.0 / _mean([values["step_time_left"], values["step_time_right"]])
+    stance_l, stance_r = values["stance_time_left"], values["stance_time_right"]
+    values["support_asymmetry"] = abs(stance_l - stance_r) / ((stance_l + stance_r) / 2.0)
+    for name in PARAMETER_NAMES:
+        if not math.isfinite(values[name]):
+            raise NonFiniteParameter(f"patient {trial.patient_id}: {name} is {values[name]}")
+    return SpatioTemporalParams(values=tuple(values[name] for name in PARAMETER_NAMES))
 
 
 def build_category_model(
@@ -295,10 +272,10 @@ def build_category_model(
 ) -> CategoryModel:
     """Dynamic [min, max] ranges from the filtered prototype population."""
     by_position = TrialSet.of(dict(enumerate(trials)))
-    return _category_model(concept, by_position, by_position.metadata, population_filter)
+    return _category_model(concept, by_position, by_position.metadata, population_filter, {})
 
 
-def _category_model(concept, trials, ids, population_filter) -> CategoryModel:
+def _category_model(concept, trials, ids, population_filter, overrides) -> CategoryModel:
     """The model over those ``ids`` of the TrialSet whose metadata passes
     the filter; only those trials are read and scored."""
     test = None if population_filter is None else compile_predicate(population_filter)
@@ -310,9 +287,7 @@ def _category_model(concept, trials, ids, population_filter) -> CategoryModel:
     if not kept:
         raise EmptyPopulation(str(concept))
     prototypes = [(trials.metadata[pid]["patientId"], trials.params(pid)) for pid in kept]
-    return CategoryModel(
-        concept=concept, prototypes=prototypes, population_filter=population_filter
-    )
+    return CategoryModel(concept, prototypes, overrides, population_filter)
 
 
 def range_manifestation(
@@ -364,13 +339,12 @@ def match_category(params: SpatioTemporalParams, model: CategoryModel) -> MatchR
     per_parameter = {}
     inside = 0
     defined = 0
-    for name in PARAMETER_NAMES:
+    for name, v in zip(PARAMETER_NAMES, params.values):
         r = ranges[name]
         if r is None:
             per_parameter[name] = "undefined"
             continue
         defined += 1
-        v = params[name]
         if v < r[0]:
             per_parameter[name] = "below"
         elif v > r[1]:
@@ -469,29 +443,26 @@ def category_model_from_graph(
     """
     trials = trials_by_id if isinstance(trials_by_id, TrialSet) else TrialSet.of(trials_by_id)
     ids = map(str, prototype_ids(graph, concept))
-    model = _category_model(concept, trials, ids, population_filter)
-    model.overrides = range_overrides_from_graph(graph, concept)
-    return model
+    overrides = range_overrides_from_graph(graph, concept)
+    return _category_model(concept, trials, ids, population_filter, overrides)
 
 
 def box_plot_stats(model: CategoryModel) -> dict:
     """Per parameter: min, quartiles, median, max over the prototypes."""
-    stats = {}
-    for i, name in enumerate(PARAMETER_NAMES):
-        vals = sorted(p.values[i] for _, p in model.prototypes)
-        if not vals:
-            stats[name] = None
-            continue
-        arr = np.asarray(vals, dtype=float)
-        q1, median, q3 = np.quantile(arr, QUARTILES).tolist()
-        stats[name] = {
-            "min": float(arr.min()),
-            "q1": q1,
-            "median": median,
-            "q3": q3,
-            "max": float(arr.max()),
-        }
-    return stats
+    if not model.prototypes:
+        return dict.fromkeys(PARAMETER_NAMES)
+    # one contiguous row per parameter, so each row is reduced and sorted
+    # (stably: -0.0 and 0.0 keep their order) as one 1-D column would be
+    columns = np.ascontiguousarray(model._table().T)
+    columns.sort(axis=1, kind="stable")
+    quartiles = np.quantile(columns, QUARTILES, axis=1).T.tolist()
+    return {
+        name: {"min": lo, "q1": q1, "median": median, "q3": q3, "max": hi}
+        for name, lo, (q1, median, q3), hi in zip(
+            PARAMETER_NAMES, columns.min(axis=1).tolist(), quartiles,
+            columns.max(axis=1).tolist(),
+        )
+    }
 
 
 def knowledge_table(models, params: SpatioTemporalParams) -> list[dict]:

@@ -101,6 +101,23 @@ def _literal_value(term):
     return None
 
 
+def _is_number(value) -> bool:
+    """An int or a float, and not a bool: what a range bound must be."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bound(graph, subject, node, predicate):
+    """The node's last ``predicate`` (kava:minValue or kava:maxValue) value,
+    or None; MalformedManifestation for one that is not a number."""
+    value = None
+    for t in graph.match(s=node, p=predicate):
+        value = _literal_value(t.object)
+        if not _is_number(value):
+            name = predicate.value.removeprefix(KAVA_NS)
+            raise MalformedManifestation(str(subject), f"kava:{name} must be a number")
+    return value
+
+
 def _extract_provenance(graph, node):
     creator = None
     for t in graph.match(s=node, p=DCT_CREATOR):
@@ -154,11 +171,8 @@ def _load_indirect_variable(graph, subject, node):
         var = t.object.lexical if isinstance(t.object, Literal) else t.object
     if var is None:
         raise MalformedManifestation(str(subject), "matchVariable needs kava:variable")
-    lo = hi = None
-    for t in graph.match(s=inner, p=KAVA_MIN_VALUE):
-        lo = _literal_value(t.object)
-    for t in graph.match(s=inner, p=KAVA_MAX_VALUE):
-        hi = _literal_value(t.object)
+    lo = _bound(graph, subject, inner, KAVA_MIN_VALUE)
+    hi = _bound(graph, subject, inner, KAVA_MAX_VALUE)
     if lo is None and hi is None:
         raise MalformedManifestation(str(subject), "matchVariable needs a bound")
     if lo is not None and hi is not None and lo > hi:
@@ -260,13 +274,12 @@ def _validate_kind(kind):
         if not kind.bindings:
             raise InvalidKind("direct mapping needs at least one binding")
     elif isinstance(kind, IndirectVariableMapping):
-        if kind.min_value is None and kind.max_value is None:
+        bounds = [b for b in (kind.min_value, kind.max_value) if b is not None]
+        if not bounds:
             raise InvalidKind("indirect variable mapping needs at least one bound")
-        if (
-            kind.min_value is not None
-            and kind.max_value is not None
-            and kind.min_value > kind.max_value
-        ):
+        if not all(map(_is_number, bounds)):
+            raise InvalidKind(f"range bounds must be numbers, not {bounds!r}")
+        if len(bounds) == 2 and bounds[0] > bounds[1]:
             raise InvalidKind("minValue exceeds maxValue")
     elif isinstance(kind, IndirectQueryMapping):
         if kind.dialect == KAVA_PREDICATE_DIALECT:

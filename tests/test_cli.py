@@ -605,6 +605,22 @@ def test_output_into_missing_directory_is_input_error(capsys, tmp_path, argv):
     assert list(tmp_path.rglob("*")) == []
 
 
+def test_export_vis_tree_reads_no_manifestations(capsys, tmp_path):
+    scheme = fixture_text("gps_scheme.ttl")
+    store = tmp_path / "store.ttl"
+    store.write_text(scheme + '\ngps:x kava:manifest [ kava:matchQuery "[a] > 1";\n'
+                     '  kava:isPrototype [ kava:variable "a"; kava:value 1 ] ] .\n')
+    code, lines, _ = run(capsys, "validate", str(store))
+    assert code == 1 and "MalformedManifestation" in [line["kind"] for line in lines]
+    code = main(["export-vis", str(store), "--pattern", "tree"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert main(["export-vis", str(FIXTURES / "gps_scheme.ttl"), "--pattern", "tree"]) == 0
+    assert capsys.readouterr().out == out.out
+    code, _, err = run(capsys, "export-vis", str(store), "--pattern", "threshold")
+    assert code == 2 and "expected exactly one mapping kind, found 2" in err
+
+
 # --- manifest -------------------------------------------------------------
 
 
@@ -794,6 +810,33 @@ def test_manifest_prints_the_sorted_union_of_evaluate_manifestation(rows, mappin
     assert code == (1 if foreign else 0)
     want = sorted(union, key=lambda x: (str(type(x)), x != x, x))
     assert out.getvalue() == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "{store}"], 1),
+        (["manifest", "{store}", "{data}", "--concept", "icd10:R73"], 2),
+        (["export-vis", "{store}", "{data}", "--pattern", "marks"], 2),
+        (["export-vis", "{store}", "--pattern", "threshold"], 2),
+    ],
+    ids=["validate", "manifest", "marks", "threshold"],
+)
+def test_a_bound_that_is_not_a_number_is_malformed(capsys, tmp_path, argv, code):
+    store = tmp_path / "store.ttl"
+    store.write_text('icd10:R73 kava:manifest [ kava:matchVariable\n'
+                     '  [ kava:variable "glucose"; kava:minValue "abc" ] ] .\n')
+    data = tmp_path / "data.csv"
+    data.write_text("id,glucose\n1,250\n")
+    got, lines, err = run(capsys, *(a.format(store=store, data=data) for a in argv))
+    assert got == code
+    reason = f"<{DEFAULT_PREFIXES['icd10']}R73>: kava:minValue must be a number"
+    if code == 1:
+        assert [(line["kind"], line["detail"]) for line in lines] == [
+            ("MalformedManifestation", "kava:minValue must be a number")
+        ]
+    else:
+        assert (lines, err) == ([], reason + "\n")
 
 
 # --- annotate -------------------------------------------------------------
@@ -1440,6 +1483,23 @@ def test_gait_zero_padded_patient_id(capsys, tmp_path):
         "--patient", "7",
     )
     assert code == 0 and lines[0]["prototypes"] == ["007"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "table"])
+def test_gait_non_finite_parameters_are_input_errors(capsys, gait_workspace, command):
+    knowledge, trials = gait_workspace
+    metadata = Path(trials, "metadata.csv")
+    # a NaN body mass makes both peak forces NaN
+    metadata.write_text(metadata.read_text().replace("1,30,70.0", "1,30,nan"))
+    _add_prototypes(knowledge, trials, "1", "3")
+    capsys.readouterr()
+    args = ["gait", command, "--knowledge", knowledge, "--trials", trials, "--patient"]
+    for patient in ("1", "2"):  # the scored patient, then a scored prototype
+        code, lines, err = run(capsys, *args, patient)
+        assert (code, lines, err) == (2, [], "patient 1: peak_force_left is nan\n")
+    # a prototype that --filter leaves out is not scored
+    code, lines, err = run(capsys, *args, "2", "--filter", "[age] > 40")
+    assert code == 0 and len(lines) == 1 and err == ""
 
 
 @pytest.mark.parametrize(

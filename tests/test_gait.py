@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from kava.errors import (
     InvertedRange,
     MalformedManifestation,
     NoDefinedRanges,
+    NonFiniteParameter,
     NonPositivePhase,
     UnknownConcept,
     UnknownParameter,
@@ -29,6 +31,7 @@ from kava.gait import (
     PARAMETER_NAMES,
     CategoryModel,
     GaitTrial,
+    SpatioTemporalParams,
     add_prototype,
     box_plot_stats,
     build_category_model,
@@ -52,6 +55,7 @@ from kava.manifestation import (
     load_manifestations,
 )
 from kava.predicate import parse_predicate
+from kava.rdf import Iri
 from kava.turtle import parse_turtle
 
 TOL = 1e-6
@@ -117,6 +121,20 @@ def test_all_zero_force_insufficient():
 def test_single_contact_insufficient():
     with pytest.raises(InsufficientSteps):
         compute_params(square_wave_trial("p1", strides=1))
+
+
+@pytest.mark.parametrize("body_mass, value", [(math.nan, "nan"), (1e-320, "inf")])
+def test_non_finite_parameters_are_refused(body_mass, value):
+    # a NaN body mass is truthy, so it normalizes both peaks to NaN; a
+    # subnormal one overflows them
+    with pytest.raises(NonFiniteParameter) as info:
+        compute_params(square_wave_trial("p7", body_mass=body_mass))
+    assert str(info.value) == f"patient p7: peak_force_left is {value}"
+    # the earlier checks keep their order: a foot without steps comes first
+    flat = TimeSeries(tuple((i * 0.01, 0.0) for i in range(200)), "Fv")
+    trial = replace(square_wave_trial("p7", body_mass=body_mass), fv_right=flat)
+    with pytest.raises(InsufficientSteps, match="^right: fewer than two detected steps$"):
+        compute_params(trial)
 
 
 def test_time_dilation_scales_consistently():
@@ -330,6 +348,118 @@ def test_box_plot_stats_equal_per_quantile_calls():
         }
     empty = CategoryModel(concept=model.concept, prototypes=[])
     assert box_plot_stats(empty) == {name: None for name in PARAMETER_NAMES}
+
+
+# --- the prototypes table against the per-parameter loops ----------------
+
+
+def ref_effective_ranges(model):
+    """Reference: effective_ranges as one Python min/max per parameter."""
+    ranges = {}
+    for i, name in enumerate(PARAMETER_NAMES):
+        if name in model.overrides:
+            ranges[name] = tuple(model.overrides[name])
+            continue
+        vals = [p.values[i] for _, p in model.prototypes]
+        if vals:
+            ranges[name] = (min(vals), max(vals))
+        else:
+            ranges[name] = None
+    return ranges
+
+
+def ref_box_plot_stats(model):
+    """Reference: box_plot_stats as one sorted column and one quantile call
+    per parameter."""
+    stats = {}
+    for i, name in enumerate(PARAMETER_NAMES):
+        vals = sorted(p.values[i] for _, p in model.prototypes)
+        if not vals:
+            stats[name] = None
+            continue
+        arr = np.asarray(vals, dtype=float)
+        q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
+        stats[name] = {
+            "min": float(arr.min()),
+            "q1": q1,
+            "median": median,
+            "q3": q3,
+            "max": float(arr.max()),
+        }
+    return stats
+
+
+@lru_cache(maxsize=None)
+def _square_wave_params(stance, stride, body_mass):
+    return compute_params(square_wave_trial("p", stance=stance, stride=stride, body_mass=body_mass))
+
+
+SQUARE_WAVE_PARAMS = st.builds(
+    _square_wave_params,
+    st.sampled_from([0.5, 0.55, 0.6, 0.65]),
+    st.sampled_from([0.9, 1.0, 1.2]),
+    st.sampled_from([None, 70.0]),
+)
+CONCEPT = Iri("http://example.org/c")
+# a column draws all its cells from one of these pools
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+CELL_POOLS = [
+    SIGNED_ZEROS,
+    SIGNED_ZEROS | st.sampled_from([1.0, -1.0, 0.5]),
+    st.floats(allow_nan=False),
+]
+
+
+@st.composite
+def hand_built_params(draw, n):
+    """n parameter vectors whose every column is drawn from one pool."""
+    columns = [draw(st.lists(draw(st.sampled_from(CELL_POOLS)), min_size=n, max_size=n))
+               for _ in PARAMETER_NAMES]
+    return [SpatioTemporalParams(values=row) for row in zip(*columns)]
+
+
+@st.composite
+def category_models(draw):
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 17]))
+    if draw(st.booleans()):
+        params = draw(st.lists(SQUARE_WAVE_PARAMS, min_size=n, max_size=n))
+    else:
+        params = draw(hand_built_params(n))
+    bound = st.floats(allow_nan=False)
+    overrides = draw(st.dictionaries(st.sampled_from(PARAMETER_NAMES), st.tuples(bound, bound)))
+    prototypes = [(f"p{i}", p) for i, p in enumerate(params)]
+    return CategoryModel(concept=CONCEPT, prototypes=prototypes, overrides=overrides)
+
+
+def _alternating_zeros(n):
+    """n rows whose columns hold 0.0 and -0.0 in sixteen different orders."""
+    rows = [[(-0.0 if (i * (j + 1)) % (j + 2) % 2 else 0.0) for j in range(16)]
+            for i in range(n)]
+    return [(f"p{i}", SpatioTemporalParams(values=tuple(row))) for i, row in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(category_models())
+@example(CategoryModel(concept=CONCEPT, prototypes=_alternating_zeros(2)))
+@example(CategoryModel(concept=CONCEPT, prototypes=_alternating_zeros(17)))
+def test_table_statistics_match_per_parameter_references(model):
+    with np.errstate(invalid="ignore"):  # inf - inf between infinite quartile neighbours
+        # repr tells -0.0 from 0.0
+        assert repr(model.effective_ranges()) == repr(ref_effective_ranges(model))
+        assert repr(box_plot_stats(model)) == repr(ref_box_plot_stats(model))
+
+
+@pytest.mark.parametrize("n", [2, 17])
+def test_signed_zero_examples_tell_python_and_numpy_minimums_apart(n):
+    """The pinned examples above pass only where Python's min/max is kept
+    for ranges and numpy's for box-plot extremes."""
+    model = CategoryModel(CONCEPT, _alternating_zeros(n))
+    columns = np.array([p.values for _, p in model.prototypes]).T
+    numpy_ranges = list(zip(columns.min(axis=1).tolist(), columns.max(axis=1).tolist()))
+    assert repr(numpy_ranges) != repr(list(ref_effective_ranges(model).values()))
+    python_minimums = [min(sorted(column)) for column in columns.tolist()]
+    reference = [s["min"] for s in ref_box_plot_stats(model).values()]
+    assert repr(python_minimums) != repr(reference)
 
 
 def test_contact_threshold_ignores_noise_floor():

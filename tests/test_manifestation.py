@@ -233,3 +233,24 @@ def test_add_manifestation_avoids_label_collisions():
     g2 = add_manifestation_to_graph(g, m)
     assert len(load_manifestations(g2)) == 2
     assert isomorphic_trees(parse_turtle(serialize_turtle(g2)), g2)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    ['kava:minValue "abc"', 'kava:maxValue "7"', "kava:minValue icd10:R74",
+     'kava:minValue 1; kava:maxValue "abc"', 'kava:maxValue "abc"; kava:maxValue 5'],
+)
+def test_load_refuses_a_bound_that_is_not_a_number(bound):
+    g = parse_turtle(
+        f'icd10:R73 kava:manifest [ kava:matchVariable [ kava:variable "v"; {bound} ] ] .'
+    )
+    with pytest.raises(MalformedManifestation, match="must be a number"):
+        load_manifestations(g)
+
+
+@pytest.mark.parametrize("bounds", [("abc", None), (None, "abc"), (1, "5"), (True, None), (0, False)])
+def test_create_refuses_a_bound_that_is_not_a_number(bounds):
+    with pytest.raises(InvalidKind, match="must be numbers"):
+        create_manifestation(R73, IndirectVariableMapping("v", *bounds))
+    # numbers of either type still pass
+    create_manifestation(R73, IndirectVariableMapping("v", 1, 2.5))
