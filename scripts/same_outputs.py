@@ -13,7 +13,10 @@ are:
 - a set of edge-case CSVs (NaN, infinities, -0.0, duplicate, missing and
   NaN identifiers, a header-only file, and the kind inference's edges:
   cells such as `` 7 ``, ``1e3`` and ``2_50`` that ``float()`` reads, a
-  ``²`` cell, an all-empty column, short rows and a blank line);
+  ``²`` cell, an all-empty column, short rows and a blank line; and
+  values around 2**53, where float64 stops holding every integer:
+  2**53 - 1, 2**53, 2**53 + 1, ``9007199254740993.0``, ``-0.0``, ``1e308``
+  and ``inf``);
 - a store without manifestations;
 - a store in which one concept has several overlapping manifestations, one
   of each mapping kind, and a copy of it with one more in a foreign
@@ -110,6 +113,12 @@ EDGE_CSVS = {
     "superscript.csv": "id,glucose,t\n1,250,1\n2,\u00b2,2\n3,250,3\n",
     "empty_glucose.csv": "id,glucose,t\n1,,1\n2,,2\n",
     "ragged.csv": "id,glucose,t\n1,250\n\n2,150,2\n3\n4,260,4\n",
+    # around 2**53, past which float64 skips integers: glucose holds 2**53 + 1
+    # as an int, so it is compared value by value; t is compared in float64
+    "float64_edges.csv": "id,glucose,t\n1,9007199254740991,9007199254740991\n"
+                         "2,9007199254740992,9007199254740992\n"
+                         "3,9007199254740993,9007199254740993.0\n4,9007199254740993.0,-0.0\n"
+                         "5,-0.0,1e308\n6,1e308,inf\n7,inf,1\n",
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

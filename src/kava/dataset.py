@@ -17,7 +17,7 @@ from .errors import (
     HeaderMismatch,
     UnknownVariable,
 )
-from .predicate import Predicate, compile_mask, parse_number, variables
+from .predicate import _OPS, Predicate, _compare, compile_mask, parse_number, variables
 
 NUMBER = "number"
 STRING = "string"
@@ -140,11 +140,33 @@ class Column:
         """The value of every record, in record order."""
         return list(map(self.values.__getitem__, self.codes.tolist()))
 
-    def select(self, test) -> np.ndarray:
-        """Mask of the records whose value passes ``test``, which runs once
+    def compare(self, op, constant) -> np.ndarray:
+        """Mask of the records whose value v passes ``_compare(v, op,
+        constant)``: one float64 comparison over the distinct values when
+        float64 holds them and the constant exactly, else one ``_compare``
         per distinct value."""
-        hits = np.fromiter(map(test, self.values), dtype=bool, count=len(self.values))
+        floats, numbers = self._floats
+        if floats is not None and (
+            type(constant) is float or type(constant) is int and abs(constant) <= _EXACT
+        ):
+            hits = _OPS[op](floats, constant) & numbers
+        else:
+            hits = np.fromiter((_compare(v, op, constant) for v in self.values), bool)
         return hits[self.codes]
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """The distinct values as float64 and the mask of the numbers among
+        them; (None, None) unless each is None, a str, a float, a bool or
+        an int within 2**53 of 0."""
+        kinds = list(map(type, self.values))
+        if not set(kinds) <= _FLOAT64_TYPES or any(
+            abs(v) > _EXACT for v in self.values if type(v) is int
+        ):
+            return None, None
+        numbers = np.fromiter(map(_NUMBER_TYPES.__contains__, kinds), bool, len(kinds))
+        floats = np.where(numbers, np.array(self.values, dtype=object), 0.0)
+        return floats.astype(np.float64), numbers
 
     def equal(self, value) -> np.ndarray:
         """Mask of the records whose value ``== value``, found by a dict
@@ -167,6 +189,11 @@ class Column:
         dict key: 1, 1.0 and True share one, each NaN object keeps its own."""
         groups = self._equal_codes
         return np.fromiter((groups[v][0] for v in self.values), np.intp, len(self.values))
+
+
+_EXACT = 2**53  # float64 holds every int up to this size exactly
+_NUMBER_TYPES = frozenset({float, int, bool})
+_FLOAT64_TYPES = _NUMBER_TYPES | {str, type(None)}
 
 
 def _frozen(codes: np.ndarray) -> np.ndarray:

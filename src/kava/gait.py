@@ -69,6 +69,7 @@ PARAMETER_UNITS = {
     "support_asymmetry": "ratio",
 }
 PARAMETER_NAMES = tuple(PARAMETER_UNITS)
+_PARAMETER_INDEX = {name: i for i, name in enumerate(PARAMETER_NAMES)}
 
 CONTACT_THRESHOLD_FRACTION = 0.05
 DEBOUNCE_SECONDS = 0.05
@@ -103,7 +104,7 @@ class SpatioTemporalParams:
         return dict(zip(PARAMETER_NAMES, self.values))
 
     def __getitem__(self, name):
-        return self.as_dict()[name]
+        return self.values[_PARAMETER_INDEX[name]]
 
 
 @dataclass
@@ -335,7 +336,11 @@ def set_range(
 def match_category(params: SpatioTemporalParams, model: CategoryModel) -> MatchResult:
     """Classify every parameter against the effective (inclusive) ranges;
     score = inside / defined."""
-    ranges = model.effective_ranges()
+    return _match(params, model.concept, model.effective_ranges())
+
+
+def _match(params, concept, ranges) -> MatchResult:
+    """match_category against the ranges that effective_ranges gave."""
     per_parameter = {}
     inside = 0
     defined = 0
@@ -353,10 +358,8 @@ def match_category(params: SpatioTemporalParams, model: CategoryModel) -> MatchR
             per_parameter[name] = "inside"
             inside += 1
     if defined == 0:
-        raise NoDefinedRanges(str(model.concept))
-    return MatchResult(
-        concept=model.concept, score=inside / defined, per_parameter=per_parameter
-    )
+        raise NoDefinedRanges(str(concept))
+    return MatchResult(concept=concept, score=inside / defined, per_parameter=per_parameter)
 
 
 def prototype_ids(graph: Graph, concept: Iri) -> list:
@@ -386,11 +389,14 @@ def add_prototype(
 ) -> Graph:
     """Append a direct-mapping prototype for the trial's patient.
 
-    The concept must be typed skos:Concept in the graph; re-adding the
-    same patient raises DuplicatePrototype. The check reads the edited
-    graph, so validating that graph loads no manifestations again.
+    The concept must be typed skos:Concept in the graph, and the trial
+    is scored first, so a trial that compute_params cannot score raises
+    its error and records nothing. Re-adding the same patient raises
+    DuplicatePrototype. The check reads the edited graph, so validating
+    that graph loads no manifestations again.
     """
     _require_concept(graph, concept)
+    compute_params(trial)
     m = create_manifestation(
         concept,
         DirectMapping(bindings=(("patientId", _coerce_id(trial.patient_id)),)),
@@ -469,8 +475,8 @@ def knowledge_table(models, params: SpatioTemporalParams) -> list[dict]:
     """One row per category: match score, effective ranges, box-plot stats."""
     rows = []
     for model in models:
-        result = match_category(params, model)
         ranges = model.effective_ranges()
+        result = _match(params, model.concept, ranges)
         rows.append(
             {
                 "concept": str(model.concept),

@@ -3,6 +3,7 @@ as blank-node trees under the kava: vocabulary."""
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from itertools import count
@@ -309,7 +310,7 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
 def record_mask(m: Manifestation, dataset: Dataset):
     """Boolean numpy mask of the records the manifestation matches.
 
-    Works on the dataset's columns: each distinct value is tested once.
+    Works on the dataset's columns, through Column.equal and Column.compare.
     Raises ForeignDialect for query mappings in a foreign dialect and
     UnknownVariable when a referenced variable is not in the schema.
     """
@@ -318,27 +319,21 @@ def record_mask(m: Manifestation, dataset: Dataset):
     known = set(dataset.schema.names())
     kind = m.kind
     if isinstance(kind, DirectMapping):
-        for var, _ in kind.bindings:
-            if var not in known:
-                raise UnknownVariable(str(var))
         mask = np.ones(len(dataset), dtype=bool)
         for var, value in kind.bindings:
+            if var not in known:
+                raise UnknownVariable(str(var))
             mask &= dataset.columns[var].equal(value)
     elif isinstance(kind, IndirectVariableMapping):
         name = kind.variable_name()
         if name not in known:
             raise UnknownVariable(name)
         lo, hi = kind.min_value, kind.max_value
-
-        def inside(v):  # so NaN, which compares false, is never inside
-            return (
-                v is not None
-                and not isinstance(v, str)
-                and (lo is None or lo <= v)
-                and (hi is None or v <= hi)
-            )
-
-        mask = dataset.columns[name].select(inside)
+        column = dataset.columns[name]
+        # NaN fails every bound test; "!= nan" holds for every number, NaN too
+        mask = column.compare("!=", math.nan) if lo is None else column.compare(">=", lo)
+        if hi is not None:
+            mask &= column.compare("<=", hi)
     elif isinstance(kind, IndirectQueryMapping):
         if kind.dialect != KAVA_PREDICATE_DIALECT:
             raise ForeignDialect(kind.dialect)

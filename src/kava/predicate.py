@@ -207,10 +207,10 @@ def compile_predicate(pred: Predicate):
 def compile_mask(pred: Predicate):
     """Compile to a function from a dataset's columns (variable name ->
     ``dataset.Column``) to a boolean mask over its records. Each comparison
-    runs ``_compare`` once per distinct value of its variable."""
+    is one ``Column.compare`` on its variable's column."""
     if isinstance(pred, Comparison):
         var, op, const = pred.variable, pred.op, pred.constant
-        return lambda columns: columns[var].select(lambda v: _compare(v, op, const))
+        return lambda columns: columns[var].compare(op, const)
     if isinstance(pred, Not):
         inner = compile_mask(pred.operand)
         return lambda columns: ~inner(columns)

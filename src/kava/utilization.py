@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain, groupby
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -38,6 +39,8 @@ _PLAIN_OBJECT_KEYWORDS = frozenset(
 )
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+# a list as "[a\nb\nc]": a raw newline is only ever an item separator
+_encode_lines = json.JSONEncoder(ensure_ascii=False, separators=("\n", ": ")).encode
 
 
 @functools.cache
@@ -119,12 +122,12 @@ def validate_fragment(doc: dict) -> None:
 def fragment_text(doc) -> str:
     """Exactly json.dumps(doc, indent=2, ensure_ascii=False), written faster.
 
-    An array of non-empty dicts of scalars (data.values, edges) is written by
-    the C encoder in one call, whose item separator already holds the field
-    indentation; only the row boundaries are then re-indented. JSON escapes
-    newlines inside strings, so a raw newline only ever sits between tokens.
-    Rows that also hold lists of strings (diagnostics) render each distinct
-    list once. Anything else goes through json.dumps(indent=2) itself.
+    An array of dict rows that share one tuple of str keys (data.values,
+    edges, diagnostics) is written column by column: a column of scalars
+    by one C-encoder call, whose raw newlines can only be its item
+    separators (JSON escapes a newline inside a string), and a column of
+    lists of strings once per distinct list. Anything else goes through
+    json.dumps(indent=2) itself.
     """
     return _indented(doc, "\n")
 
@@ -136,54 +139,40 @@ def _indented(value, newline):
         inner = newline + "  "
         items = (_encode(k) + ": " + _indented(v, inner) for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(value) is list and value and all(type(row) is dict and row for row in value):
-        kinds = {type(v) for row in value for v in row.values()}
+    text = _rows_text(value, newline) if type(value) is list and value else None
+    if text is None:
+        text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
+    return text
+
+
+def _rows_text(rows, newline):
+    """_indented of a list of dicts that share one non-empty tuple of str
+    keys and hold scalars or lists of strings; None for any other list."""
+    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}:
+        return None
+    item = newline + "  "
+    field = item + "  "
+    columns = []
+    for key, cells in zip(keys, zip(*map(dict.values, rows))):
+        head = _encode(key) + ": "
+        kinds = set(map(type, cells))
         if kinds <= _SCALARS:
-            # Both encoders turn every key into a JSON string alike.
-            return _flat_rows(value, newline)
-        if kinds <= _SCALARS | {list}:
-            texts = {type(k) for row in value for k in row}
-            texts.update(
-                type(s) for row in value for v in row.values() if type(v) is list for s in v
-            )
-            if texts == {str}:
-                return _rows_with_lists(value, newline)
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
-
-
-def _flat_rows(rows, newline):
-    item = newline + "  "
-    field = item + "  "
-    text = json.dumps(rows, ensure_ascii=False, separators=("," + field, ": "))
-    # text is [{row},<field>{row}]: a raw newline is always a separator, and
-    # only a row boundary has } before it and { after it.
-    body = text[2:-2].replace("}," + field + "{", item + "}," + item + "{" + field)
+            text = _encode_lines(cells)[1:-1]
+            columns.append((head + text.replace("\n", "\n" + head)).split("\n"))
+        elif kinds == {list} and set(map(type, chain.from_iterable(cells))) <= {str}:
+            text_of = {
+                cell: head + json.dumps(cell, indent=2, ensure_ascii=False).replace("\n", field)
+                for cell in set(map(tuple, cells))
+            }
+            columns.append(list(map(text_of.__getitem__, map(tuple, cells))))
+        else:
+            return None
+    rows_text = map(("," + field).join, zip(*columns))
+    body = (item + "}," + item + "{" + field).join(rows_text)
     return "[" + item + "{" + field + body + item + "}" + newline + "]"
-
-
-def _rows_with_lists(rows, newline):
-    item = newline + "  "
-    field = item + "  "
-    sep = "," + field
-    heads = {}  # key -> its text, then ": "
-    lists = {}  # (key, tuple of strings) -> the field's text
-
-    def text(pair):
-        k, v = pair
-        head = heads.get(k)
-        if head is None:
-            head = heads[k] = _encode(k) + ": "
-        if type(v) is not list:
-            return head + _encode(v)
-        key = (k, tuple(v))
-        out = lists.get(key)
-        if out is None:
-            dumped = json.dumps(v, indent=2, ensure_ascii=False).replace("\n", field)
-            out = lists[key] = head + dumped
-        return out
-
-    texts = ("{" + field + sep.join(map(text, row.items())) + item + "}" for row in rows)
-    return "[" + item + ("," + item).join(texts) + newline + "]"
 
 
 def _concept_name(iri, prefixes):
@@ -294,17 +283,13 @@ def encoded_marks_spec(
 
 
 def _runs(ordered_flags):
-    """Maximal runs of consecutive truthy entries; yields (start, end) index pairs."""
-    runs = []
-    start = None
-    for i, flag in enumerate(ordered_flags):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(ordered_flags) - 1))
+    """Maximal runs of consecutive truthy entries, as (start, end) index pairs."""
+    runs, start = [], 0
+    for flag, group in groupby(map(bool, ordered_flags)):
+        end = start + len(list(group))
+        if flag:
+            runs.append((start, end - 1))
+        start = end
     return runs
 
 
@@ -324,30 +309,17 @@ def aggregate_mark_spec(
     codes = idents.codes.tolist()
     ordered = sorted(range(len(times)), key=lambda i: (times[i] is None, times[i]))
     flags = [hits[i] for i in ordered]
-    layers = []
-    for start, end in _runs([f and times[i] is not None for i, f in zip(ordered, flags)]):
-        t0 = times[ordered[start]]
-        t1 = times[ordered[end]]
-        layers.append(
-            {
-                "mark": "rule",
-                "encoding": {"x": {"datum": t0}, "x2": {"datum": t1}},
-            }
-        )
-    doc = {
-        "kind": "aggregateMark",
-        "layer": layers,
-        "data": {
-            "values": [
-                {
-                    "id": str(idents.values[codes[i]]),
-                    "t": times[i],
-                    "matched": "yes" if f else "no",
-                }
-                for i, f in zip(ordered, flags)
-            ]
-        },
-    }
+    runs = _runs([f and times[i] is not None for i, f in zip(ordered, flags)])
+    layers = [
+        {"mark": "rule", "encoding": {"x": {"datum": times[ordered[start]]},
+                                      "x2": {"datum": times[ordered[end]]}}}
+        for start, end in runs
+    ]
+    values = [
+        {"id": str(idents.values[codes[i]]), "t": times[i], "matched": "yes" if f else "no"}
+        for i, f in zip(ordered, flags)
+    ]
+    doc = {"kind": "aggregateMark", "layer": layers, "data": {"values": values}}
     validate_fragment(doc)
     return doc
 

@@ -1488,10 +1488,10 @@ def test_gait_zero_padded_patient_id(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["analyze", "table"])
 def test_gait_non_finite_parameters_are_input_errors(capsys, gait_workspace, command):
     knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1", "3")
     metadata = Path(trials, "metadata.csv")
     # a NaN body mass makes both peak forces NaN
     metadata.write_text(metadata.read_text().replace("1,30,70.0", "1,30,nan"))
-    _add_prototypes(knowledge, trials, "1", "3")
     capsys.readouterr()
     args = ["gait", command, "--knowledge", knowledge, "--trials", trials, "--patient"]
     for patient in ("1", "2"):  # the scored patient, then a scored prototype
@@ -1500,6 +1500,27 @@ def test_gait_non_finite_parameters_are_input_errors(capsys, gait_workspace, com
     # a prototype that --filter leaves out is not scored
     code, lines, err = run(capsys, *args, "2", "--filter", "[age] > 40")
     assert code == 0 and len(lines) == 1 and err == ""
+
+
+@pytest.mark.parametrize("case", ["nan body mass", "one step"])
+def test_gait_add_prototype_refuses_a_trial_it_cannot_score(capsys, gait_workspace, case):
+    knowledge, trials = gait_workspace
+    if case == "nan body mass":
+        metadata = Path(trials, "metadata.csv")
+        metadata.write_text(metadata.read_text().replace("2,45,80.0", "2,45,nan"))
+        message = "patient 2: peak_force_left is nan\n"  # as gait analyze words it
+    else:
+        Path(trials, "2_left.csv").write_text("t,v\n0.0,0\n0.1,800\n0.2,800\n0.3,0\n")
+        message = "left: fewer than two detected steps\n"
+    before = Path(knowledge).read_bytes()
+    code, lines, err = run(
+        capsys, "gait", "add-prototype", "--knowledge", knowledge, "--trials", trials,
+        "--patient", "2", "--concept", "gps:affectedKnee",
+    )
+    assert (code, lines, err) == (2, [], message)
+    assert Path(knowledge).read_bytes() == before
+    args = ["gait", "analyze", "--knowledge", knowledge, "--trials", trials, "--patient"]
+    assert run(capsys, *args, "2")[::2] == (2, message)
 
 
 @pytest.mark.parametrize(

@@ -521,6 +521,46 @@ def test_compare_runs_once_per_distinct_value(monkeypatch):
     assert len(calls) <= 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALUES, max_size=8), CONSTANTS)
+@example([float(BIG - 1), 2.5, None, "1"], BIG)  # a constant float64 cannot hold
+@example([BIG, BIG - 1, float(BIG - 1)], BIG - 1)  # a value float64 cannot hold
+@example([True, False, -0.0, float("nan"), float("inf")], 0)
+def test_column_compare_equals_compare_per_value(values, constant):
+    column = _encode(values)
+    for op in predicate._OPS:
+        want = [predicate._compare(v, op, constant) for v in column.decode()]
+        assert column.compare(op, constant).tolist() == want
+
+
+def test_numeric_column_compares_without_compare_calls(monkeypatch):
+    calls = []
+    original = dataset_module._compare
+
+    def counting(value, op, constant):
+        calls.append(value)
+        return original(value, op, constant)
+
+    monkeypatch.setattr(dataset_module, "_compare", counting)
+    # records-like: int ids and ages, one-decimal floats and missing cells
+    lines = [f"{i},{18 + i % 73},{'' if i % 31 == 0 else round(60 + i * 0.37, 1)}"
+             for i in range(1, 2001)]
+    dataset = load_csv("\n".join(["id,age,glucose", *lines]), Schema(
+        variables=(("id", NUMBER), ("age", NUMBER), ("glucose", NUMBER)), identifying=("id",)
+    ))
+    records = [r.as_dict() for r in dataset.records]
+    pred = parse_predicate("[age] >= 40 AND [glucose] < 150.5 OR NOT [glucose] != 99.9")
+    kept = filter_records(dataset, pred)
+    assert len(kept) == sum(oracle_eval(pred, r) for r in records)
+    m = Manifestation(Iri("urn:c:a"), IndirectVariableMapping("glucose", 70, 180.5))
+    inside = {r["id"] for r in records if r["glucose"] is not None and 70 <= r["glucose"] <= 180.5}
+    assert evaluate_manifestation(m, dataset) == inside
+    assert calls == []
+    # a constant past 2**53 takes the per-value path: one call per distinct value
+    filter_records(dataset, parse_predicate(f"[glucose] > {BIG}"))
+    assert len(calls) == len(dataset.columns["glucose"].values)
+
+
 def test_column_masks_are_numpy_booleans():
     schema = Schema(variables=(("id", NUMBER),), identifying=("id",))
     dataset = Dataset(schema, [Record((("id", i),)) for i in (3, 1, 3)])

@@ -312,6 +312,14 @@ _JSON = st.recursive(
 )
 @example([{"a": [1]}, {"a": [1.0]}, {"a": [True]}, {"a": [0.0]}, {"a": [-0.0]}])
 @example({"values": [], "rows": [{}], "mixed": [{"a": 1}, {}], "nested": [{"a": {"b": 1}}]})
+# the column writer's edges: it leaves the first four lists to json.dumps and
+# writes the last two
+@example({"values": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]})  # two key orders
+@example([{"a": 1, 2: "x"}, {"a": 1, 2: "y"}])  # a key that is no str
+@example({"rows": [{"a": ["x"], "b": 1}, {"a": "x", "b": 2}]})  # lists and scalars
+@example([{"a": [1, "x"]}, {"a": ["y"]}])  # a list that holds a number
+@example({"d": [{"r": "1", "c": []}, {"r": "2", "c": ["x", "\n"]}, {"r": "3", "c": []}]})
+@example({"values": [{"s": "a\x00b\nc", "t": ["\x00", "x\ny"]}, {"s": "\n", "t": []}]})
 def test_fragment_text_equals_indented_dumps(doc):
     assert fragment_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
 
