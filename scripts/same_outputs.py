@@ -16,7 +16,8 @@ are:
   ``²`` cell, an all-empty column, short rows and a blank line; and
   values around 2**53, where float64 stops holding every integer:
   2**53 - 1, 2**53, 2**53 + 1, ``9007199254740993.0``, ``-0.0``, ``1e308``
-  and ``inf``);
+  and ``inf``; a data column named ``concept``; and string identifiers
+  and cells with quotes, backslashes, a quoted newline and U+2028);
 - a store without manifestations;
 - a store in which one concept has several overlapping manifestations, one
   of each mapping kind, and a copy of it with one more in a foreign
@@ -119,6 +120,14 @@ EDGE_CSVS = {
                          "2,9007199254740992,9007199254740992\n"
                          "3,9007199254740993,9007199254740993.0\n4,9007199254740993.0,-0.0\n"
                          "5,-0.0,1e308\n6,1e308,inf\n7,inf,1\n",
+    # a data column named concept: the marks row's concept field takes its place
+    "concept_column.csv": 'id,concept,glucose,t\n1,a,250,1\n2,,150,2\n3,none,210,3\n'
+                          '4,"b,c",260,4\n',
+    # string identifiers and cells that JSON escapes, or that str.splitlines()
+    # splits although JSON leaves them raw (U+2028)
+    "escapes.csv": 'id,glucose,t,note\n"a""1",250,1,"say ""hi"""\nb\\2,150,2,back\\slash\n'
+                   '"c\n3",210,3,"two\nlines"\nd\u2028,260,4,sep\u2028arator\n'
+                   '\u00e9\t5,201,5,tab\tbed\n',
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

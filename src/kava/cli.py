@@ -315,18 +315,17 @@ def cmd_export_vis(args) -> int:
         if args.pattern == "marks":
             local = [m for m in manifests if not _skip_foreign(m)]
             status = EXIT_FINDINGS if len(local) < len(manifests) else EXIT_OK
-            doc = utilization.encoded_marks_spec(
-                dataset, local, channel=args.channel, prefixes=graph.prefixes
-            )
+            kind = "encodedMarks"
+            text = utilization.encoded_marks_text(dataset, local, args.channel, graph.prefixes)
         else:  # aggregate
             selected = _select_manifestation(manifests, graph, args.concept)
-            doc = utilization.aggregate_mark_spec(
-                dataset, selected, time_variable=args.time_var
-            )
-    text = utilization.fragment_text(doc) + "\n"
+            doc = utilization.aggregate_mark_spec(dataset, selected, args.time_var)
+    if args.pattern != "marks":
+        kind, text = doc["kind"], utilization.fragment_text(doc)
+    text += "\n"
     if args.output:
         write_atomic(args.output, text)
-        _emit({"written": args.output, "kind": doc["kind"]})
+        _emit({"written": args.output, "kind": kind})
     else:
         sys.stdout.write(text)
     return status

@@ -16,6 +16,7 @@ from .dataset import (
     STRING,
     Schema,
     TimeSeries,
+    _encode,
     load_csv,
     load_series_csv,
     write_series_csv,
@@ -41,7 +42,7 @@ from .manifestation import (
     create_manifestation,
     without_manifestations,
 )
-from .predicate import Predicate, compile_predicate
+from .predicate import Predicate, compile_mask, variables
 from .rdf import Graph, Iri
 from .skos import SKOS_CONCEPT
 from .turtle import RDF_TYPE
@@ -279,12 +280,12 @@ def build_category_model(
 def _category_model(concept, trials, ids, population_filter, overrides) -> CategoryModel:
     """The model over those ``ids`` of the TrialSet whose metadata passes
     the filter; only those trials are read and scored."""
-    test = None if population_filter is None else compile_predicate(population_filter)
-    kept = [
-        pid
-        for pid in ids
-        if pid in trials.metadata and (test is None or test(trials.metadata[pid]))
-    ]
+    kept = [pid for pid in ids if pid in trials.metadata]
+    if population_filter is not None:  # one mask over the candidates' metadata columns
+        rows = [trials.metadata[pid] for pid in kept]
+        columns = {v: _encode([row.get(v) for row in rows]) for v in variables(population_filter)}
+        mask = compile_mask(population_filter)(columns).tolist()
+        kept = [pid for pid, passes in zip(kept, mask) if passes]
     if not kept:
         raise EmptyPopulation(str(concept))
     prototypes = [(trials.metadata[pid]["patientId"], trials.params(pid)) for pid in kept]

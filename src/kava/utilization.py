@@ -124,17 +124,20 @@ def fragment_text(doc) -> str:
 
     An array of dict rows that share one tuple of str keys (data.values,
     edges, diagnostics) is written column by column: a column of scalars
-    by one C-encoder call, whose raw newlines can only be its item
-    separators (JSON escapes a newline inside a string), and a column of
-    lists of strings once per distinct list. Anything else goes through
-    json.dumps(indent=2) itself.
+    by one C-encoder call, a column of lists of strings one string at a
+    time, and any other column one cell at a time through
+    json.dumps(indent=2). Anything else goes through json.dumps(indent=2)
+    itself.
     """
     return _indented(doc, "\n")
 
 
 def _indented(value, newline):
     """json.dumps(value, indent=2, ensure_ascii=False) placed at the
-    indentation that newline carries."""
+    indentation that newline carries. A callable stands for text that it
+    writes itself, given newline."""
+    if callable(value):
+        return value(newline)
     if type(value) is dict and value and all(type(k) is str for k in value):
         inner = newline + "  "
         items = (_encode(k) + ": " + _indented(v, inner) for k, v in value.items())
@@ -147,32 +150,48 @@ def _indented(value, newline):
 
 def _rows_text(rows, newline):
     """_indented of a list of dicts that share one non-empty tuple of str
-    keys and hold scalars or lists of strings; None for any other list."""
+    keys; None for any other list."""
     keys = tuple(rows[0]) if type(rows[0]) is dict else ()
     if not keys or not all(type(k) is str for k in keys):
         return None
     if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}:
         return None
-    item = newline + "  "
-    field = item + "  "
+    field = newline + "    "
     columns = []
     for key, cells in zip(keys, zip(*map(dict.values, rows))):
-        head = _encode(key) + ": "
-        kinds = set(map(type, cells))
-        if kinds <= _SCALARS:
-            text = _encode_lines(cells)[1:-1]
-            columns.append((head + text.replace("\n", "\n" + head)).split("\n"))
-        elif kinds == {list} and set(map(type, chain.from_iterable(cells))) <= {str}:
-            text_of = {
-                cell: head + json.dumps(cell, indent=2, ensure_ascii=False).replace("\n", field)
-                for cell in set(map(tuple, cells))
-            }
-            columns.append(list(map(text_of.__getitem__, map(tuple, cells))))
+        if set(map(type, cells)) == {list} and set(map(type, chain.from_iterable(cells))) <= {str}:
+            head = _encode(key) + ": "
+            columns.append([head + _list_text(list(map(_encode, c)), field) for c in cells])
         else:
-            return None
-    rows_text = map(("," + field).join, zip(*columns))
-    body = (item + "}," + item + "{" + field).join(rows_text)
-    return "[" + item + "{" + field + body + item + "}" + newline + "]"
+            columns.append(_value_texts(key, cells, field))
+    return _row_list(columns, newline)
+
+
+def _value_texts(key, values, field):
+    """'"key": ' and the indented JSON of each value, at the indentation
+    field carries. Scalars take one C-encoder call, whose raw newlines can
+    only be its item separators (JSON escapes a newline inside a string)."""
+    head = _encode(key) + ": "
+    if set(map(type, values)) <= _SCALARS:
+        return (head + _encode_lines(values)[1:-1].replace("\n", "\n" + head)).split("\n")
+    return [head + _indented(v, field) for v in values]
+
+
+def _list_text(items, field):
+    """The indented JSON of a list, at the indentation field carries, from
+    the JSON texts of its items, which hold no newline."""
+    inner = field + "  "
+    return "[" + inner + ("," + inner).join(items) + field + "]" if items else "[]"
+
+
+def _row_list(columns, newline):
+    """The indented JSON of a list of objects, at the indentation newline
+    carries, from its columns of '"key": value' texts in key order."""
+    item = newline + "  "
+    field = item + "  "
+    rows = list(map(("," + field).join, zip(*columns)))
+    body = (item + "}," + item + "{" + field).join(rows)
+    return "[" + item + "{" + field + body + item + "}" + newline + "]" if rows else "[]"
 
 
 def _concept_name(iri, prefixes):
@@ -219,18 +238,23 @@ def concept_tree_spec(
     return doc
 
 
-def encoded_marks_spec(
-    dataset: Dataset,
-    manifestations: list[Manifestation],
-    channel: str = "color",
-    prefixes=None,
-) -> dict:
-    """Per-record categorical concept field bound to an encoding channel.
+def encoded_marks_spec(dataset, manifestations, channel="color", prefixes=None) -> dict:
+    """encoded_marks_text's fragment, parsed: fresh dicts, each NaN a new float."""
+    return json.loads(encoded_marks_text(dataset, manifestations, channel, prefixes))
+
+
+def encoded_marks_text(
+    dataset: Dataset, manifestations: list[Manifestation], channel: str = "color", prefixes=None
+) -> str:
+    """Per-record categorical concept field bound to an encoding channel,
+    as the fragment's text: json.dumps(fragment, indent=2, ensure_ascii=False).
 
     A record's concept is that of the first manifestation, in list order,
     that matches a record with an equal identifier; overlaps are reported
     in the fragment's diagnostics. The concepts are worked out once per
     match pattern: the set of manifestations an identifier is matched by.
+    The rows are written from the dictionary-encoded columns: each distinct
+    value, identifier and match pattern is encoded once.
     """
     import numpy as np  # here, so that graph-only commands never load numpy
 
@@ -244,42 +268,48 @@ def encoded_marks_spec(
     # with an equal identifier
     width = max(1, -(-len(manifestations) // 8))
     bits = np.zeros((len(idents.values), width), dtype=np.uint8)
-    concept_names = []
+    concept_texts = []  # as JSON strings
     for j, m in enumerate(manifestations):
         bits[dataset.identifier_hits(record_mask(m, dataset)), j >> 3] |= 0x80 >> (j & 7)
-        concept_names.append(_concept_name(m.concept, prefixes))
+        concept_texts.append(_encode(_concept_name(m.concept, prefixes)))
     patterns, pattern_of = np.unique(
         bits.view(np.dtype((np.void, width))).ravel(), return_inverse=True
     )
     # the concepts of each pattern's manifestations, pattern by pattern
     at, js = np.nonzero(np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1))
     bounds = np.searchsorted(at, np.arange(len(patterns) + 1)).tolist()
-    concepts = list(map(concept_names.__getitem__, js.tolist()))
+    concepts = list(map(concept_texts.__getitem__, js.tolist()))
     firsts, distinct = [], []  # per pattern
     for lo, hi in zip(bounds, bounds[1:]):
-        firsts.append(concepts[lo] if hi > lo else "none")
+        firsts.append('"concept": ' + (concepts[lo] if hi > lo else '"none"'))
         distinct.append(list(dict.fromkeys(concepts[lo:hi])))
-    record_pattern = pattern_of[idents.codes].tolist()
-    names = dataset.schema.names()
-    columns = [dataset.columns[n].decode() for n in names]
-    keys = names + ["concept"]
-    concept_column = map(firsts.__getitem__, record_pattern)
-    values = [dict(zip(keys, row)) for row in zip(*columns, concept_column)]
-    codes = idents.codes.tolist()
-    diagnostics = [
-        {"record": str(idents.values[codes[i]]), "concepts": list(distinct[p])}
-        for i, p in enumerate(record_pattern)
-        if len(distinct[p]) > 1
-    ]
+    record_pattern = pattern_of[idents.codes]
+    overlapping = np.array([len(d) > 1 for d in distinct], dtype=bool)[record_pattern]
     doc = {
         "kind": "encodedMarks",
         "mark": "point",
-        "data": {"values": values},
+        "data": {"values": []},
         "encoding": {channel: {"field": "concept", "type": "nominal"}},
-        "diagnostics": diagnostics,
+        "diagnostics": [],
     }
-    validate_fragment(doc)
-    return doc
+    validate_fragment(doc)  # held-out rows need only be objects, as all of these are
+
+    def values(newline):
+        columns = {  # a data column named concept keeps its place
+            name: np.array(_value_texts(name, c.values, newline + "    "), object)[c.codes]
+            for name, c in dataset.columns.items()
+        }
+        columns["concept"] = np.array(firsts, object)[record_pattern]
+        return _row_list(list(columns.values()), newline)
+
+    def diagnostics(newline):
+        field = newline + "    "
+        records = np.array(_value_texts("record", list(map(str, idents.values)), field), object)
+        lists = np.array(['"concepts": ' + _list_text(d, field) for d in distinct], object)
+        rows = [records[idents.codes[overlapping]], lists[record_pattern[overlapping]]]
+        return _row_list(rows, newline)
+
+    return _indented({**doc, "data": {"values": values}, "diagnostics": diagnostics}, "\n")
 
 
 def _runs(ordered_flags):

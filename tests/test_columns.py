@@ -5,6 +5,8 @@
 below walks the records one by one, as the evaluators did before the
 columns existed, and must agree with them on every generated dataset:
 results, the types and signs of the values written out, and errors.
+``encoded_marks_text`` writes the marks fragment from the columns and must
+equal the reference document's ``json.dumps(indent=2)`` byte for byte.
 ``load_csv`` parses each distinct cell text once, straight into columns,
 and decides there the kinds the CLI's schema inference leaves to it; its
 reference reads the CSV row by row.
@@ -65,6 +67,7 @@ from kava.utilization import (
     _runs,
     aggregate_mark_spec,
     encoded_marks_spec,
+    encoded_marks_text,
     validate_fragment,
 )
 from test_predicate import oracle_eval
@@ -404,6 +407,54 @@ def test_evaluate_and_marks_match_per_record_reference(dataset, manifestations):
     got = outcome(encoded_marks_spec, dataset, manifestations)
     want = outcome(ref_marks, dataset, manifestations)
     assert exact(got) == exact(want)
+
+
+# A data column named concept: the row's concept field overwrites its cell
+# in place, so the key keeps its position.
+_CONCEPT_COLUMN = Dataset(
+    Schema(
+        variables=(("id", NUMBER), ("concept", STRING), ("v", NUMBER), ("s", STRING)),
+        identifying=("id",),
+    ),
+    [
+        Record((("id", i), ("concept", c), ("v", v), ("s", t)))
+        for i, c, v, t in ((1, "x", 0, "a"), (2, None, 9, "b"), (3, "none", 2, None))
+    ],
+)
+
+# Names, identifiers and cells that JSON escapes, or that str.splitlines()
+# splits although JSON leaves them raw (U+2028), and a lone surrogate.
+_ESCAPED = ['q"uote', "back\\slash", "tab\there", "line\u2028sep", "\u00e9", "lone\ud800"]
+_ESCAPES = Dataset(
+    Schema(
+        variables=(("id", STRING), *((n, STRING) for n in _ESCAPED[1:]), (_ESCAPED[0], NUMBER)),
+        identifying=("id",),
+    ),
+    [
+        Record((("id", text), *((name, text + name) for name in _ESCAPED[1:]), (_ESCAPED[0], n)))
+        for n, text in enumerate(_ESCAPED)
+    ],
+)
+_ESCAPES_MATCHED = [
+    Manifestation(CONCEPTS[0], IndirectQueryMapping(f"[{_ESCAPED[0]}] >= 2")),
+    Manifestation(CONCEPTS[1], DirectMapping((("tab\there", "line\u2028septab\there"),))),
+    Manifestation(CONCEPTS[2], IndirectQueryMapping('[\u00e9] != "x"')),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), MANIFESTATIONS)
+@example(_CONCEPT_COLUMN, _cycled(5))
+@example(_ESCAPES, _ESCAPES_MATCHED)
+@example(_MANY_MATCHED, _cycled(9))  # identifiers 1 / 1.0 / True, 0 / -0.0 and NaN
+@example(Dataset(_MANY_MATCHED.schema, []), _cycled(3))  # header only
+@example(_MANY_MATCHED, [])
+def test_marks_text_is_the_reference_document_indented(dataset, manifestations):
+    got = outcome(encoded_marks_text, dataset, manifestations)
+    want = outcome(
+        lambda: json.dumps(ref_marks(dataset, manifestations), indent=2, ensure_ascii=False)
+    )
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -54,7 +54,7 @@ from kava.manifestation import (
     create_manifestation,
     load_manifestations,
 )
-from kava.predicate import parse_predicate
+from kava.predicate import And, Comparison, Not, Or, compile_predicate, parse_predicate
 from kava.rdf import Iri
 from kava.turtle import parse_turtle
 
@@ -195,6 +195,44 @@ def test_population_filter_consistency():
     filtered_model = build_category_model(concept, trials, pred)
     manual = build_category_model(concept, [t for t in trials if t.age > 50])
     assert filtered_model.effective_ranges() == manual.effective_ranges()
+
+
+_FILTER_TRIAL = square_wave_trial("p")
+# metadata a population filter meets: NaN and infinite ages, missing values
+_AGES = st.sampled_from([None, 30, 40, 40.0, 55.5, math.nan, math.inf])
+_MASSES = st.sampled_from([None, 60, 80.5, 95.0])
+_FILTER_LEAF = st.builds(
+    Comparison,
+    st.sampled_from(["age", "bodyMass", "patientId", "height"]),  # no trial has a height
+    st.sampled_from([">", ">=", "<", "<=", "=", "!="]),
+    st.sampled_from([40, 40.0, 80.5, -0.0, "p1", ""]),
+)
+_FILTERS = st.recursive(
+    _FILTER_LEAF,
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_AGES, _MASSES), min_size=1, max_size=6), _FILTERS)
+@example(
+    [(math.nan, 70.0), (45, None), (50, 60.0), (None, 80.0)],
+    parse_predicate("[age] > 40 AND [bodyMass] < 80.5 OR NOT [height] = 1"),
+)
+def test_population_filter_matches_per_record_predicate(metadata, pred):
+    trials = [
+        replace(_FILTER_TRIAL, patient_id=f"p{i}", age=age, body_mass=mass)
+        for i, (age, mass) in enumerate(metadata)
+    ]
+    test = compile_predicate(pred)
+    want = [t.patient_id for t in trials if test(t.metadata())]
+    try:
+        model = build_category_model(_affected(_categories_graph()), trials, pred)
+    except EmptyPopulation:
+        assert want == []
+    else:
+        assert [pid for pid, _ in model.prototypes] == want
 
 
 def test_empty_population():

@@ -312,8 +312,8 @@ _JSON = st.recursive(
 )
 @example([{"a": [1]}, {"a": [1.0]}, {"a": [True]}, {"a": [0.0]}, {"a": [-0.0]}])
 @example({"values": [], "rows": [{}], "mixed": [{"a": 1}, {}], "nested": [{"a": {"b": 1}}]})
-# the column writer's edges: it leaves the first four lists to json.dumps and
-# writes the last two
+# the column writer's edges: it leaves the first two lists to json.dumps,
+# writes the next two a cell at a time and the last two by columns
 @example({"values": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]})  # two key orders
 @example([{"a": 1, 2: "x"}, {"a": 1, 2: "y"}])  # a key that is no str
 @example({"rows": [{"a": ["x"], "b": 1}, {"a": "x", "b": 2}]})  # lists and scalars
