@@ -28,8 +28,12 @@ are:
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
   nested 300 deep, one with ``rdf:type`` objects that are not IRIs, one
   whose sibling blank nodes are labelled in the opposite order to their
-  content, and one with ``[ … ]`` nested 1,200 deep; each runs through
-  ``validate``, ``convert --to jsonld`` and ``convert --to ttl``;
+  content, one with ``[ … ]`` nested 1,200 deep, and one with what the
+  JSON-LD writer puts in arrays and rows (several ``@type``s, numbers past
+  2**64 and long decimals, sibling blank nodes with equal and with
+  different predicates, objects that mix IRIs, literals and blank nodes);
+  each runs through ``validate``, ``convert --to jsonld`` and ``convert
+  --to ttl``, and its JSON-LD file through ``convert --to ttl``;
 - a set of edge-case JSON-LD documents: numbers where a name or a
   namespace belongs, an integer of 5,000 digits, well-formed integers
   and decimals, and node objects nested one level past the reader's
@@ -184,6 +188,15 @@ EDGE_TTLS = {
     + ", ".join(f"[ ex:v {n} ]" for n in range(12, 0, -1)) + " .\n"
     + "[ ex:v 2 ] .\n[ ex:v 1 ] .\n",
     "deep_1200.ttl": _EX + "ex:deep " + "ex:d [ " * 1200 + "ex:v 1" + " ]" * 1200 + " .\n",
+    # what the JSON-LD writer puts in arrays and rows
+    "jsonld_shapes.ttl": _EX
+    + "ex:a a ex:T3, ex:T1, ex:T2 ;\n"
+    + "    ex:n 2.5, 18446744073709551617, -0.0, 7, 0.12345678901234567890123 ;\n"
+    + "    ex:same [ ex:v 1 ], [ ex:v 2, 3 ], [ ex:v ex:o ] ;\n"
+    + '    ex:lists [ ex:s "a", "b" ], [ ex:s "c", "d\\n" ] ;\n'
+    + '    ex:other [ ex:v 1 ], [ ex:w "x" ], [ ex:v 1 ; ex:w "x" ], [] ;\n'
+    + '    ex:mixed ex:o, "s", 3, [ ex:v 3.14159265358979323846264338327950288 ] .\n'
+    + '[ a ex:T1 ; ex:same [ ex:v -0.0 ], [ ex:v 1.0 ] ] .\n',
 }
 
 _ID = '"@id": "http://example.org/edge#a"'
@@ -275,11 +288,13 @@ def _fixture_case(base: Path, work: Path):
             ["argv", ["export-vis", empty, data, "--pattern", "marks"]],
         ]
     for text_name in EDGE_TTLS:
-        path = str(work / text_name)
+        path, written = str(work / text_name), str(work / (text_name + ".jsonld"))
         steps += [
             ["argv", ["validate", path]],
             ["argv", ["convert", path, "--to", "jsonld"]],
             ["argv", ["convert", path, "--to", "ttl"]],
+            ["argv", ["convert", path, "--to", "jsonld", "-o", written]],
+            ["argv", ["convert", written, "--to", "ttl"]],
         ]
     for text_name in EDGE_JSONLDS:
         path = str(work / text_name)

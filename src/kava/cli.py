@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import jsonld, manifestation, skos, turtle, utilization
+from . import jsonld, jsontext, manifestation, skos, turtle, utilization
 from .errors import (
     HeaderMismatch,
     KavaError,
@@ -321,7 +321,7 @@ def cmd_export_vis(args) -> int:
             selected = _select_manifestation(manifests, graph, args.concept)
             doc = utilization.aggregate_mark_spec(dataset, selected, args.time_var)
     if args.pattern != "marks":
-        kind, text = doc["kind"], utilization.fragment_text(doc)
+        kind, text = doc["kind"], jsontext.fragment_text(doc)
     text += "\n"
     if args.output:
         write_atomic(args.output, text)

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import JsonLdSyntaxError, KavaError, UnknownPrefix, UnsupportedKeyword
+from .jsontext import fragment_text
 from .rdf import (
     DECIMAL,
     DEFAULT_PREFIXES,
@@ -28,17 +29,21 @@ from .turtle import RDF_TYPE
 class _Number:
     """A JSON number, read or to be written: its lexical form as in the
     text, and its datatype, INTEGER or DECIMAL. Not a str, so no name or
-    namespace accepts it."""
+    namespace accepts it. Its repr, and the text that the JSON text writer
+    calls it for, is the lexical, verbatim."""
 
     lexical: str
     datatype: str
 
-    def __repr__(self):
+    def __call__(self, newline=None):
         return self.lexical
+
+    __repr__ = __call__
 
 
 # How deep node objects may nest below a top-level one, read or written. The
-# codec recurses per level, and json.loads refuses ~1,000 nested containers.
+# reader's node and the writer's _node_json recurse per level (the JSON text
+# writer does not), and json.loads refuses ~1,000 nested containers.
 MAX_DEPTH = 200
 _TOO_DEEP = f"node objects nest deeper than {MAX_DEPTH} levels"
 
@@ -187,28 +192,6 @@ def _iri_names(graph):
     return names
 
 
-def _dump(value, indent):
-    pad = "  " * indent
-    if isinstance(value, _Number):
-        return value.lexical
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _dump(v, indent + 1) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(k, ensure_ascii=False) + ": " + _dump(v, indent + 1)
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise AssertionError(f"unexpected value {value!r}")
-
-
 def _object_json(term, graph, names, key):
     if isinstance(term, Iri):
         return {"@id": names[term]}
@@ -269,4 +252,4 @@ def serialize_jsonld(graph: Graph) -> str:
     if nodes and used:
         context = {label: graph.prefixes[label] for label in sorted(used)}
         nodes[0] = {"@context": context, **nodes[0]}
-    return _dump(nodes, 0) + "\n"
+    return fragment_text(nodes) + "\n"

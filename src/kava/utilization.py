@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, groupby
+from itertools import groupby
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -15,6 +15,7 @@ from .errors import (
     UnsupportedChannel,
     UnsupportedPredicateShape,
 )
+from .jsontext import _encode, _list_text, _row_list, _value_texts, fragment_text
 from .manifestation import (
     IndirectQueryMapping,
     IndirectVariableMapping,
@@ -37,10 +38,6 @@ _PLAIN_OBJECT_KEYWORDS = frozenset(
     {"$schema", "title", "description", "type", "required", "additionalProperties",
      "properties", "$defs"}
 )
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-# a list as "[a\nb\nc]": a raw newline is only ever an item separator
-_encode_lines = json.JSONEncoder(ensure_ascii=False, separators=("\n", ": ")).encode
 
 
 @functools.cache
@@ -117,81 +114,6 @@ def validate_fragment(doc: dict) -> None:
     error = best_match(validator.iter_errors(doc))
     if error is not None:
         raise error
-
-
-def fragment_text(doc) -> str:
-    """Exactly json.dumps(doc, indent=2, ensure_ascii=False), written faster.
-
-    An array of dict rows that share one tuple of str keys (data.values,
-    edges, diagnostics) is written column by column: a column of scalars
-    by one C-encoder call, a column of lists of strings one string at a
-    time, and any other column one cell at a time through
-    json.dumps(indent=2). Anything else goes through json.dumps(indent=2)
-    itself.
-    """
-    return _indented(doc, "\n")
-
-
-def _indented(value, newline):
-    """json.dumps(value, indent=2, ensure_ascii=False) placed at the
-    indentation that newline carries. A callable stands for text that it
-    writes itself, given newline."""
-    if callable(value):
-        return value(newline)
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        inner = newline + "  "
-        items = (_encode(k) + ": " + _indented(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    text = _rows_text(value, newline) if type(value) is list and value else None
-    if text is None:
-        text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
-    return text
-
-
-def _rows_text(rows, newline):
-    """_indented of a list of dicts that share one non-empty tuple of str
-    keys; None for any other list."""
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}:
-        return None
-    field = newline + "    "
-    columns = []
-    for key, cells in zip(keys, zip(*map(dict.values, rows))):
-        if set(map(type, cells)) == {list} and set(map(type, chain.from_iterable(cells))) <= {str}:
-            head = _encode(key) + ": "
-            columns.append([head + _list_text(list(map(_encode, c)), field) for c in cells])
-        else:
-            columns.append(_value_texts(key, cells, field))
-    return _row_list(columns, newline)
-
-
-def _value_texts(key, values, field):
-    """'"key": ' and the indented JSON of each value, at the indentation
-    field carries. Scalars take one C-encoder call, whose raw newlines can
-    only be its item separators (JSON escapes a newline inside a string)."""
-    head = _encode(key) + ": "
-    if set(map(type, values)) <= _SCALARS:
-        return (head + _encode_lines(values)[1:-1].replace("\n", "\n" + head)).split("\n")
-    return [head + _indented(v, field) for v in values]
-
-
-def _list_text(items, field):
-    """The indented JSON of a list, at the indentation field carries, from
-    the JSON texts of its items, which hold no newline."""
-    inner = field + "  "
-    return "[" + inner + ("," + inner).join(items) + field + "]" if items else "[]"
-
-
-def _row_list(columns, newline):
-    """The indented JSON of a list of objects, at the indentation newline
-    carries, from its columns of '"key": value' texts in key order."""
-    item = newline + "  "
-    field = item + "  "
-    rows = list(map(("," + field).join, zip(*columns)))
-    body = (item + "}," + item + "{" + field).join(rows)
-    return "[" + item + "{" + field + body + item + "}" + newline + "]" if rows else "[]"
 
 
 def _concept_name(iri, prefixes):
@@ -309,7 +231,7 @@ def encoded_marks_text(
         rows = [records[idents.codes[overlapping]], lists[record_pattern[overlapping]]]
         return _row_list(rows, newline)
 
-    return _indented({**doc, "data": {"values": values}, "diagnostics": diagnostics}, "\n")
+    return fragment_text({**doc, "data": {"values": values}, "diagnostics": diagnostics})
 
 
 def _runs(ordered_flags):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -24,7 +25,7 @@ from kava.gait import (
     square_wave_trial,
     write_trials_dir,
 )
-from kava.jsonld import MAX_DEPTH
+from kava.jsonld import MAX_DEPTH, parse_jsonld, serialize_jsonld
 from kava.manifestation import (
     DirectMapping,
     IndirectVariableMapping,
@@ -171,12 +172,24 @@ def test_deeply_nested_store_validates(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
-def _chain(depth):
-    """A store whose one IRI subject holds ``depth`` nested blank nodes."""
+def _chain(depth, sibling=""):
+    """A store whose one IRI subject holds ``depth`` nested blank nodes, each
+    written after ``sibling``."""
     return (
         "@prefix ex: <http://example.org/> .\nex:s "
-        + "ex:p [ " * depth + 'ex:p "x"' + " ]" * depth + " .\n"
+        + f"ex:p {sibling}[ " * depth + 'ex:p "x"' + " ]" * depth + " .\n"
     )
+
+
+# Beside each nested blank node: nothing (a plain chain), or a leaf blank node
+# with the same predicates or with another one, in Turtle and in JSON-LD. The
+# writer puts each pair in one array: rows that share their one key, or
+# objects of two shapes.
+_SIBLINGS = {
+    "chain": ("", ""),
+    "same": ('[ ex:p "y" ], ', '{"http://example.org/p": "y"}, '),
+    "different": ('[ ex:q "y" ], ', '{"http://example.org/q": "y"}, '),
+}
 
 
 @pytest.mark.parametrize("depth", [10, 100, 1200])
@@ -190,9 +203,11 @@ def test_deep_store_converts_to_turtle_and_reads_back(capsys, tmp_path, depth):
     assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
 
 
-def test_jsonld_is_written_to_its_depth_limit(capsys, tmp_path):
+@pytest.mark.parametrize("shape", _SIBLINGS)
+def test_jsonld_is_written_to_its_depth_limit(capsys, tmp_path, shape):
+    sibling = _SIBLINGS[shape][0]
     store, out = tmp_path / "deep.ttl", tmp_path / "out.jsonld"
-    store.write_text(_chain(MAX_DEPTH))
+    store.write_text(_chain(MAX_DEPTH, sibling))
     code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
     assert (code, err) == (0, "")
     code, _, err = run(capsys, "validate", str(out))
@@ -200,34 +215,53 @@ def test_jsonld_is_written_to_its_depth_limit(capsys, tmp_path):
     assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
     # one level past the limit: refused before anything is written
     out.unlink()
-    store.write_text(_chain(MAX_DEPTH + 1))
+    store.write_text(_chain(MAX_DEPTH + 1, sibling))
     code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
     assert code == 2
     assert f"cannot write JSON-LD: blank nodes nest deeper than {MAX_DEPTH} levels" in err
     assert not out.exists()
 
 
-def _root_chain_jsonld(depth):
+@pytest.mark.parametrize("shape", ["same", "different"])
+def test_jsonld_writer_at_its_depth_limit_needs_few_frames(shape):
+    """At MAX_DEPTH only _node_json recurses, three frames a level; the JSON
+    text writer adds none per level."""
+    graph = parse_turtle(_chain(MAX_DEPTH, _SIBLINGS[shape][0]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 700)
+    try:
+        text = serialize_jsonld(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isomorphic_trees(parse_jsonld(text), graph)
+
+
+def _root_chain_jsonld(depth, sibling=""):
     """A document whose top-level blank node object holds ``depth`` nested
-    node objects, the deepest the reader takes at MAX_DEPTH."""
-    return (
-        '{"http://example.org/p": ' + '{"http://example.org/p": ' * depth
-        + '"x"' + "}" * depth + "}\n"
-    )
+    node objects, each in an array after ``sibling`` when there is one; the
+    deepest the reader takes at MAX_DEPTH."""
+    opening, closing = ("[" + sibling, "]") if sibling else ("", "")
+    p = '"http://example.org/p": '
+    return "{" + (p + opening + "{") * depth + p + '"x"' + ("}" + closing) * depth + "}\n"
 
 
-def test_jsonld_root_blank_node_is_written_to_the_readers_limit(capsys, tmp_path):
+@pytest.mark.parametrize("shape", _SIBLINGS)
+def test_jsonld_root_blank_node_is_written_to_the_readers_limit(capsys, tmp_path, shape):
+    turtle_sibling, jsonld_sibling = _SIBLINGS[shape]
     store, out = tmp_path / "deep.jsonld", tmp_path / "out.jsonld"
-    store.write_text(_root_chain_jsonld(MAX_DEPTH))
+    store.write_text(_root_chain_jsonld(MAX_DEPTH, jsonld_sibling))
     code, _, err = run(capsys, "validate", str(store))
     assert (code, err) == (0, "")
     code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
     assert (code, err) == (0, "")
+    code, _, err = run(capsys, "validate", str(out))
+    assert (code, err) == (0, "")
     assert isomorphic_trees(read_graph(str(out)), read_graph(str(store)))
     # one level deeper, as the reader counts: the writer refuses it too
     store = tmp_path / "deeper.ttl"
-    store.write_text("[ " + "<http://example.org/p> [ " * (MAX_DEPTH + 1)
-                     + '<http://example.org/p> "x"' + " ]" * (MAX_DEPTH + 2) + " .\n")
+    store.write_text("@prefix ex: <http://example.org/> .\n[ "
+                     + f"ex:p {turtle_sibling}[ " * (MAX_DEPTH + 1)
+                     + 'ex:p "x"' + " ]" * (MAX_DEPTH + 2) + " .\n")
     out.unlink()
     code, _, err = run(capsys, "convert", str(store), "--to", "jsonld", "-o", str(out))
     assert code == 2

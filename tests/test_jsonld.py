@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import fixture_text, random_tree_graph
 from kava.errors import JsonLdSyntaxError, UnsupportedKeyword
-from kava.jsonld import parse_jsonld, serialize_jsonld
-from kava.rdf import Graph, Iri, Literal, Triple, isomorphic_trees
+from kava import jsonld
+from kava.jsonld import _Number, parse_jsonld, serialize_jsonld
+from kava.rdf import DEFAULT_PREFIXES, Graph, Iri, Literal, Triple, isomorphic_trees
 from kava.turtle import RDF_TYPE, parse_turtle, serialize_turtle
 
 
@@ -112,3 +114,50 @@ def test_turtle_through_jsonld_is_a_fixpoint(seed):
     again = serialize_turtle(parse_jsonld(serialize_jsonld(parse_turtle(text))))
     assert again == text
     assert isomorphic_trees(parse_turtle(again), g)
+
+
+# Numbers that no float holds: past 2**64, more than 17 significant digits,
+# a negative zero.
+_LONG_NUMBERS = [
+    Literal("18446744073709551617", "integer"),
+    Literal("-340282366920938463463374607431768211457", "integer"),
+    Literal("0.12345678901234567890123", "decimal"),
+    Literal("-98765432109876543210.5", "decimal"),
+    Literal("-0.0", "decimal"),
+]
+_NUMBER_PREDICATES = [Iri(DEFAULT_PREFIXES["kava"] + "value"), Iri("http://example.org/n")]
+
+
+def _with_placeholders(value, lexicals):
+    """value with each _Number swapped for a string that stands for it; the
+    lexicals are appended in order."""
+    if isinstance(value, _Number):
+        lexicals.append(value.lexical)
+        return f"\x00number {len(lexicals) - 1}"
+    if isinstance(value, list):
+        return [_with_placeholders(v, lexicals) for v in value]
+    if isinstance(value, dict):
+        return {k: _with_placeholders(v, lexicals) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.lists(st.sampled_from(_LONG_NUMBERS), max_size=8))
+def test_jsonld_text_is_its_document_dumped(seed, numbers):
+    """serialize_jsonld writes json.dumps(indent=2, ensure_ascii=False) of
+    the document it builds, with each number's lexical put in verbatim."""
+    rng = random.Random(seed)
+    g = random_tree_graph(rng, 40)
+    subjects = sorted({t.subject for t in g}, key=str)  # IRIs and blank nodes
+    g = Graph([*g, *(Triple(rng.choice(subjects), rng.choice(_NUMBER_PREDICATES), n)
+                     for n in numbers)])
+    with mock.patch.object(jsonld, "fragment_text", wraps=jsonld.fragment_text) as write:
+        text = serialize_jsonld(g)
+    lexicals = []
+    reference = json.dumps(_with_placeholders(write.call_args.args[0], lexicals), indent=2,
+                           ensure_ascii=False)
+    for i, lexical in enumerate(lexicals):
+        reference = reference.replace(json.dumps(f"\x00number {i}"), lexical)
+    assert text == reference + "\n"
+    assert isomorphic_trees(parse_jsonld(text), g)

@@ -1,6 +1,8 @@
 import copy
 import functools
+import inspect
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -16,6 +18,7 @@ from kava.errors import (
     UnsupportedChannel,
     UnsupportedPredicateShape,
 )
+from kava.jsontext import fragment_text
 from kava.manifestation import (
     IndirectQueryMapping,
     IndirectVariableMapping,
@@ -33,7 +36,6 @@ from kava.utilization import (
     channels,
     concept_tree_spec,
     encoded_marks_spec,
-    fragment_text,
     threshold_region_spec,
     validate_fragment,
 )
@@ -312,16 +314,38 @@ _JSON = st.recursive(
 )
 @example([{"a": [1]}, {"a": [1.0]}, {"a": [True]}, {"a": [0.0]}, {"a": [-0.0]}])
 @example({"values": [], "rows": [{}], "mixed": [{"a": 1}, {}], "nested": [{"a": {"b": 1}}]})
-# the column writer's edges: it leaves the first two lists to json.dumps,
-# writes the next two a cell at a time and the last two by columns
+# the column writer's edges: it leaves the first four lists to the stack,
+# item by item, and writes the last two by columns
 @example({"values": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]})  # two key orders
 @example([{"a": 1, 2: "x"}, {"a": 1, 2: "y"}])  # a key that is no str
 @example({"rows": [{"a": ["x"], "b": 1}, {"a": "x", "b": 2}]})  # lists and scalars
 @example([{"a": [1, "x"]}, {"a": ["y"]}])  # a list that holds a number
 @example({"d": [{"r": "1", "c": []}, {"r": "2", "c": ["x", "\n"]}, {"r": "3", "c": []}]})
 @example({"values": [{"s": "a\x00b\nc", "t": ["\x00", "x\ny"]}, {"s": "\n", "t": []}]})
+# keys that are no str, tuples, and rows whose cells are objects
+@example({float("nan"): (1, (2,)), None: {False: ()}, 2.5: [{"a": {"b": 1}}, {"a": {}}]})
 def test_fragment_text_equals_indented_dumps(doc):
     assert fragment_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+def test_fragment_text_of_a_document_nested_2000_deep():
+    """Nesting waits on the writer's stack, not on Python's: 2,000 nested
+    containers, objects, arrays and rows whose cells are objects, are
+    written within 50 frames of the caller's."""
+    doc = "bottom"
+    for _ in range(400):  # five containers a round
+        doc = {"k": doc, "rows": [{"s": "é", "t": 2}, {"s": "\n", "t": -0.0}]}
+        doc = [1.5, doc, []]
+        doc = [{"a": {"b": doc}, "c": ["x"]}, {"a": {}, "c": []}]
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit + 10_000)  # json.dumps(indent=2) recurses
+        reference = json.dumps(doc, indent=2, ensure_ascii=False)
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        text = fragment_text(doc)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == reference
 
 
 def test_fragment_text_of_every_fragment_kind():
