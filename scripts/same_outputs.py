@@ -31,7 +31,10 @@ are:
   content, one with ``[ … ]`` nested 1,200 deep, and one with what the
   JSON-LD writer puts in arrays and rows (several ``@type``s, numbers past
   2**64 and long decimals, sibling blank nodes with equal and with
-  different predicates, objects that mix IRIs, literals and blank nodes);
+  different predicates, objects that mix IRIs, literals and blank nodes),
+  and one whose terms' texts meet (a ``kava:variable`` given as the string
+  ``"<http://example.org/x>"`` and as that IRI, a string ``5"^^integer``,
+  and IRIs and literals that differ only past a long shared prefix);
   each runs through ``validate``, ``convert --to jsonld`` and ``convert
   --to ttl``, and its JSON-LD file through ``convert --to ttl``;
 - a set of edge-case JSON-LD documents: numbers where a name or a
@@ -150,6 +153,7 @@ MULTI_STORES["multi_foreign.ttl"] = MULTI_STORES["multi.ttl"] + (
 
 _EX = "@prefix ex: <http://example.org/edge#> .\n"
 _DEPTH = 300
+_LONG = "a" * 40  # a long shared prefix
 EDGE_TTLS = {
     # errors the scanner reports
     "collection.ttl": _EX + "ex:a ex:b ( ex:c ) .\n",
@@ -197,6 +201,20 @@ EDGE_TTLS = {
     + '    ex:other [ ex:v 1 ], [ ex:w "x" ], [ ex:v 1 ; ex:w "x" ], [] ;\n'
     + '    ex:mixed ex:o, "s", 3, [ ex:v 3.14159265358979323846264338327950288 ] .\n'
     + '[ a ex:T1 ; ex:same [ ex:v -0.0 ], [ ex:v 1.0 ] ] .\n',
+    # terms whose texts meet: a kava:variable given as a string that reads as
+    # an IRI and as that IRI, strings that read as typed literals, and IRIs
+    # and literals that differ only past a long shared prefix
+    "term_texts.ttl": _EX
+    + 'ex:c a skos:Concept ; skos:prefLabel "c" ; skos:inScheme ex:s ;\n'
+    + '    kava:manifest [ kava:isPrototype [ kava:variable "<http://example.org/x>" ;'
+    + ' kava:value 1 ], [ kava:variable <http://example.org/x> ; kava:value 2 ] ],\n'
+    + '        [ kava:matchVariable [ kava:variable <http://example.org/x> ; kava:minValue 1 ] ],\n'
+    + '        [ kava:matchVariable [ kava:variable "<http://example.org/x>" ;'
+    + ' kava:minValue 1 ] ] .\n'
+    + 'ex:d ex:v "5", 5, "5\\"^^integer", 5.0, "5.0", "\\"5\\"^^integer", "5\\\\" ;\n'
+    + f'    ex:p ex:{_LONG}1, ex:{_LONG}2, ex:{_LONG}, "{_LONG}1", "{_LONG}2", "{_LONG}",\n'
+    + f'        1.{"0" * 30}1, 1.{"0" * 30}2, {"9" * 40}1, {"9" * 40}2,\n'
+    + f'        [ ex:v ex:{_LONG}1 ], [ ex:v ex:{_LONG}2 ], [ ex:v "{_LONG}2" ] .\n',
 }
 
 _ID = '"@id": "http://example.org/edge#a"'

@@ -351,17 +351,11 @@ def _gait_models(graph, trials, filter_text):
     from . import gait as gait_mod
 
     population_filter = parse_predicate(filter_text) if filter_text else None
-    models = []
+    models = []  # in concept order, as match returns the concepts
     for t in graph.match(p=turtle.RDF_TYPE, o=skos.SKOS_CONCEPT):
-        concept = t.subject
-        if not gait_mod.prototype_ids(graph, concept):
-            continue
-        models.append(
-            gait_mod.category_model_from_graph(
-                graph, concept, trials, population_filter
-            )
-        )
-    models.sort(key=lambda m: str(m.concept))
+        if gait_mod.prototype_ids(graph, t.subject):
+            model = gait_mod.category_model_from_graph(graph, t.subject, trials, population_filter)
+            models.append(model)
     return models
 
 

@@ -65,8 +65,15 @@ def _expand_name(name, prefixes):
 class _Reader:
     def __init__(self, prefixes):
         self.prefixes = dict(prefixes)
+        self.iris = {}  # name -> its IRI under the prefixes read so far
         self.triples = []
         self._bnode_count = 0
+
+    def iri(self, name):
+        iri = self.iris.get(name) if type(name) is str else None
+        if iri is None:
+            iri = self.iris[name] = _expand_name(name, self.prefixes)
+        return iri
 
     def fresh_bnode(self):
         self._bnode_count += 1
@@ -77,10 +84,9 @@ class _Reader:
             raise JsonLdSyntaxError("@context must be an object of prefix mappings")
         for label, ns in ctx.items():
             if not isinstance(ns, str):
-                raise JsonLdSyntaxError(
-                    f"@context entry {label!r} is not a plain namespace IRI"
-                )
+                raise JsonLdSyntaxError(f"@context entry {label!r} is not a plain namespace IRI")
             self.prefixes[label] = ns
+        self.iris.clear()
 
     def literal(self, value):
         if isinstance(value, bool):
@@ -104,20 +110,18 @@ class _Reader:
             if key.startswith("@") and key not in ("@id", "@type", "@context"):
                 raise UnsupportedKeyword(key)
         if "@id" in obj:
-            subject = _expand_name(obj["@id"], self.prefixes)
+            subject = self.iri(obj["@id"])
         else:
             subject = self.fresh_bnode()
         types = obj.get("@type", [])
         if not isinstance(types, list):
             types = [types]
         for name in types:
-            self.triples.append(
-                Triple(subject, RDF_TYPE, _expand_name(name, self.prefixes))
-            )
+            self.triples.append(Triple(subject, RDF_TYPE, self.iri(name)))
         for key, value in obj.items():
             if key.startswith("@"):
                 continue
-            predicate = _expand_name(key, self.prefixes)
+            predicate = self.iri(key)
             values = value if isinstance(value, list) else [value]
             for v in values:
                 self.triples.append(Triple(subject, predicate, self.value_term(v, depth)))
@@ -127,7 +131,7 @@ class _Reader:
         if isinstance(value, dict):
             keys = set(value.keys())
             if keys == {"@id"}:
-                return _expand_name(value["@id"], self.prefixes)
+                return self.iri(value["@id"])
             return self.node(value, depth + 1)
         if isinstance(value, list):
             raise JsonLdSyntaxError("nested arrays are not supported")
@@ -146,10 +150,7 @@ def parse_jsonld(text: str, prefixes=None) -> Graph:
         raise JsonLdSyntaxError(str(exc)) from exc
     except RecursionError:
         raise JsonLdSyntaxError(_TOO_DEEP) from None
-    base = dict(DEFAULT_PREFIXES)
-    if prefixes:
-        base.update(prefixes)
-    reader = _Reader(base)
+    reader = _Reader({**DEFAULT_PREFIXES, **(prefixes or {})})
     nodes = data if isinstance(data, list) else [data]
     for obj in nodes:
         reader.node(obj)
@@ -182,11 +183,7 @@ def _iri_names(graph):
     is written as @type when its object is an IRI."""
     names = {}
     for t in graph:
-        if _is_type(t):
-            terms = (t.subject, t.object)
-        else:
-            terms = (t.subject, t.predicate, t.object)
-        for term in terms:
+        for term in (t.subject, t.object) if _is_type(t) else t:
             if isinstance(term, Iri) and term not in names:
                 names[term] = _name_of(term, graph.prefixes)
     return names

@@ -16,12 +16,17 @@ def fragment_text(value, newline="\n") -> str:
     tuple of str keys and whose columns each hold scalars or lists of
     strings, are written column by column, a column of scalars by one
     C-encoder call. Every other non-empty array or object waits on an
-    explicit stack, so the frames used do not grow with nesting."""
+    explicit stack, so the frames used do not grow with nesting. Raises
+    ValueError for a container that holds itself, as json.dumps does."""
     parts, todo = [], [(value, newline)]  # (value, newline) pairs to write, and final texts
+    open_ids = set()  # the id of each container whose closing text is not yet written
     while todo:
         item = todo.pop()
         if type(item) is str:
             parts.append(item)
+            continue
+        if type(item) is int:  # the id of a container whose items are all written
+            open_ids.remove(item)
             continue
         value, newline = item
         text = value(newline) if callable(value) else None
@@ -37,8 +42,11 @@ def fragment_text(value, newline="\n") -> str:
         if text is not None:
             parts.append(text)
             continue
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
         inner = newline + "  "
-        todo.append(newline + ends[1])
+        todo += [newline + ends[1], id(value)]
         for head, v in zip(reversed(heads), reversed(items)):
             todo += [_encode(v) if type(v) in _SCALARS else (v, inner), "," + inner + head]
         todo[-1] = ends[0] + inner + heads[0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -25,6 +25,7 @@ from .rdf import (
     Literal,
     Triple,
     literal_for,
+    merge,
 )
 
 if TYPE_CHECKING:
@@ -142,11 +143,7 @@ def _load_direct(graph, subject, node):
         var = None
         val = None
         for t2 in graph.match(s=proto, p=KAVA_VARIABLE):
-            var = (
-                t2.object.lexical
-                if isinstance(t2.object, Literal)
-                else t2.object
-            )
+            var = t2.object.lexical if isinstance(t2.object, Literal) else t2.object
         for t2 in graph.match(s=proto, p=KAVA_VALUE):
             val = _literal_value(t2.object)
         if var is None or val is None:
@@ -263,7 +260,7 @@ def _load(graph: Graph) -> tuple[Manifestation, ...]:
                 provenance=_extract_provenance(graph, node),
             )
         )
-    out.sort(key=lambda m: (str(m.concept), repr(m.kind)))
+    out.sort(key=lambda m: (m.concept, repr(m.kind)))
     return tuple(
         Manifestation(m.concept, m.kind, m.provenance, anchor=f"m{i}")
         for i, m in enumerate(out)
@@ -403,14 +400,8 @@ def manifestations_to_graph(manifestations, prefixes=None) -> Graph:
 def add_manifestation_to_graph(graph: Graph, m: Manifestation) -> Graph:
     """A new graph holding the given one plus one manifestation tree, whose
     blank-node labels skip every label already in the graph."""
-    taken = {
-        term.label
-        for t in graph
-        for term in (t.subject, t.object)
-        if isinstance(term, BlankNode)
-    }
-    addition = _manifestation_triples([m], _fresh_bnodes(taken))
-    return Graph([*graph, *addition], graph.prefixes)
+    taken = {term.label for term in chain.from_iterable(graph) if isinstance(term, BlankNode)}
+    return merge(graph, _manifestation_triples([m], _fresh_bnodes(taken)))
 
 
 def without_manifestations(graph: Graph, concept: Iri, drop) -> Graph:

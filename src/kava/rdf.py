@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import decimal
 import re
+from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import InvalidTerm, NonTreeBlankNodes, UnknownPrefix
 
@@ -32,24 +33,45 @@ DEFAULT_PREFIXES = {
 _IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\]')
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+class _Tuple(tuple):
+    """An immutable value held as a tuple, so that hashing, equality and
+    order run in C. ``_fields`` name its items from ``_first`` on. A term
+    (Iri, BlankNode, Literal) has one item before them: its canonical text,
+    ``str(term)``, which no term of another kind or value shares, so two
+    terms are equal, and order, as their texts do."""
 
-    def __post_init__(self):
-        if not self.value or _IRI_FORBIDDEN.search(self.value):
-            raise InvalidTerm(f"invalid IRI: {self.value!r}")
-
-    def __str__(self):
-        return f"<{self.value}>"
-
-
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+    __slots__ = ()
+    _first = 1
 
     def __str__(self):
-        return f"_:{self.label}"
+        return self[0]
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[self._first:]))
+        return f"{type(self).__name__}({items})"
+
+    def __getnewargs__(self):  # copy and pickle build it through __new__ again
+        return self[self._first:]
+
+
+class Iri(_Tuple):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value):
+        if not value or _IRI_FORBIDDEN.search(value):
+            raise InvalidTerm(f"invalid IRI: {value!r}")
+        return tuple.__new__(cls, (f"<{value}>", value))
+
+
+class BlankNode(_Tuple):
+    __slots__ = ()
+    _fields = ("label",)
+    label = property(itemgetter(1))
+
+    def __new__(cls, label):
+        return tuple.__new__(cls, (f"_:{label}", label))
 
 
 def _canonical_numeric(lexical: str, datatype: str) -> str:
@@ -69,18 +91,20 @@ def _canonical_numeric(lexical: str, datatype: str) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: str = STRING
+class Literal(_Tuple):
+    __slots__ = ()
+    _fields = ("lexical", "datatype")
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.datatype not in (STRING, INTEGER, DECIMAL):
-            raise ValueError(f"unsupported datatype: {self.datatype!r}")
-        if self.datatype != STRING:
-            object.__setattr__(
-                self, "lexical", _canonical_numeric(self.lexical, self.datatype)
-            )
+    def __new__(cls, lexical, datatype=STRING):
+        if datatype == STRING:
+            escaped = lexical.replace("\\", "\\\\").replace('"', '\\"')
+            return tuple.__new__(cls, (f'"{escaped}"', lexical, datatype))
+        if datatype not in (INTEGER, DECIMAL):
+            raise ValueError(f"unsupported datatype: {datatype!r}")
+        lexical = _canonical_numeric(lexical, datatype)
+        return tuple.__new__(cls, (f'"{lexical}"^^{datatype}', lexical, datatype))
 
     def value(self):
         """Lexical form as a Python value (str, int, or float)."""
@@ -89,12 +113,6 @@ class Literal:
         if self.datatype == DECIMAL:
             return float(self.lexical)
         return self.lexical
-
-    def __str__(self):
-        if self.datatype == STRING:
-            escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return f'"{self.lexical}"^^{self.datatype}'
 
 
 Term = Iri | BlankNode | Literal
@@ -111,17 +129,22 @@ def literal_for(value) -> Literal:
     return Literal(str(value), STRING)
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Iri
-    object: Term
+class Triple(_Tuple):
+    """A (subject, predicate, object) tuple of terms: triples order as
+    their terms' texts do, subject first."""
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    __slots__ = ()
+    _first = 0
+    _fields = ("subject", "predicate", "object")
+    __str__ = _Tuple.__repr__
+    subject, predicate, object = map(property, map(itemgetter, range(3)))
+
+    def __new__(cls, subject, predicate, object):
+        if isinstance(subject, Literal):
             raise ValueError("triple subject cannot be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
+        return tuple.__new__(cls, (subject, predicate, object))
 
     def sort_key(self):
         return (str(self.subject), str(self.predicate), str(self.object))
@@ -158,24 +181,22 @@ def shrink(iri: Iri, prefixes: dict[str, str]) -> str | None:
 class Graph:
     """An immutable set of triples plus a prefix map.
 
-    No method changes a graph after construction; ``insert`` returns a new
-    one. All reads are pure and safe for concurrent readers.
+    No method changes a graph after construction; ``insert`` and ``merge``
+    return a new one. All reads are pure and safe for concurrent readers.
     """
 
     def __init__(self, triples=(), prefixes=None):
         self._triples: frozenset[Triple] = frozenset(triples)
-        self.prefixes: dict[str, str] = dict(
-            prefixes if prefixes is not None else DEFAULT_PREFIXES
-        )
+        self.prefixes: dict[str, str] = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
         self._sorted: tuple[Triple, ...] | None = None
-        self._by_subject: dict[Term, list[Triple]] | None = None
+        self._indexes: list[dict[Term, list[Triple]] | None] = [None, None]
 
     def __len__(self):
         return len(self._triples)
 
     def __iter__(self):
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._triples, key=Triple.sort_key))
+            self._sorted = tuple(sorted(self._triples))
         return iter(self._sorted)
 
     def __contains__(self, triple):
@@ -187,56 +208,71 @@ class Graph:
     def __hash__(self):
         return hash(self._triples)
 
-    def _subject_index(self) -> dict[Term, list[Triple]]:
-        """Subject -> its triples in sorted order, built on first use."""
-        if self._by_subject is None:
-            index: dict[Term, list[Triple]] = {}
+    def _index(self, position: int) -> dict[Term, list[Triple]]:
+        """Subject (position 0) or predicate (1) -> its triples in sorted
+        order, built on first use."""
+        index = self._indexes[position]
+        if index is None:
+            index = self._indexes[position] = {}
             for t in self:
-                index.setdefault(t.subject, []).append(t)
-            self._by_subject = index
-        return self._by_subject
+                index.setdefault(t[position], []).append(t)
+        return index
 
     def match(self, s=None, p=None, o=None) -> list[Triple]:
         """Triples matching the bound positions; None is a wildcard.
 
         Result is sorted by canonical (subject, predicate, object) strings.
         """
-        candidates = self if s is None else self._subject_index().get(s, ())
-        return [
-            t
-            for t in candidates
-            if (p is None or t.predicate == p) and (o is None or t.object == o)
-        ]
+        if s is not None:
+            candidates = self._index(0).get(s, ())
+        elif p is not None:
+            candidates, p = self._index(1).get(p, ()), None
+        else:
+            candidates = self
+        return [t for t in candidates
+                if (p is None or t.predicate == p) and (o is None or t.object == o)]
 
     def expand(self, name: str) -> Iri:
         return expand(name, self.prefixes)
 
 
+def merge(graph: Graph, triples) -> Graph:
+    """The graph plus the triples, under set semantics. The graph's sorted
+    order is kept and each new triple placed in it by bisection."""
+    added = set(triples).difference(graph._triples)
+    order = list(graph)
+    for t in added:
+        insort(order, t)
+    merged = Graph((), graph.prefixes)
+    merged._triples, merged._sorted = graph._triples.union(added), tuple(order)
+    return merged
+
+
 def insert(graph: Graph, triple: Triple) -> Graph:
     """Copy-on-write insertion; idempotent under set semantics."""
-    return Graph(graph._triples | {triple}, graph.prefixes)
+    return merge(graph, [triple])
 
 
 def _tree(graph: Graph):
     """Walk the blank-node trees of a graph once, without recursion.
 
-    Returns the IRI subjects in ``str`` order, the root blank nodes (those
-    that are no triple's object) in key order, the key function and the
+    Returns the IRI subjects in order, the root blank nodes (those that
+    are no triple's object) in key order, the key function and the
     per-height tables. A blank node's key is ``(1, height, rank)``: its rank
-    is the index of its sorted ``(str(predicate), key(object))`` pairs in
-    its height's table, so two blank nodes share a key exactly when their
+    is the index of its sorted ``(predicate, key(object))`` pairs in its
+    height's table, so two blank nodes share a key exactly when their
     subtrees are isomorphic (AHU tree canonization). Any other term's key is
-    ``(0, str(term))``. Raises NonTreeBlankNodes if a blank node is the
+    ``(0, term)``. Raises NonTreeBlankNodes if a blank node is the
     object of more than one triple or cannot be reached from an IRI subject
     or a root.
     """
-    index = graph._subject_index()
+    index = graph._index(0)
     counts = Counter(t.object for t in graph if isinstance(t.object, BlankNode))
     for node, n in counts.items():
         if n > 1:
             raise NonTreeBlankNodes(f"blank node {node} is object of {n} triples")
 
-    subjects = sorted((s for s in index if isinstance(s, Iri)), key=str)
+    subjects = [s for s in index if isinstance(s, Iri)]  # the index is in order
     roots = [s for s in index if isinstance(s, BlankNode) and s not in counts]
     # Breadth first: each blank node has at most one parent here, so it is
     # listed once, after its parent, and no cycle is reached.
@@ -258,13 +294,13 @@ def _tree(graph: Graph):
     keys: dict[BlankNode, tuple] = {}
 
     def key(term: Term) -> tuple:
-        return keys[term] if isinstance(term, BlankNode) else (0, str(term))
+        return keys[term] if isinstance(term, BlankNode) else (0, term)
 
     tables = []
     for h, level in groupby(sorted(order, key=height.get), height.get):
         level = list(level)
         signatures = [
-            tuple(sorted((str(t.predicate), key(t.object)) for t in index.get(node, ())))
+            tuple(sorted((t.predicate, key(t.object)) for t in index.get(node, ())))
             for node in level
         ]
         table = sorted(set(signatures))
@@ -285,12 +321,8 @@ def canonical_form(graph: Graph) -> tuple:
     one triple or blank nodes form a cycle.
     """
     _, roots, key, tables = _tree(graph)
-    triples = sorted(
-        (str(t.subject), str(t.predicate), key(t.object))
-        for t in graph
-        if isinstance(t.subject, Iri)
-    )
-    return tables, tuple(triples), tuple(map(key, roots))
+    triples = [(t.subject, t.predicate, key(t.object)) for t in graph if isinstance(t.subject, Iri)]
+    return tables, tuple(sorted(triples)), tuple(map(key, roots))
 
 
 def isomorphic_trees(a: Graph, b: Graph) -> bool:

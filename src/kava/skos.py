@@ -36,7 +36,7 @@ class ConceptScheme:
         return concept_id in self.concepts
 
     def sorted_ids(self):
-        return sorted(self.concepts, key=str)
+        return sorted(self.concepts)
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,7 @@ class Finding:
 
 def scheme_ids(graph: Graph) -> list[Iri]:
     """All scheme IRIs referenced via skos:inScheme."""
-    return sorted(
-        {t.object for t in graph.match(p=SKOS_IN_SCHEME) if isinstance(t.object, Iri)},
-        key=str,
-    )
+    return sorted({t.object for t in graph.match(p=SKOS_IN_SCHEME) if isinstance(t.object, Iri)})
 
 
 def load_scheme(graph: Graph, scheme_id: Iri) -> ConceptScheme:
@@ -113,26 +110,14 @@ def validate_scheme(scheme: ConceptScheme) -> list[Finding]:
                 Finding("MissingLabel", "error", str(cid), "concept has no skos:prefLabel")
             )
         for attr in ("broader", "narrower", "related"):
-            for target in sorted(getattr(c, attr), key=str):
+            for target in sorted(getattr(c, attr)):
                 if target not in scheme.concepts:
-                    findings.append(
-                        Finding(
-                            "DanglingEdge",
-                            "error",
-                            str(cid),
-                            f"{attr} edge to unknown concept {target}",
-                        )
-                    )
-        for target in sorted(c.related, key=str):
+                    detail = f"{attr} edge to unknown concept {target}"
+                    findings.append(Finding("DanglingEdge", "error", str(cid), detail))
+        for target in sorted(c.related):
             if target in scheme.concepts and cid not in scheme.concepts[target].related:
-                findings.append(
-                    Finding(
-                        "RelatedAsymmetry",
-                        "warning",
-                        str(cid),
-                        f"related edge to {target} is not reciprocated",
-                    )
-                )
+                detail = f"related edge to {target} is not reciprocated"
+                findings.append(Finding("RelatedAsymmetry", "warning", str(cid), detail))
     findings.extend(_broader_cycles(scheme))
     return findings
 
@@ -154,7 +139,7 @@ def _broader_cycles(scheme: ConceptScheme) -> list[Finding]:
             color[cid] = 1
             path.append(cid)
             broader = scheme.concepts[cid].broader
-            pending.append(iter(sorted((b for b in broader if b in scheme.concepts), key=str)))
+            pending.append(iter(sorted(b for b in broader if b in scheme.concepts)))
         elif color[cid] == 1:
             cycle = " -> ".join(str(x) for x in path[path.index(cid):] + [cid])
             findings.append(Finding("BroaderCycle", "error", str(path[-1]), cycle))
@@ -177,7 +162,7 @@ def _closure(scheme, start, attr):
             for nxt in getattr(scheme.concepts[cid], attr):
                 if nxt in scheme.concepts and nxt not in visited:
                     level.add(nxt)
-        frontier = sorted(level, key=str)
+        frontier = sorted(level)
         for nxt in frontier:
             visited.add(nxt)
             seen.append(nxt)

@@ -4,7 +4,7 @@ anonymous blank-node property lists, and plain literals."""
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 
 from .errors import InvalidTerm, TurtleSyntaxError, UnknownPrefix
@@ -276,12 +276,8 @@ def _render_iri(iri, prefixes):
 
 def _iri_names(graph):
     """Every IRI of the graph, rendered once."""
-    names = {}
-    for t in graph:
-        for term in (t.subject, t.predicate, t.object):
-            if isinstance(term, Iri) and term not in names:
-                names[term] = _render_iri(term, graph.prefixes)
-    return names
+    terms = set(chain.from_iterable(graph))
+    return {term: _render_iri(term, graph.prefixes) for term in terms if isinstance(term, Iri)}
 
 
 def _body(subject, graph, names, key, separator, indent):
@@ -317,9 +313,7 @@ def serialize_turtle(graph: Graph) -> str:
     iri_subjects, root_bnodes, key, _ = _tree(graph)
     names = _iri_names(graph)
     used = {name.split(":")[0] for name in names.values() if not name.startswith("<")}
-    if graph.prefixes.get("rdf") == DEFAULT_PREFIXES["rdf"] and any(
-        t.predicate == RDF_TYPE for t in graph
-    ):
+    if graph.prefixes.get("rdf") == DEFAULT_PREFIXES["rdf"] and graph.match(p=RDF_TYPE):
         used.add("rdf")
     out = [f"@prefix {label}: <{graph.prefixes[label]}> .\n" for label in sorted(used)]
     if out:

@@ -134,9 +134,7 @@ def concept_tree_spec(
     for cid in scheme.sorted_ids():
         c = scheme.concepts[cid]
         name = _concept_name(cid, prefixes)
-        broader = sorted(
-            (b for b in c.broader if b in scheme.concepts), key=str
-        )
+        broader = sorted(b for b in c.broader if b in scheme.concepts)
         node = {
             "id": name,
             "label": c.pref_label,

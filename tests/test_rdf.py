@@ -1,7 +1,9 @@
+import copy
+import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_graph
@@ -16,6 +18,7 @@ from kava.rdf import (
     expand,
     insert,
     isomorphic_trees,
+    merge,
     prefixed_names,
     shrink,
 )
@@ -189,3 +192,87 @@ def test_isomorphic_reflexive_symmetric(seed):
     h = random_tree_graph(random.Random(seed + 1), 15)
     assert isomorphic_trees(g, g)
     assert isomorphic_trees(g, h) == isomorphic_trees(h, g)
+
+
+# --- term value semantics ---------------------------------------------------
+
+# Payloads that collide across kinds and formats: a quote, a backslash, "^^"
+# and "_:" inside a string, and texts that share a long prefix.
+_PAYLOAD = st.text(alphabet='ab5"\\^_:', max_size=6)
+_IRI_TEXT = st.text(alphabet="ab5:_/#.", max_size=6)
+_TERMS = st.one_of(
+    _IRI_TEXT.map(lambda v: Iri("http://example.org/" + v)),
+    _PAYLOAD.map(lambda v: BlankNode("g" + v)),
+    _PAYLOAD.map(Literal),
+    st.integers(-(10**20), 10**20).map(lambda n: Literal(str(n), "integer")),
+    st.decimals(-1000, 1000, places=3).map(lambda d: Literal(str(d), "decimal")),
+    st.sampled_from(
+        [Literal("5"), Literal("5", "integer"), Literal("5.0", "decimal"), Literal('5"^^integer'),
+         Literal("<http://example.org/x>"), Iri("http://example.org/x"), BlankNode("x")]
+    ),
+)
+_SUBJECTS = _TERMS.filter(lambda t: not isinstance(t, Literal))
+_PREDICATES = _IRI_TEXT.map(lambda v: Iri("http://example.org/p" + v))
+
+
+def _text_order(t):
+    return (str(t.subject), str(t.predicate), str(t.object))
+
+
+@given(_TERMS, _TERMS)
+def test_terms_are_equal_hash_and_order_as_their_kind_and_text(a, b):
+    same = type(a) is type(b) and str(a) == str(b)
+    assert (a == b) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+    assert (a < b) is (str(a) < str(b))
+    for plain in (str(a), str(a)[1:-1], *a[1:]):  # texts and fields
+        assert a != plain
+
+
+@given(_PAYLOAD.filter(lambda v: v.isalnum()))
+def test_a_term_never_equals_a_term_of_another_kind(v):
+    terms = [Iri("http://example.org/" + v), BlankNode(v), Literal(v)]
+    if v.isdigit():
+        terms += [Literal(v, "integer"), Literal(v, "decimal")]
+    for i, a in enumerate(terms):
+        assert [b for b in terms if b == a] == [a], i
+
+
+@given(_TERMS)
+def test_terms_repr_copy_and_pickle(term):
+    assert repr(term).startswith(type(term).__name__ + "(")
+    assert copy.copy(term) == term == pickle.loads(pickle.dumps(term))
+    t = Triple(Iri("http://example.org/s"), Iri("http://example.org/p"), term)
+    assert copy.deepcopy(t) == t == pickle.loads(pickle.dumps(t))
+    fields = f"subject={t.subject!r}, predicate={t.predicate!r}, object={term!r}"
+    assert str(t) == repr(t) == f"Triple({fields})"
+
+
+def test_term_repr_names_the_fields():
+    assert repr(Iri("urn:x")) == "Iri(value='urn:x')"
+    assert repr(BlankNode("b1")) == "BlankNode(label='b1')"
+    assert repr(Literal("05", "integer")) == "Literal(lexical='5', datatype='integer')"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.tuples(_SUBJECTS, _PREDICATES, _TERMS), max_size=30),
+)
+def test_graph_order_and_match_against_brute_force(seed, extra):
+    """Iteration is the order of the triples' texts; match(p=…) and
+    match(s=…, p=…) equal a filter of that order; merge keeps it."""
+    tree = random_tree_graph(random.Random(seed), 30)
+    extra = [Triple(*t) for t in extra]
+    for graph in (tree, Graph(extra), Graph([*tree, *extra]), merge(tree, extra)):
+        everything = list(graph)
+        assert everything == sorted(graph, key=_text_order)
+        predicates = {t.predicate for t in everything} | {Iri("http://example.org/absent")}
+        for p in predicates:
+            assert graph.match(p=p) == [t for t in everything if t.predicate == p]
+            for s in {t.subject for t in everything}:
+                assert graph.match(s=s, p=p) == [
+                    t for t in everything if t.subject == s and t.predicate == p
+                ]
+    assert merge(tree, extra) == Graph([*tree, *extra])

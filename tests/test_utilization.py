@@ -348,6 +348,19 @@ def test_fragment_text_of_a_document_nested_2000_deep():
     assert text == reference
 
 
+@pytest.mark.parametrize("container", ["dict", "list"])
+def test_fragment_text_refuses_a_document_that_holds_itself(container):
+    doc = {"a": [1]} if container == "dict" else [1, {"a": []}]
+    (doc["a"] if container == "dict" else doc).append(doc)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json.dumps(doc, indent=2, ensure_ascii=False)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        fragment_text(doc)
+    shared = {"s": [1]}  # one container twice, but inside neither
+    doc = {"a": shared, "b": [shared, shared]}
+    assert fragment_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
 def test_fragment_text_of_every_fragment_kind():
     g, scheme = _gps_scheme()
     g4 = parse_turtle(fixture_text("listing4.ttl"))
