@@ -58,6 +58,7 @@ exits 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import shutil
@@ -135,6 +136,15 @@ EDGE_CSVS = {
     "escapes.csv": 'id,glucose,t,note\n"a""1",250,1,"say ""hi"""\nb\\2,150,2,back\\slash\n'
                    '"c\n3",210,3,"two\nlines"\nd\u2028,260,4,sep\u2028arator\n'
                    '\u00e9\t5,201,5,tab\tbed\n',
+    # the one-pass splitter's edges: rows it must leave to csv.reader, and
+    # plain text with cells that are neither comma nor newline
+    "comma_row.csv": "id,glucose,t\n1,250,1\n,,\n2,150,2\n",
+    "nul_and_separator.csv": "id,glucose,t,note\n1,250,1,a\x00b\n2,150,2,c\u2028d\n",
+    "long_field.csv": f"id,glucose,t\n1,250,{'1' * (csv.field_size_limit() + 1)}\n",
+    "no_final_newline.csv": "id,glucose,t\n1,250,1\n2,150,2",
+    "short_row.csv": "id,glucose,t\n1,250,1\n2,150\n3,210,3\n",
+    "long_row.csv": "id,glucose,t\n1,250,1\n2,150,2,9\n3,210,3\n",
+    "header_only_no_newline.csv": "id,glucose,t",
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

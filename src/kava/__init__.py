@@ -15,7 +15,6 @@ from .rdf import (
     shrink,
 )
 from .turtle import parse_turtle, serialize_turtle
-from .jsonld import parse_jsonld, serialize_jsonld
 
 __all__ = [
     "DEFAULT_PREFIXES",
@@ -35,3 +34,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The JSON-LD reader and writer, imported on their first use."""
+    if name in ("parse_jsonld", "serialize_jsonld"):
+        from . import jsonld
+
+        return getattr(jsonld, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,13 +13,13 @@ import csv
 import functools
 import io
 import json
+import operator
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import jsonld, jsontext, manifestation, skos, turtle, utilization
+from . import manifestation, turtle
 from .errors import (
     HeaderMismatch,
     KavaError,
@@ -29,13 +29,13 @@ from .errors import (
 )
 from .predicate import parse_number, parse_predicate
 from .rdf import DEFAULT_PREFIXES, Graph, Iri, expand
-from .skos import Finding
 
 if TYPE_CHECKING:
     from .dataset import Dataset, Schema
+    from .skos import Finding
 
-# The data and gait modules, and numpy with them, are imported by the
-# commands that read data, so that graph-only commands start without them.
+# Each command imports the modules it runs, where it runs them: graph-only
+# commands, for one, start without numpy and the data modules.
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -70,6 +70,7 @@ def read_graph(path: str) -> Graph:
     if p.suffix == ".ttl":
         return turtle.parse_turtle(text, _env_prefixes())
     if p.suffix == ".jsonld":
+        from . import jsonld
         return jsonld.parse_jsonld(text, _env_prefixes())
     raise KavaError(f"unsupported knowledge file extension: {p.suffix!r}")
 
@@ -78,6 +79,7 @@ def serialize_graph(graph: Graph, suffix: str) -> str:
     if suffix == ".ttl":
         return turtle.serialize_turtle(graph)
     if suffix == ".jsonld":
+        from . import jsonld
         return jsonld.serialize_jsonld(graph)
     raise KavaError(f"unsupported output extension: {suffix!r}")
 
@@ -85,6 +87,8 @@ def serialize_graph(graph: Graph, suffix: str) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write-temp-then-rename, as UTF-8; knowledge files are the system of
     record. A failure is an OSError naming ``path``, not the temporary file."""
+    import tempfile
+
     p = Path(path)
     tmp = None
     try:
@@ -101,23 +105,25 @@ def write_atomic(path: str, text: str) -> None:
 
 def graph_findings(graph: Graph) -> list[Finding]:
     """Scheme and manifestation validation over one knowledge graph."""
+    from . import skos
+
     findings = []
     for scheme_id in skos.scheme_ids(graph):
         try:
             scheme = skos.load_scheme(graph, scheme_id)
         except KavaError as exc:
-            findings.append(Finding("EmptyScheme", "warning", str(scheme_id), str(exc)))
+            findings.append(skos.Finding("EmptyScheme", "warning", str(scheme_id), str(exc)))
             continue
         for f in skos.validate_scheme(scheme):
             # edges to concepts outside the document are normal for
             # pre-existing external vocabularies
             if f.kind == "DanglingEdge":
-                f = Finding(f.kind, "warning", f.subject, f.detail)
+                f = skos.Finding(f.kind, "warning", f.subject, f.detail)
             findings.append(f)
     for t in graph.match(p=turtle.RDF_TYPE, o=skos.SKOS_CONCEPT):
         if not graph.match(s=t.subject, p=skos.SKOS_IN_SCHEME):
             findings.append(
-                Finding(
+                skos.Finding(
                     "NoScheme",
                     "warning",
                     str(t.subject),
@@ -128,7 +134,7 @@ def graph_findings(graph: Graph) -> list[Finding]:
         manifestation.load_manifestations(graph)
     except MalformedManifestation as exc:
         findings.append(
-            Finding("MalformedManifestation", "error", str(exc.subject), exc.reason)
+            skos.Finding("MalformedManifestation", "error", str(exc.subject), exc.reason)
         )
     return findings
 
@@ -192,8 +198,9 @@ def read_table(path: str, id_var: str | None) -> Dataset:
     """Load a data CSV; ``load_csv`` decides each column's kind as it parses it."""
     from .dataset import load_csv
 
-    rows = list(csv.reader(io.StringIO(read_text(path))))
-    return load_csv(rows, _infer_schema(rows, id_var))
+    text = read_text(path)
+    header = next(csv.reader(io.StringIO(text)), None)
+    return load_csv(text, _infer_schema([] if header is None else [header], id_var))
 
 
 def cmd_manifest(args) -> int:
@@ -209,10 +216,15 @@ def cmd_manifest(args) -> int:
             foreign = True
         else:
             mask |= manifestation.record_mask(m, dataset)
-    # load_csv refuses equal identifiers: one per matched record; NaN sorts last
-    matched = dataset.matched_identifiers(mask)
-    _emit(sorted(matched, key=lambda x: (str(type(x)), x != x, x)))
+    _emit(sorted_identifiers(dataset.matched_identifiers(mask)))
     return EXIT_FINDINGS if foreign else EXIT_OK
+
+
+def sorted_identifiers(matched: set) -> list:
+    """The identifiers by type name, NaN last, then value; with no key if that changes nothing."""
+    if len(set(map(type, matched))) <= 1 and all(map(operator.eq, matched, matched)):
+        return sorted(matched)
+    return sorted(matched, key=lambda x: (str(type(x)), x != x, x))
 
 
 def _skip_foreign(m) -> bool:
@@ -282,6 +294,8 @@ def cmd_annotate(args) -> int:
 
 
 def _single_scheme(graph, scheme_arg):
+    from . import skos
+
     if scheme_arg:
         return expand(scheme_arg, graph.prefixes)
     ids = skos.scheme_ids(graph)
@@ -293,6 +307,8 @@ def _single_scheme(graph, scheme_arg):
 
 
 def cmd_export_vis(args) -> int:
+    from . import jsontext, skos, utilization
+
     graph = read_graph(args.knowledge)
     if args.pattern != "tree":  # a concept tree reads no manifestations
         manifests = manifestation.load_manifestations(graph)
@@ -349,6 +365,7 @@ def _select_manifestation(manifests, graph, concept_arg, indirect_only=False):
 
 def _gait_models(graph, trials, filter_text):
     from . import gait as gait_mod
+    from . import skos
 
     population_filter = parse_predicate(filter_text) if filter_text else None
     models = []  # in concept order, as match returns the concepts

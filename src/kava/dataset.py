@@ -298,34 +298,81 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
     stored as columns; ``text`` may also be the rows ``csv.reader`` made
     of it.
 
-    Header must contain exactly the schema variables, in any order. Each
-    distinct cell text of a column is parsed once and given one code. An
-    INFER variable is a NUMBER when that parse finds a number and no other
-    text, else a STRING; the dataset's schema holds the decided kinds.
-    Errors are those of a row-by-row read: the first bad cell, or missing
-    or repeated identifier, wins.
+    Header must contain exactly the schema variables, in any order. Plain
+    text (``_plain_cells``) is split in one pass, any other by ``csv.reader``.
+    Each distinct cell text of a column is parsed once and given one code.
+    An INFER variable is a NUMBER when that parse finds a number and no
+    other text, else a STRING; the dataset's schema holds the decided
+    kinds. Errors are those of a row-by-row read: the first bad cell, or
+    missing or repeated identifier, wins.
     """
-    rows = list(csv.reader(io.StringIO(text))) if isinstance(text, str) else text
-    if not rows:
-        raise HeaderMismatch("missing header row")
-    header = rows[0]
+    plain = _plain_cells(text) if isinstance(text, str) else None
+    if plain is not None:
+        header, body = plain
+        by_position = [body[pos :: len(header)] for pos in range(len(header))]
+        length = len(by_position[0])
+    else:
+        rows = _csv_rows(text)
+        if not rows:
+            raise HeaderMismatch("missing header row")
+        header = rows[0]
+        body = list(filter(any, rows[1:]))  # a row of empty cells is no record
+        by_position = list(zip_longest(*body))  # a short row has None for the cells it lacks
+        length = len(body)
     names = schema.names()
     if sorted(header) != sorted(names):
         raise HeaderMismatch(
             f"header {header} does not match schema variables {names}"
         )
-    body = list(filter(any, rows[1:]))  # a row of empty cells is no record
-    by_position = list(zip_longest(*body))  # a short row has None for the cells it lacks
     columns, kinds = {}, []
     for name, kind in schema.variables:
         pos = header.index(name)
-        cells = by_position[pos] if pos < len(by_position) else (None,) * len(body)
+        cells = by_position[pos] if pos < len(by_position) else (None,) * length
         columns[name], kind = _parse_column(cells, kind)
         kinds.append((name, kind))
     schema = Schema(tuple(kinds), schema.identifying)
-    if None in columns.values() or not _identifiers_unique(schema, columns, len(body)):
-        raise _first_row_error(rows, schema)
-    return Dataset.from_columns(schema, columns, len(body))
+    if None in columns.values() or not _identifiers_unique(schema, columns, length):
+        raise _first_row_error(text, schema)
+    return Dataset.from_columns(schema, columns, length)
+
+
+def _csv_rows(text: str | list) -> list:
+    """The rows ``csv.reader`` makes of CSV text; rows are returned as they are."""
+    return list(csv.reader(io.StringIO(text))) if isinstance(text, str) else text
+
+
+def _plain_cells(text: str):
+    """The header and the body's cells, row by row, of CSV text that
+    ``csv.reader`` splits exactly at its commas and newlines, all taken
+    from one ``str.split``; None for any other text. Plain text has no
+    quote and no carriage return, the header's comma count in every line
+    (one numpy pass over the bytes), no field past
+    ``csv.field_size_limit()`` and no line of empty cells only, which
+    ``csv.reader`` reads as a row that load_csv drops, or as none."""
+    if not text or '"' in text or "\r" in text:
+        return None
+    text += "" if text.endswith("\n") else "\n"
+    width = text.count(",", 0, text.index("\n")) + 1  # cells per line, as in the header
+    try:
+        raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    except ValueError:  # a lone surrogate has no UTF-8 form
+        return None
+    newlines = raw == ord("\n")
+    at = np.flatnonzero(newlines | (raw == ord(",")))
+    ends = at[width - 1 :: width]  # each line's end, when it has width - 1 commas
+    if len(at) % width or np.count_nonzero(newlines) != len(ends) or not newlines[ends].all():
+        return None
+    if (
+        np.diff(at, prepend=-1).max() > csv.field_size_limit()  # a field's length plus one
+        or ends[0] == width - 1  # a header of empty cells only
+        or (np.diff(ends) == width).any()  # a body line of empty cells only
+    ):
+        return None
+    del raw, newlines, at, ends
+    cells = text.replace("\n", ",").split(",")
+    header = cells[:width]
+    del cells[:width], cells[-1]  # the header's, and the one after the final newline
+    return header, cells
 
 
 def _parse_column(cells, kind):
@@ -367,10 +414,11 @@ def _identifiers_unique(schema, columns, length) -> bool:
     return len(set(zip(*(part.decode() for part in parts)))) == length
 
 
-def _first_row_error(rows, schema) -> Exception:
-    """The error a row-by-row read of ``rows`` meets first: a cell of a
-    NUMBER variable that is not a number, or a missing or repeated
-    identifier. load_csv calls it only when ``rows`` hold one."""
+def _first_row_error(text, schema) -> Exception:
+    """The error a row-by-row read of the CSV text or rows meets first: a
+    cell of a NUMBER variable that is not a number, or a missing or
+    repeated identifier. load_csv calls it only when ``text`` holds one."""
+    rows = _csv_rows(text)
     header = rows[0]
     parsers = [
         (name, header.index(name), parse_number if kind == NUMBER else _parse_text)
@@ -427,48 +475,14 @@ def load_series_csv(text: str, label: str = "") -> TimeSeries:
     Extra columns are ignored; blank and all-empty rows are skipped. A NaN
     or non-increasing time stamp is a CsvTypeError at its row.
     """
-    pairs = _plain_pairs(text)
-    if pairs is not None:
+    plain = _plain_cells(text)
+    if plain is not None and len(plain[0]) == 2:
         try:
+            pairs = np.fromiter(map(float, plain[1]), np.float64, len(plain[1]))
             return TimeSeries.from_arrays(pairs[0::2], pairs[1::2], label)
         except ValueError:
             pass  # the row-wise read below names the offending row
     return _load_series_rows(text, label)
-
-
-def _plain_pairs(text: str):
-    """The cells of a plain ``number,number`` series as one flat float64
-    array, t and v interleaved; None for any other text.
-
-    Plain means: no quote and no carriage return, exactly one comma in the
-    header and in every body line, no field past ``csv.field_size_limit()``,
-    and every cell ``float()`` accepts. On such text ``csv.reader`` yields
-    the same cells, and each is parsed by the same ``float()``.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    header, _, body = text.partition("\n")
-    if header.count(",") != 1 or len(header) > csv.field_size_limit():
-        return None
-    if body and not body.endswith("\n"):
-        body += "\n"
-    try:
-        raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    except ValueError:  # a lone surrogate has no UTF-8 form
-        return None
-    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    marks = raw[at]
-    # marks alternate comma, newline: one comma per line, so no line is blank
-    if (marks[0::2] != ord(",")).any() or (marks[1::2] != ord("\n")).any():
-        return None
-    if len(at) and np.diff(at, prepend=-1).max() > csv.field_size_limit():
-        return None
-    cells = body.replace("\n", ",").split(",")
-    cells.pop()  # after the final newline
-    try:
-        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        return None
 
 
 def _load_series_rows(text: str, label: str) -> TimeSeries:

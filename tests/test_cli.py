@@ -514,6 +514,94 @@ def test_graph_only_commands_do_not_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def _modules_after(*argvs) -> set:
+    """The modules a fresh interpreter has loaded once ``main`` has run
+    each argv, each exiting 0."""
+    script = (
+        "import json, sys\n"
+        "from kava.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+GRAPH_COMMANDS = {
+    "validate": lambda store, tmp: ["validate", store],
+    "annotate": lambda store, tmp: ["annotate", store, "--concept", "icd10:R73",
+                                    "--prototype", "patientId=1", "--creator", "A"],
+    "convert --to ttl": lambda store, tmp: ["convert", store, "--to", "ttl",
+                                            "-o", str(tmp / "out.ttl")],
+}
+DATA_MODULES = {"kava.jsonld", "kava.jsontext", "kava.utilization", "kava.dataset", "kava.gait",
+                "numpy"}
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_graph_commands_on_turtle_load_no_data_or_json_module(tmp_path, command):
+    store = tmp_path / "store.ttl"
+    shutil.copyfile(FIXTURES / "listing4.ttl", store)
+    loaded = _modules_after(GRAPH_COMMANDS[command](str(store), tmp_path))
+    assert "kava.turtle" in loaded
+    assert not loaded & DATA_MODULES, sorted(loaded & DATA_MODULES)
+
+
+def test_manifest_loads_no_skos_or_jsonld_module(tmp_path):
+    loaded = _modules_after(
+        ["manifest", str(FIXTURES / "listing4.ttl"), _sugar_csv(tmp_path), "--concept", "icd10:R73"]
+    )
+    assert "kava.dataset" in loaded
+    assert not loaded & {"kava.skos", "kava.jsonld"}, sorted(loaded & {"kava.skos", "kava.jsonld"})
+
+
+def test_star_import_resolves_every_public_name():
+    import kava
+
+    names = {}
+    exec("from kava import *", names)
+    assert set(kava.__all__) <= set(names)
+    assert names["parse_jsonld"] is parse_jsonld
+    assert names["serialize_jsonld"] is serialize_jsonld
+    with pytest.raises(AttributeError):
+        kava.no_such_name
+
+
+IDENTIFIERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf")]),
+    st.builds(float, st.just("nan")),  # a new NaN object per draw
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.integers()),
+        st.sets(st.floats() | IDENTIFIERS.filter(lambda x: type(x) is float)),
+        st.sets(st.text(max_size=3)),
+        st.sets(IDENTIFIERS),
+    )
+)
+@example({3, 1, 2})
+@example({1.5, -0.0, float("inf"), float("-inf")})
+@example({float("nan"), 1.0, float("nan")})
+@example({1, 1.5, "a", float("nan")})
+def test_manifest_sort_matches_keyed_sort(ids):
+    keyed = sorted(ids, key=lambda x: (str(type(x)), x != x, x))
+    assert list(map(id, cli.sorted_identifiers(ids))) == list(map(id, keyed))
+
+
 def test_parser_built_once_answers_like_a_fresh_one(capsys, tmp_path):
     data = _sugar_csv(tmp_path)
     listing4 = str(FIXTURES / "listing4.ttl")

@@ -686,6 +686,13 @@ def load_outcome(load, text, schema):
 @example("id,k,s\n2,\u00b2,--5\n,1,\n", LOADER_SCHEMAS[2], Comparison("id", "<", 3))
 @example("id,k,s\n", LOADER_SCHEMAS[0], Comparison("id", "=", 1))
 @example(f"id,k,s\n1,{LONG_INT},a\n2,-{LONG_INT},b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 0))
+# the one-pass splitter's edges: a row of empty cells only, a NUL and a
+# U+2028 inside cells, a field past the csv module's limit, no final newline
+@example("id,k,s\n1,2,a\n,,\n3,4,b\n", LOADER_SCHEMAS[0], Comparison("k", ">", 2))
+@example("id,k,s\n1,2,a\x00b\n3,4,c\u2028d\n", LOADER_SCHEMAS[3], Comparison("s", "=", "a\x00b"))
+@example(f"id,k,s\n1,2,{'a' * (csv.field_size_limit() + 1)}\n", LOADER_SCHEMAS[0],
+         Comparison("k", ">", 0))
+@example("id,k,s\n1,2,a\n3,4,b", LOADER_SCHEMAS[0], Comparison("k", ">", 2))
 def test_load_csv_matches_row_reference(text, schema, pred):
     got = load_outcome(load_csv, text, schema)
     want = load_outcome(ref_load_csv, text, schema)
@@ -706,6 +713,33 @@ def test_load_csv_matches_row_reference(text, schema, pred):
     want_kept = ref_filter(Dataset(schema, records), pred)
     assert typed_records(kept.records) == typed_records(want_kept)
     assert columns_form(kept) == canonical_form(kept)
+
+
+SPLITTER_CASES = {
+    "plain": ("id,k,s\n1,2,a\n3,,b\n", True),
+    "no final newline": ("id,k,s\n1,2,a", True),
+    "one column": ("id\n1\n2\n", True),
+    "header only": ("id,k,s\n", True),
+    "short row": ("id,k,s\n1,2\n3,4,b\n", False),
+    "long row": ("id,k,s\n1,2,a,x\n", False),
+    "row of empty cells": ("id,k,s\n1,2,a\n,,\n", False),
+    "blank line": ("id\n1\n\n2\n", False),
+    "blank header": ("\nid,k\n", False),
+    "quote": ('id,k,s\n1,2,"a"\n', False),
+    "carriage return": ("id,k,s\r\n1,2,a\r\n", False),
+    "field at the limit": (f"id,k\n1,{'2' * csv.field_size_limit()}\n", False),
+    "lone surrogate": ("id,k\n1,\ud800\n", False),
+    "empty": ("", False),
+}
+
+
+@pytest.mark.parametrize("text, plain", SPLITTER_CASES.values(), ids=list(SPLITTER_CASES))
+def test_splitter_takes_plain_text_only(text, plain):
+    cells = dataset_module._plain_cells(text)
+    assert (cells is not None) == plain
+    if plain:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert cells == (rows[0], [cell for row in rows[1:] for cell in row])
 
 
 @settings(max_examples=300, deadline=None)

@@ -269,14 +269,27 @@ def test_series_fast_path_matches_rows(text):
         ("t,v\n0,x\n", False),
     ],
 )
-def test_series_fast_path_takes_plain_text_only(text, plain):
-    assert (dataset._plain_pairs(text) is not None) == plain
+def test_series_fast_path_takes_plain_text_only(text, plain, monkeypatch):
+    assert _read_in_one_pass(text, monkeypatch) == plain
 
 
-def test_series_fast_path_reads_written_series():
+def _read_in_one_pass(text, monkeypatch) -> bool:
+    """Whether load_series_csv reads ``text`` without the row-wise reader."""
+    row_reads = []
+
+    def counted(text, label, rows=dataset._load_series_rows):
+        row_reads.append(text)
+        return rows(text, label)
+
+    monkeypatch.setattr(dataset, "_load_series_rows", counted)
+    _series_outcome(load_series_csv, text)
+    return not row_reads
+
+
+def test_series_fast_path_reads_written_series(monkeypatch):
     series = TimeSeries(((0.0, 0.0), (0.01, 800.0), (0.02, float("nan"))), label="Fv")
     text = write_series_csv(series)
-    assert dataset._plain_pairs(text) is not None
+    assert _read_in_one_pass(text, monkeypatch)
     assert _series_outcome(load_series_csv, text) == _series_outcome(
         dataset._load_series_rows, text
     )

@@ -1,11 +1,13 @@
-"""Work that grows linearly with the store: the graph-side commands' Python
-call counts on the benchmark's curation stores at scales 1 and 4.
+"""Work that grows linearly with the input: the commands' Python call
+counts on the benchmark's stores at scales 1 and 4, for the graph-side
+commands of the curation workload and the data-side commands of the
+records and gait workloads.
 
 Call counts are deterministic where wall times on a shared host are not.
 Each command runs in process once as a warm-up, so that imports and
 first-use caches are not counted, and once under cProfile. A command whose
-count grows more than 4.4 times for the 4 times larger store does Python
-work that grows faster than the store.
+count grows more than 4.4 times for the 4 times larger input does Python
+work that grows faster than the input.
 """
 
 import cProfile
@@ -23,12 +25,17 @@ from kava import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = {"read": "validate", "aux": "convert --to jsonld", "render": "convert --to ttl",
        "write": "annotate"}
-SCALES = (1, 4)  # 998 and 3,983 triples at seed 1
+DATA_OPS = {("records", "read"): "manifest", ("records", "render"): "export-vis --pattern marks",
+            ("gait", "read"): "gait analyze"}
+SCALES = (1, 4)  # at seed 1: 998 and 3,983 triples, 4,000 and 16,000 rows, 4 and 16 concepts
 MAX_GROWTH = 4.4
+# predicate._compare runs once per distinct value that float64 cannot
+# compare exactly (the sex column's "F" and "M"), never once per record
+MAX_COMPARES_PER_RECORD = 0.05
 
 
-def _calls(workload, op):
-    """cProfile's total call count of the op's command, run once before."""
+def _profile(workload, op) -> pstats.Stats:
+    """cProfile's statistics of the op's command, run once before."""
     def run():
         argv = workload.argv(op, 0)  # an annotate op restores its store first
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -37,12 +44,17 @@ def _calls(workload, op):
     gc.collect()  # no graph of the warm-up is left for a cache to find
     profiler = cProfile.Profile()
     profiler.runcall(run)
-    return pstats.Stats(profiler).total_calls
+    return pstats.Stats(profiler)
 
 
-@pytest.fixture(scope="module")
-def ladder(tmp_path_factory):
-    """{op: [call count at each scale]} and the stores' triple counts."""
+def _compare_calls(stats) -> int:
+    return sum(
+        calls for (path, _, name), (_, calls, *_) in stats.stats.items()
+        if name == "_compare" and path.endswith("predicate.py")
+    )
+
+
+def _bench_modules():
     sys.path.insert(0, str(BENCH))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in bench/
     try:
@@ -50,15 +62,40 @@ def ladder(tmp_path_factory):
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
-    counts, triples = {op: [] for op in OPS}, []
+    return GENERATORS, WORKLOADS
+
+
+def _climb(tmp_path_factory, name, ops):
+    """{op: [cProfile statistics at each scale]} and the plans' sizes."""
+    generators, workloads = _bench_modules()
+    stats, sizes = {op: [] for op in ops}, []
     for scale in SCALES:
-        root = tmp_path_factory.mktemp(f"curation{scale}")
-        plan = GENERATORS["curation"](root, 1, scale)
-        triples.append(plan["triples"])
-        workload = WORKLOADS["curation"](root, plan)
-        for op in OPS:
-            counts[op].append(_calls(workload, op))
-    return counts, triples
+        root = tmp_path_factory.mktemp(f"{name}{scale}")
+        plan = generators[name](root, 1, scale)
+        sizes.append(plan.get("triples", plan["size"]))
+        workload = workloads[name](root, plan)
+        for op in ops:
+            stats[op].append(_profile(workload, op))
+    return stats, sizes
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory):
+    """{op: [call count at each scale]} and the stores' triple counts."""
+    stats, triples = _climb(tmp_path_factory, "curation", OPS)
+    return {op: [s.total_calls for s in stats[op]] for op in OPS}, triples
+
+
+@pytest.fixture(scope="module")
+def data_ladder(tmp_path_factory):
+    """{(workload, op): [cProfile statistics at each scale]} and, per
+    workload, the plans' sizes: record rows and gait concepts."""
+    stats, sizes = {}, {}
+    for name in ("records", "gait"):
+        ops = [op for workload, op in DATA_OPS if workload == name]
+        climbed, sizes[name] = _climb(tmp_path_factory, name, ops)
+        stats.update({(name, op): climbed[op] for op in ops})
+    return stats, sizes
 
 
 def test_the_larger_store_is_four_times_the_smaller(ladder):
@@ -69,3 +106,20 @@ def test_the_larger_store_is_four_times_the_smaller(ladder):
 def test_call_count_grows_linearly_with_the_store(ladder, op):
     small, large = ladder[0][op]
     assert large <= MAX_GROWTH * small, f"{OPS[op]}: {small} -> {large} calls"
+
+
+def test_the_larger_data_is_four_times_the_smaller(data_ladder):
+    assert data_ladder[1] == {"records": [4000, 16000], "gait": [4, 16]}
+
+
+@pytest.mark.parametrize("case", DATA_OPS, ids=DATA_OPS.values())
+def test_call_count_grows_linearly_with_the_data(data_ladder, case):
+    small, large = (stats.total_calls for stats in data_ladder[0][case])
+    assert large <= MAX_GROWTH * small, f"{DATA_OPS[case]}: {small} -> {large} calls"
+
+
+def test_marks_export_compares_per_distinct_value_not_per_record(data_ladder):
+    rows = data_ladder[1]["records"]
+    compares = [_compare_calls(stats) for stats in data_ladder[0][("records", "render")]]
+    for records, calls in zip(rows, compares):
+        assert calls <= MAX_COMPARES_PER_RECORD * records, f"{calls} _compare calls"
