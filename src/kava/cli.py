@@ -9,9 +9,7 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import operator
 import os
@@ -196,10 +194,10 @@ def _infer_schema(rows: list, id_var: str | None) -> Schema:
 
 def read_table(path: str, id_var: str | None) -> Dataset:
     """Load a data CSV; ``load_csv`` decides each column's kind as it parses it."""
-    from .dataset import load_csv
+    from .dataset import _csv_reader, load_csv
 
     text = read_text(path)
-    header = next(csv.reader(io.StringIO(text)), None)
+    header = next(_csv_reader(text), None)
     return load_csv(text, _infer_schema([] if header is None else [header], id_var))
 
 

@@ -5,37 +5,40 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, zip_longest
 
 import numpy as np
 
 from .errors import (
+    CsvSyntaxError,
     CsvTypeError,
     DuplicateIdentifier,
     HeaderMismatch,
     UnknownVariable,
 )
 from .predicate import _OPS, Predicate, _compare, compile_mask, parse_number, variables
+from .rdf import Value
 
 NUMBER = "number"
 STRING = "string"
 INFER = "infer"  # a kind load_csv decides from the cells: NUMBER or STRING
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Value):
+    __slots__ = ()
     variables: tuple  # of (name, kind)
     identifying: tuple = ()
 
-    def __post_init__(self):
-        names = [n for n, _ in self.variables]
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        names = self.names()
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in schema")
         unknown = set(self.identifying) - set(names)
         if unknown:
             raise ValueError(f"identifying variables not in schema: {sorted(unknown)}")
+        return self
 
     def names(self):
         return [n for n, _ in self.variables]
@@ -47,8 +50,8 @@ class Schema:
         raise UnknownVariable(name)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Value):
+    __slots__ = ()
     values: tuple  # of (name, value); value None means missing
 
     def as_dict(self):
@@ -67,14 +70,11 @@ class Record:
         return ids[0] if len(ids) == 1 else ids
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class TimeSeries:
-    """A labelled signal: two read-only float64 arrays of one length, the
-    strictly increasing time stamps ``t`` and the values ``v``."""
+    """A labelled signal, to be treated as immutable: two read-only float64
+    arrays of one length, the strictly increasing stamps ``t`` and values ``v``."""
 
-    t: np.ndarray
-    v: np.ndarray
-    label: str = ""
+    __slots__ = ("t", "v", "label")
 
     def __init__(self, samples, label=""):
         pairs = np.array(samples, dtype=np.float64).reshape(len(samples), 2)
@@ -96,9 +96,7 @@ class TimeSeries:
             raise ValueError("time stamps must be strictly increasing and not NaN")
         t.flags.writeable = False
         v.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "label", label)
+        self.t, self.v, self.label = t, v, label
 
     @property
     def samples(self) -> tuple:
@@ -128,13 +126,13 @@ def _key(value):
     return (type(value), value, repr(value))
 
 
-@dataclass(frozen=True, eq=False)
 class Column:
-    """One variable of a dataset, dictionary-encoded: its distinct values in
-    order of first appearance and, per record, the index of its value."""
+    """One variable of a dataset, dictionary-encoded (treat it as immutable):
+    its distinct values in order of first appearance and, per record, the
+    index of its value."""
 
-    values: tuple
-    codes: np.ndarray  # read-only intp, one per record
+    def __init__(self, values: tuple, codes: np.ndarray):
+        self.values, self.codes = values, codes  # codes: read-only intp, one per record
 
     def decode(self) -> list:
         """The value of every record, in record order."""
@@ -338,7 +336,16 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
 
 def _csv_rows(text: str | list) -> list:
     """The rows ``csv.reader`` makes of CSV text; rows are returned as they are."""
-    return list(csv.reader(io.StringIO(text))) if isinstance(text, str) else text
+    return list(_csv_reader(text)) if isinstance(text, str) else text
+
+
+def _csv_reader(text: str):
+    """The rows ``csv.reader`` makes of CSV text, one at a time."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:  # named by the line the reader had reached
+        raise CsvSyntaxError(f"line {reader.line_num}: {exc}") from None
 
 
 def _plain_cells(text: str):
@@ -487,7 +494,7 @@ def load_series_csv(text: str, label: str = "") -> TimeSeries:
 
 def _load_series_rows(text: str, label: str) -> TimeSeries:
     """load_series_csv row by row through ``csv.reader``, for any text."""
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_reader(text)
     header = next(reader, None)
     if header is None or len(header) < 2:
         raise HeaderMismatch("expected a t,v header row")

@@ -74,6 +74,10 @@ class CsvTypeError(KavaError, ValueError):
         self.column = column
 
 
+class CsvSyntaxError(KavaError):
+    """CSV text that ``csv.reader`` refuses, such as a field past its limit."""
+
+
 class DuplicateIdentifier(KavaError):
     pass
 

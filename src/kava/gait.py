@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .manifestation import (
     without_manifestations,
 )
 from .predicate import Predicate, compile_mask, variables
-from .rdf import Graph, Iri
+from .rdf import Graph, Iri, Value
 from .skos import SKOS_CONCEPT
 from .turtle import RDF_TYPE
 
@@ -77,8 +77,8 @@ DEBOUNCE_SECONDS = 0.05
 QUARTILES = (0.25, 0.5, 0.75)
 
 
-@dataclass(frozen=True)
-class GaitTrial:
+class GaitTrial(Value):
+    __slots__ = ()
     patient_id: str
     fv_left: TimeSeries
     fv_right: TimeSeries
@@ -93,26 +93,30 @@ class GaitTrial:
         }
 
 
-@dataclass(frozen=True)
-class SpatioTemporalParams:
+class SpatioTemporalParams(Value):
+    __slots__ = ()
     values: tuple  # 16 floats, ordered per PARAMETER_NAMES
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.values) != len(PARAMETER_NAMES):
             raise ValueError(f"expected {len(PARAMETER_NAMES)} parameters")
+        return self
 
     def as_dict(self):
         return dict(zip(PARAMETER_NAMES, self.values))
 
-    def __getitem__(self, name):
-        return self.values[_PARAMETER_INDEX[name]]
+    def __getitem__(self, name):  # a parameter by name; an int or a slice reads the tuple
+        if type(name) is str:
+            return tuple.__getitem__(self, 1)[_PARAMETER_INDEX[name]]
+        return tuple.__getitem__(self, name)
 
 
-@dataclass
-class CategoryModel:
+class CategoryModel(Value):
+    __slots__ = ()
     concept: Iri
     prototypes: list  # of (patient_id, SpatioTemporalParams)
-    overrides: dict = field(default_factory=dict)  # name -> (min, max)
+    overrides: dict = MappingProxyType({})  # name -> (min, max)
     population_filter: Predicate | None = None
 
     def effective_ranges(self) -> dict:
@@ -129,8 +133,8 @@ class CategoryModel:
         return np.array(rows, dtype=float).reshape(len(rows), len(PARAMETER_NAMES))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Value):
+    __slots__ = ()
     concept: Iri
     score: float
     per_parameter: dict  # name -> "inside" | "below" | "above" | "undefined"
@@ -266,7 +270,7 @@ def compute_params(trial: GaitTrial) -> SpatioTemporalParams:
     for name in PARAMETER_NAMES:
         if not math.isfinite(values[name]):
             raise NonFiniteParameter(f"patient {trial.patient_id}: {name} is {values[name]}")
-    return SpatioTemporalParams(values=tuple(values[name] for name in PARAMETER_NAMES))
+    return SpatioTemporalParams(tuple(values[name] for name in PARAMETER_NAMES))
 
 
 def build_category_model(
@@ -360,7 +364,7 @@ def _match(params, concept, ranges) -> MatchResult:
             inside += 1
     if defined == 0:
         raise NoDefinedRanges(str(concept))
-    return MatchResult(concept=concept, score=inside / defined, per_parameter=per_parameter)
+    return MatchResult(concept, inside / defined, per_parameter)
 
 
 def prototype_ids(graph: Graph, concept: Iri) -> list:
@@ -613,10 +617,4 @@ def square_wave_trial(
     right_onsets = [k * stride + offset for k in range(strides)]
     left = TimeSeries.from_arrays(t, force(left_onsets), "Fv left")
     right = TimeSeries.from_arrays(t, force(right_onsets), "Fv right")
-    return GaitTrial(
-        patient_id=patient_id,
-        fv_left=left,
-        fv_right=right,
-        body_mass=body_mass,
-        age=age,
-    )
+    return GaitTrial(patient_id, left, right, body_mass, age)

@@ -4,7 +4,6 @@ blank-node trees, and plain string/number literals."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import JsonLdSyntaxError, KavaError, UnknownPrefix, UnsupportedKeyword
 from .jsontext import fragment_text
@@ -25,15 +24,16 @@ from .rdf import (
 from .turtle import RDF_TYPE
 
 
-@dataclass(slots=True)
 class _Number:
     """A JSON number, read or to be written: its lexical form as in the
     text, and its datatype, INTEGER or DECIMAL. Not a str, so no name or
     namespace accepts it. Its repr, and the text that the JSON text writer
     calls it for, is the lexical, verbatim."""
 
-    lexical: str
-    datatype: str
+    __slots__ = ("lexical", "datatype")
+
+    def __init__(self, lexical: str, datatype: str):
+        self.lexical, self.datatype = lexical, datatype
 
     def __call__(self, newline=None):
         return self.lexical

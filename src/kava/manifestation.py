@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import TYPE_CHECKING
 
@@ -24,6 +23,7 @@ from .rdf import (
     Iri,
     Literal,
     Triple,
+    Value,
     literal_for,
     merge,
 )
@@ -51,19 +51,19 @@ FOAF_NAME = Iri(FOAF_NS + "name")
 KAVA_PREDICATE_DIALECT = "kava-predicate"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Value):
+    __slots__ = ()
     creator_name: str | None = None
     date_submitted: str | None = None
 
 
-@dataclass(frozen=True)
-class DirectMapping:
+class DirectMapping(Value):
+    __slots__ = ()
     bindings: tuple  # of (variable, value)
 
 
-@dataclass(frozen=True)
-class IndirectVariableMapping:
+class IndirectVariableMapping(Value):
+    __slots__ = ()
     variable: str | Iri
     min_value: float | int | None = None
     max_value: float | int | None = None
@@ -80,8 +80,8 @@ class IndirectVariableMapping:
         return self.variable
 
 
-@dataclass(frozen=True)
-class IndirectQueryMapping:
+class IndirectQueryMapping(Value):
+    __slots__ = ()
     query_text: str
     dialect: str = KAVA_PREDICATE_DIALECT
 
@@ -89,8 +89,8 @@ class IndirectQueryMapping:
 Kind = DirectMapping | IndirectVariableMapping | IndirectQueryMapping
 
 
-@dataclass(frozen=True)
-class Manifestation:
+class Manifestation(Value):
+    __slots__ = ()
     concept: Iri
     kind: Kind
     provenance: Provenance = Provenance()
@@ -131,7 +131,7 @@ def _extract_provenance(graph, node):
     date = None
     for t in graph.match(s=node, p=DCT_DATE_SUBMITTED):
         date = _literal_value(t.object)
-    return Provenance(creator_name=creator, date_submitted=date)
+    return Provenance(creator, date)
 
 
 def _load_direct(graph, subject, node):
@@ -154,7 +154,7 @@ def _load_direct(graph, subject, node):
             var = IndirectVariableMapping(var).variable_name()
         bindings.append((var, val))
     bindings.sort(key=lambda b: str(b[0]))
-    return DirectMapping(bindings=tuple(bindings))
+    return DirectMapping(tuple(bindings))
 
 
 def _load_indirect_variable(graph, subject, node):
@@ -175,7 +175,7 @@ def _load_indirect_variable(graph, subject, node):
         raise MalformedManifestation(str(subject), "matchVariable needs a bound")
     if lo is not None and hi is not None and lo > hi:
         raise MalformedManifestation(str(subject), "minValue exceeds maxValue")
-    return IndirectVariableMapping(variable=var, min_value=lo, max_value=hi)
+    return IndirectVariableMapping(var, lo, hi)
 
 
 def _load_indirect_query(graph, subject, node):
@@ -192,7 +192,7 @@ def _load_indirect_query(graph, subject, node):
             dialect = t.object.lexical
     if dialect == KAVA_PREDICATE_DIALECT:
         parse_predicate(texts[0])  # must parse under the native dialect
-    return IndirectQueryMapping(query_text=texts[0], dialect=dialect)
+    return IndirectQueryMapping(texts[0], dialect)
 
 
 # Graph is immutable and the result depends on its triples alone, so each
@@ -253,18 +253,9 @@ def _load(graph: Graph) -> tuple[Manifestation, ...]:
         node = t.object
         if not isinstance(node, BlankNode):
             raise MalformedManifestation(str(subject), "manifest object must be a node")
-        out.append(
-            Manifestation(
-                concept=subject,
-                kind=_load_kind(graph, subject, node),
-                provenance=_extract_provenance(graph, node),
-            )
-        )
-    out.sort(key=lambda m: (m.concept, repr(m.kind)))
-    return tuple(
-        Manifestation(m.concept, m.kind, m.provenance, anchor=f"m{i}")
-        for i, m in enumerate(out)
-    )
+        out.append((subject, _load_kind(graph, subject, node), _extract_provenance(graph, node)))
+    out.sort(key=lambda m: (m[0], repr(m[1])))  # concept, then kind
+    return tuple(Manifestation(*m, f"m{i}") for i, m in enumerate(out))
 
 
 def _validate_kind(kind):
@@ -291,11 +282,7 @@ def create_manifestation(
 ) -> Manifestation:
     """Build a manifestation stamped with provenance."""
     _validate_kind(kind)
-    return Manifestation(
-        concept=concept,
-        kind=kind,
-        provenance=Provenance(creator_name=creator_name, date_submitted=date),
-    )
+    return Manifestation(concept, kind, Provenance(creator_name, date))
 
 
 def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:

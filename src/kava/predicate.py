@@ -7,9 +7,9 @@ import decimal
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import PredicateSyntaxError
+from .rdf import Value
 
 _OPS = {
     ">": operator.gt,
@@ -21,27 +21,27 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Value):
+    __slots__ = ()
     variable: str
     op: str
     constant: object  # int, float, or str
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
+    __slots__ = ()
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Value):
+    __slots__ = ()
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Value):
+    __slots__ = ()
     operand: object
 
 

@@ -6,15 +6,15 @@ from __future__ import annotations
 import decimal
 import re
 from bisect import insort
-from collections import Counter
+from collections import Counter, _tuplegetter  # namedtuple's field reader
 from itertools import chain, groupby
-from operator import itemgetter
 
 from .errors import InvalidTerm, NonTreeBlankNodes, UnknownPrefix
 
 STRING = "string"
 INTEGER = "integer"
 DECIMAL = "decimal"
+_MISSING = object()  # a Value field that neither the caller nor a default gives
 
 DEFAULT_PREFIXES = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
@@ -34,14 +34,22 @@ _IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\]')
 
 
 class _Tuple(tuple):
-    """An immutable value held as a tuple, so that hashing, equality and
-    order run in C. ``_fields`` name its items from ``_first`` on. A term
-    (Iri, BlankNode, Literal) has one item before them: its canonical text,
-    ``str(term)``, which no term of another kind or value shares, so two
-    terms are equal, and order, as their texts do."""
+    """An immutable value held as a tuple, so that hashing, equality and order
+    run in C. Its fields, its own annotations, are read as namedtuple's are,
+    from item ``_first`` on. A term (Iri, BlankNode, Literal) has one item
+    before them: its canonical text, ``str(term)``, which no term of another
+    kind or value shares, so two terms are equal, and order, as their texts do."""
 
     __slots__ = ()
-    _first = 1
+    _first, _fields, _defaults = 1, (), {}
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        if "__annotations__" in own:
+            cls._fields = tuple(own["__annotations__"])
+            cls._defaults = {f: own[f] for f in cls._fields if f in own}
+            for i, name in enumerate(cls._fields, cls._first):
+                setattr(cls, name, _tuplegetter(i, None))
 
     def __str__(self):
         return self[0]
@@ -54,10 +62,42 @@ class _Tuple(tuple):
         return self[self._first:]
 
 
+class _Signature:
+    """A Value class's fields and defaults for ``inspect``, unless its ``__new__``
+    names them; built when asked for, so that kava's imports skip ``inspect``."""
+
+    def __get__(self, value, cls):
+        from inspect import Parameter as P, Signature, signature
+
+        params = list(signature(cls.__new__).parameters.values())[1:]
+        if all(p.kind in (P.VAR_POSITIONAL, P.VAR_KEYWORD) for p in params):
+            params = [P(f, P.POSITIONAL_OR_KEYWORD, default=cls._defaults.get(f, P.empty))
+                      for f in cls._fields]
+        return Signature(params)
+
+
+class Value(_Tuple):
+    """A record of named fields: ``class Span(Value)`` declares ``__slots__ =
+    ()``, ``start: int`` and ``end: int = 0``, and ``Span(1, end=2)`` takes
+    them by position, keyword or default. Item 0 holds the class, so values
+    of two classes never compare equal. ``__new__`` may check the fields."""
+
+    __slots__ = ()
+    __str__ = _Tuple.__repr__
+    __signature__ = _Signature()
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            args += tuple(kwargs.pop(f, cls._defaults.get(f, _MISSING)) for f in fields[len(args):])
+            if kwargs or len(args) != len(fields) or any(a is _MISSING for a in args):
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        return tuple.__new__(cls, (cls, *args))
+
+
 class Iri(_Tuple):
     __slots__ = ()
-    _fields = ("value",)
-    value = property(itemgetter(1))
+    value: str
 
     def __new__(cls, value):
         if not value or _IRI_FORBIDDEN.search(value):
@@ -67,8 +107,7 @@ class Iri(_Tuple):
 
 class BlankNode(_Tuple):
     __slots__ = ()
-    _fields = ("label",)
-    label = property(itemgetter(1))
+    label: str
 
     def __new__(cls, label):
         return tuple.__new__(cls, (f"_:{label}", label))
@@ -93,9 +132,8 @@ def _canonical_numeric(lexical: str, datatype: str) -> str:
 
 class Literal(_Tuple):
     __slots__ = ()
-    _fields = ("lexical", "datatype")
-    lexical = property(itemgetter(1))
-    datatype = property(itemgetter(2))
+    lexical: str
+    datatype: str
 
     def __new__(cls, lexical, datatype=STRING):
         if datatype == STRING:
@@ -135,9 +173,10 @@ class Triple(_Tuple):
 
     __slots__ = ()
     _first = 0
-    _fields = ("subject", "predicate", "object")
+    subject: Term
+    predicate: Iri
+    object: Term
     __str__ = _Tuple.__repr__
-    subject, predicate, object = map(property, map(itemgetter, range(3)))
 
     def __new__(cls, subject, predicate, object):
         if isinstance(subject, Literal):

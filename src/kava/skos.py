@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import EmptyScheme, UnknownConcept
-from .rdf import DEFAULT_PREFIXES, Graph, Iri, Literal
+from .rdf import DEFAULT_PREFIXES, Graph, Iri, Literal, Value
 from .turtle import RDF_TYPE
 
 SKOS_NS = DEFAULT_PREFIXES["skos"]
@@ -17,18 +15,23 @@ SKOS_RELATED = Iri(SKOS_NS + "related")
 SKOS_IN_SCHEME = Iri(SKOS_NS + "inScheme")
 
 
-@dataclass
-class Concept:
+class Concept(Value):
+    __slots__ = ()
     id: Iri
-    pref_label: str = ""
-    broader: set = field(default_factory=set)
-    narrower: set = field(default_factory=set)
-    related: set = field(default_factory=set)
-    in_scheme: Iri | None = None
+    pref_label: str
+    broader: set
+    narrower: set
+    related: set
+    in_scheme: Iri | None
+
+    def __new__(cls, id, pref_label="", broader=None, narrower=None, related=None, in_scheme=None):
+        # each edge set not given is a new empty one, for load_scheme to fill
+        edges = [set() if e is None else e for e in (broader, narrower, related)]
+        return tuple.__new__(cls, (cls, id, pref_label, *edges, in_scheme))
 
 
-@dataclass
-class ConceptScheme:
+class ConceptScheme(Value):
+    __slots__ = ()
     id: Iri
     concepts: dict  # Iri -> Concept
 
@@ -39,20 +42,15 @@ class ConceptScheme:
         return sorted(self.concepts)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
+    __slots__ = ()
     kind: str
     severity: str  # "error" | "warning"
     subject: str
     detail: str
 
     def as_dict(self):
-        return {
-            "kind": self.kind,
-            "severity": self.severity,
-            "subject": self.subject,
-            "detail": self.detail,
-        }
+        return dict(zip(self._fields, self[1:]))
 
 
 def scheme_ids(graph: Graph) -> list[Iri]:
@@ -70,14 +68,9 @@ def load_scheme(graph: Graph, scheme_id: Iri) -> ConceptScheme:
             continue
         if not graph.match(s=subject, p=SKOS_IN_SCHEME, o=scheme_id):
             continue
-        c = Concept(id=subject, in_scheme=scheme_id)
-        labels = [
-            t2.object.lexical
-            for t2 in graph.match(s=subject, p=SKOS_PREF_LABEL)
-            if isinstance(t2.object, Literal)
-        ]
-        if labels:
-            c.pref_label = labels[0]
+        labels = (t2.object for t2 in graph.match(s=subject, p=SKOS_PREF_LABEL))
+        label = next((o.lexical for o in labels if isinstance(o, Literal)), "")
+        c = Concept(subject, label, in_scheme=scheme_id)
         for pred, attr in (
             (SKOS_BROADER, "broader"),
             (SKOS_NARROWER, "narrower"),

@@ -563,6 +563,30 @@ def test_manifest_loads_no_skos_or_jsonld_module(tmp_path):
     assert not loaded & {"kava.skos", "kava.jsonld"}, sorted(loaded & {"kava.skos", "kava.jsonld"})
 
 
+def _bare_modules() -> set:
+    """The modules a bare interpreter, ``python -c pass``, has loaded."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True)
+    return set(proc.stdout.split())
+
+
+def test_graph_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    store = tmp_path / "store.ttl"
+    shutil.copyfile(FIXTURES / "listing4.ttl", store)
+    argvs = [argv(str(store), tmp_path) for argv in GRAPH_COMMANDS.values()]
+    loaded = _modules_after(*argvs) - _bare_modules()
+    assert "kava.turtle" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+
+
+def test_manifest_loads_no_dataclasses(tmp_path):
+    loaded = _modules_after(
+        ["manifest", str(FIXTURES / "listing4.ttl"), _sugar_csv(tmp_path), "--concept", "icd10:R73"]
+    ) - _bare_modules()
+    assert "kava.dataset" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_star_import_resolves_every_public_name():
     import kava
 
@@ -1295,6 +1319,24 @@ def test_export_vis_writes_indented_dumps_of_the_document(capsys, tmp_path, case
         code = main(argv)
         assert capsys.readouterr().out == expected
     assert code == 0
+
+
+@pytest.mark.parametrize("where", ["data header", "data row", "force file"])
+def test_csv_the_reader_refuses_is_input_error(capsys, gait_workspace, tmp_path, where):
+    knowledge, trials = gait_workspace
+    big = "x" * (csv.field_size_limit() + 1)  # a field longer than csv.reader takes
+    data = tmp_path / "big.csv"
+    manifest = ["manifest", str(FIXTURES / "listing5.ttl"), str(data), "--concept", "icd10:R73"]
+    gait = ["gait", "analyze", "--knowledge", knowledge, "--trials", trials, "--patient", "2"]
+    path, text, line, argv = {
+        "data header": (data, f"patientId,{big}\n1,5\n", 1, manifest),
+        "data row": (data, f"patientId,glucose\n1,5\n2,{big}\n", 3, manifest),
+        "force file": (Path(trials, "2_left.csv"), f"t,v\n0.0,{big}\n", 2, gait),
+    }[where]
+    path.write_text(text)
+    code, lines, err = run(capsys, *argv)
+    assert (code, lines) == (2, [])
+    assert err.startswith(f"line {line}: field larger than field limit"), err
 
 
 # --- gait -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from kava.dataset import (
     write_csv,
 )
 from kava.errors import (
+    CsvSyntaxError,
     CsvTypeError,
     DuplicateIdentifier,
     ForeignDialect,
@@ -220,7 +221,11 @@ def ref_parse_cell(raw, kind):
 def ref_load_csv(text, schema):
     """load_csv as a row-by-row read: the records, and each variable's
     values in record order (a missing cell is None)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # text the reader refuses, at the line it reached
+        raise CsvSyntaxError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise HeaderMismatch("missing header row")
     header = rows[0]

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -132,7 +131,8 @@ def test_non_finite_parameters_are_refused(body_mass, value):
     assert str(info.value) == f"patient p7: peak_force_left is {value}"
     # the earlier checks keep their order: a foot without steps comes first
     flat = TimeSeries(tuple((i * 0.01, 0.0) for i in range(200)), "Fv")
-    trial = replace(square_wave_trial("p7", body_mass=body_mass), fv_right=flat)
+    wave = square_wave_trial("p7", body_mass=body_mass)
+    trial = GaitTrial(wave.patient_id, wave.fv_left, flat, wave.body_mass, wave.age)
     with pytest.raises(InsufficientSteps, match="^right: fewer than two detected steps$"):
         compute_params(trial)
 
@@ -222,7 +222,7 @@ _FILTERS = st.recursive(
 )
 def test_population_filter_matches_per_record_predicate(metadata, pred):
     trials = [
-        replace(_FILTER_TRIAL, patient_id=f"p{i}", age=age, body_mass=mass)
+        GaitTrial(f"p{i}", _FILTER_TRIAL.fv_left, _FILTER_TRIAL.fv_right, body_mass=mass, age=age)
         for i, (age, mass) in enumerate(metadata)
     ]
     test = compile_predicate(pred)
@@ -249,7 +249,10 @@ def test_override_takes_precedence():
         _affected(_categories_graph()), _population(4)
     )
     before = model.effective_ranges()
-    after_model = replace(model, overrides={**model.overrides, "cadence": (100.0, 130.0)})
+    after_model = CategoryModel(
+        model.concept, model.prototypes, {**model.overrides, "cadence": (100.0, 130.0)},
+        model.population_filter,
+    )
     m = range_manifestation(model.concept, "cadence", 100.0, 130.0, "analyst")
     after = after_model.effective_ranges()
     assert after["cadence"] == (100.0, 130.0)
@@ -292,13 +295,13 @@ def test_match_twelve_of_sixteen():
     trial = square_wave_trial("p1")
     model = build_category_model(_affected(_categories_graph()), [trial])
     # push 4 parameters out of range: 2 above, 2 below
-    model = replace(model, overrides={
+    model = CategoryModel(model.concept, model.prototypes, {
         **model.overrides,
         "cadence": (0.0, 1.0),
         "stance_time_left": (0.0, 0.1),
         "support_asymmetry": (1.0, 2.0),
         "peak_force_right": (5000.0, 6000.0),
-    })
+    }, model.population_filter)
     result = match_category(compute_params(trial), model)
     assert result.score == pytest.approx(0.75)
     assert result.per_parameter["cadence"] == "above"

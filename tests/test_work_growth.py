@@ -26,6 +26,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = {"read": "validate", "aux": "convert --to jsonld", "render": "convert --to ttl",
        "write": "annotate"}
 DATA_OPS = {("records", "read"): "manifest", ("records", "render"): "export-vis --pattern marks",
+            ("records", "aggregate"): "export-vis --pattern aggregate",
             ("gait", "read"): "gait analyze"}
 SCALES = (1, 4)  # at seed 1: 998 and 3,983 triples, 4,000 and 16,000 rows, 4 and 16 concepts
 MAX_GROWTH = 4.4
@@ -34,10 +35,19 @@ MAX_GROWTH = 4.4
 MAX_COMPARES_PER_RECORD = 0.05
 
 
+def _aggregate_argv(workload) -> list:
+    """``export-vis --pattern aggregate`` of the records plan's first
+    concept over ``age``: an export that no benchmark op runs."""
+    return ["export-vis", workload.path("store.ttl"), workload.path("data.csv"),
+            "--pattern", "aggregate", "--concept", workload.plan["concepts"][0],
+            "--time-var", "age", "-o", workload.path("aggregate.json")]
+
+
 def _profile(workload, op) -> pstats.Stats:
     """cProfile's statistics of the op's command, run once before."""
     def run():
-        argv = workload.argv(op, 0)  # an annotate op restores its store first
+        # an annotate op restores its store first
+        argv = _aggregate_argv(workload) if op == "aggregate" else workload.argv(op, 0)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main(argv) == 0
     run()
