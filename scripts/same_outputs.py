@@ -44,7 +44,10 @@ are:
 - a gait store and trials directory that the benchmark does not make: a
   concept with one prototype, ``gait set-range`` overrides of which one
   replaces an earlier one, and ``gait analyze`` and ``gait table`` with no
-  ``--filter``, one that keeps some prototypes and one that keeps none.
+  ``--filter``, one that keeps some prototypes and one that keeps none;
+  among its force files, some that numpy's C reader takes (``-0.0``,
+  17-digit values, ``nan``, a blank line mid-file, spaces around cells)
+  and some that go row by row (a third column, ``1_0``-style stamps).
 
 On each input, every benchmark command (``rounds`` rounds of the workload's
 ops, built by the workload's own ``argv``) and ``export-vis`` with each
@@ -333,6 +336,16 @@ def _fixture_case(base: Path, work: Path):
     return None, None, steps
 
 
+# Force-file rows (t, v) rewritten as other texts of (nearly) the same series.
+FORCE_FORMS = {
+    ("8", "left"): lambda i, t, v: f"{float(t):.17g},{-0.0 if v == '0.0' else float(v) / 3:.17g}",
+    ("8", "right"): lambda i, t, v: f" {t} ,\t{v} " + ("\n" if i == 40 else ""),
+    ("9", "left"): lambda i, t, v: f"{t},{'nan' if i == 40 else v}",
+    ("10", "left"): lambda i, t, v: f"{t},{v},{i}",
+    ("10", "right"): lambda i, t, v: f"{t.replace('.0', '.0_', 1).rstrip('_')},{v}",
+}
+
+
 def _gait_case(base: Path, work: Path):
     from kava.gait import square_wave_trial, write_trials_dir
 
@@ -340,11 +353,17 @@ def _gait_case(base: Path, work: Path):
     write_trials_dir(base / "trials", [
         square_wave_trial(str(i), stance=0.5 + 0.03 * i, stride=0.9 + 0.04 * i,
                           age=30 + 7 * i, body_mass=None if i % 3 else 60.0 + i)
-        for i in range(1, 8)
+        for i in range(1, 11)
     ])
+    for (pid, side), form in FORCE_FORMS.items():
+        path = base / "trials" / f"{pid}_{side}.csv"
+        header, *rows = path.read_text().splitlines()
+        lines = [form(i, *row.split(",")) for i, row in enumerate(rows)]
+        path.write_text("\n".join([header, *lines]) + "\n")
     store, trials = str(work / "gait.ttl"), str(work / "trials")
     steps = []
-    for concept, pids in (("affectedKnee", "1234"), ("affectedHip", "26"), ("normData", "5")):
+    for concept, pids in (("affectedKnee", ["1", "2", "3", "4"]), ("affectedHip", ["2", "6", "10"]),
+                          ("normData", ["5", "8", "9"])):
         steps += [["argv", ["gait", "add-prototype", "--knowledge", store, "--trials", trials,
                             "--patient", pid, "--concept", f"gps:{concept}"]] for pid in pids]
     for concept, param, lo, hi in (
@@ -356,7 +375,7 @@ def _gait_case(base: Path, work: Path):
         steps.append(["argv", ["gait", "set-range", "--knowledge", store, "--concept",
                                f"gps:{concept}", "--param", param, "--min", lo, "--max", hi]])
     for command in ("analyze", "table"):
-        for patient in ("1", "7"):
+        for patient in ("1", "7", "8", "9", "10"):
             for population in ([], ["--filter", "[age] > 50"], ["--filter", "[age] > 1000"]):
                 steps.append(["argv", ["gait", command, "--knowledge", store, "--trials", trials,
                                        "--patient", patient, *population]])

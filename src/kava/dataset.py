@@ -349,9 +349,9 @@ def _csv_reader(text: str):
 
 
 def _plain_cells(text: str):
-    """The header and the body's cells, row by row, of CSV text that
-    ``csv.reader`` splits exactly at its commas and newlines, all taken
-    from one ``str.split``; None for any other text. Plain text has no
+    """For load_csv: the header and the body's cells, row by row, of CSV
+    text that ``csv.reader`` splits exactly at its commas and newlines, all
+    taken from one ``str.split``; None for any other text. Plain text has no
     quote and no carriage return, the header's comma count in every line
     (one numpy pass over the bytes), no field past
     ``csv.field_size_limit()`` and no line of empty cells only, which
@@ -481,15 +481,40 @@ def load_series_csv(text: str, label: str = "") -> TimeSeries:
 
     Extra columns are ignored; blank and all-empty rows are skipped. A NaN
     or non-increasing time stamp is a CsvTypeError at its row.
+
+    Text whose header has one comma and which has no quote, no carriage
+    return and no line past ``csv.field_size_limit()`` is read by numpy's
+    C reader, which converts each cell as ``float()`` does but refuses
+    what only ``float()`` takes (``1_0``, non-ASCII digits) and skips blank
+    lines alone; a body of two columns it reads is the series. Any other
+    text is read row by row, with the same values and errors.
     """
-    plain = _plain_cells(text)
-    if plain is not None and len(plain[0]) == 2:
-        try:
-            pairs = np.fromiter(map(float, plain[1]), np.float64, len(plain[1]))
-            return TimeSeries.from_arrays(pairs[0::2], pairs[1::2], label)
-        except ValueError:
-            pass  # the row-wise read below names the offending row
+    header, _, body = text.partition("\n")
+    if (
+        header.count(",") == 1
+        and '"' not in text
+        and "\r" not in text
+        and _within_field_limit(text)
+    ):
+        if not body:
+            return TimeSeries.from_arrays((), (), label)
+        if not body.isspace():  # loadtxt warns of a body without rows
+            try:
+                pairs = np.loadtxt(
+                    io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=np.float64
+                )
+                if pairs.shape[1] == 2:
+                    return TimeSeries.from_arrays(pairs[:, 0], pairs[:, 1], label)
+            except ValueError:
+                pass  # the row-wise read below names the offending row
     return _load_series_rows(text, label)
+
+
+def _within_field_limit(text: str) -> bool:
+    """Whether no line of the text, so no field, is longer than
+    ``csv.field_size_limit()``; lines are measured only in a longer text."""
+    limit = csv.field_size_limit()
+    return len(text) <= limit or max(map(len, text.split("\n"))) <= limit
 
 
 def _load_series_rows(text: str, label: str) -> TimeSeries:

@@ -26,6 +26,7 @@ from .errors import (
     EmptyPopulation,
     InsufficientSteps,
     InvertedRange,
+    KavaError,
     NoDefinedRanges,
     NonFiniteParameter,
     NonPositivePhase,
@@ -150,9 +151,9 @@ def _contacts(series: TimeSeries):
     # Padding with False at both ends makes every contact one rising and one
     # falling edge; a falling edge past the last sample has no offset.
     above = np.concatenate(([False], v > CONTACT_THRESHOLD_FRACTION * peak, [False]))
-    edges = np.flatnonzero(above[1:] != above[:-1]).tolist()
-    times = t.tolist() + [None]
-    intervals = [[times[on], times[off]] for on, off in zip(edges[::2], edges[1::2])]
+    edges = np.flatnonzero(above[1:] != above[:-1])
+    stamps = t[edges[edges < len(t)]].tolist() + [None]
+    intervals = [[on, off] for on, off in zip(stamps[::2], stamps[1::2])]
     # debounce: merge short gaps, then drop short contacts
     merged = []
     for iv in intervals:
@@ -512,11 +513,22 @@ def _load_trial(root: Path, metadata: dict) -> GaitTrial:
     pid = metadata["patientId"]
     return GaitTrial(
         patient_id=pid,
-        fv_left=load_series_csv(read_text(root / f"{pid}_left.csv"), "Fv left"),
-        fv_right=load_series_csv(read_text(root / f"{pid}_right.csv"), "Fv right"),
+        fv_left=_load_force(root / f"{pid}_left.csv", "Fv left"),
+        fv_right=_load_force(root / f"{pid}_right.csv", "Fv right"),
         body_mass=metadata["bodyMass"],
         age=metadata["age"],
     )
+
+
+def _load_force(path: Path, label: str) -> TimeSeries:
+    """The force file at ``path``; an error in its text names the file and
+    keeps its class (and a CsvTypeError its row and column)."""
+    text = read_text(path)
+    try:
+        return load_series_csv(text, label)
+    except KavaError as exc:
+        exc.args = (f"{str(path)!r}: {exc}",)
+        raise
 
 
 class TrialSet:

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_text, random_tree_graph
 from kava import cli, manifestation
 from kava.cli import main, read_graph, read_table
-from kava.errors import ForeignDialect, KavaError
+from kava.errors import CsvSyntaxError, CsvTypeError, ForeignDialect, KavaError
 from kava.gait import (
+    load_trials_dir,
     prototype_ids,
     range_overrides_from_graph,
     square_wave_trial,
@@ -1336,7 +1337,8 @@ def test_csv_the_reader_refuses_is_input_error(capsys, gait_workspace, tmp_path,
     path.write_text(text)
     code, lines, err = run(capsys, *argv)
     assert (code, lines) == (2, [])
-    assert err.startswith(f"line {line}: field larger than field limit"), err
+    named = f"{str(path)!r}: " if argv is gait else ""  # a force file is named
+    assert err.startswith(f"{named}line {line}: field larger than field limit"), err
 
 
 # --- gait -----------------------------------------------------------------
@@ -1493,6 +1495,29 @@ def test_gait_add_prototype_reads_only_its_patient(capsys, gait_workspace):
     assert "patient '99' not found in trials dir" in err
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("t,v\n0.0,1\nnot a time,2\n", CsvTypeError,
+         "row 3, column 't/v': bad sample row: ['not a time', '2']"),
+        ("t,v\n0.0," + "9" * (csv.field_size_limit() + 1) + "\n", CsvSyntaxError,
+         f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+    ],
+    ids=["bad row", "field past the limit"],
+)
+def test_gait_names_the_bad_force_file(capsys, gait_workspace, text, error, message):
+    knowledge, trials = gait_workspace
+    path = Path(trials, "2_left.csv")
+    path.write_text(text)
+    code, lines, err = run(capsys, "gait", "analyze", "--knowledge", knowledge,
+                           "--trials", trials, "--patient", "2")
+    assert (code, lines) == (2, [])
+    assert err == f"{str(path)!r}: {message}\n"
+    with pytest.raises(error) as exc:  # the class is kept
+        load_trials_dir(trials)
+    assert type(exc.value) is error and str(exc.value) == f"{str(path)!r}: {message}"
+
+
 def _add_prototypes(knowledge, trials, *pids):
     for pid in pids:
         assert main(
@@ -1614,14 +1639,16 @@ def test_gait_scoring_reads_only_scored_trials(capsys, gait_workspace, command):
     Path(trials, "3_right.csv").write_text("t,v\n0.0,1\n0.0,2\n")
     code, lines, err = run(capsys, *args, "--patient", "1", "--filter", "[age] < 40")
     assert code == 0 and len(lines) == 1 and err == ""
-    # a scored prototype's malformed file still stops the command
+    # a scored prototype's malformed file still stops the command, and is named
     code, lines, err = run(capsys, *args, "--patient", "1")
     assert code == 2 and lines == []
-    assert err.startswith("row 3, column 't': not a strictly increasing time stamp")
+    named = repr(str(Path(trials, "3_right.csv")))
+    assert err.startswith(f"{named}: row 3, column 't': not a strictly increasing time stamp")
     # and so does the patient's own
     code, lines, err = run(capsys, *args, "--patient", "2", "--filter", "[age] < 40")
     assert code == 2 and lines == []
-    assert err.startswith("row 3, column 't/v': bad sample row")
+    named = repr(str(Path(trials, "2_left.csv")))
+    assert err.startswith(f"{named}: row 3, column 't/v': bad sample row")
     code, _, err = run(capsys, *args, "--patient", "99")
     assert code == 2
     assert err == "patient '99' not found in trials dir\n"
@@ -1701,7 +1728,8 @@ def test_gait_non_increasing_stamps_are_input_errors(capsys, gait_workspace, sta
         "--patient", "1",
     )
     assert code == 2
-    assert err.startswith(f"row {row}, column 't': not a strictly increasing time stamp")
+    named = repr(str(Path(trials, "1_right.csv")))
+    assert err.startswith(f"{named}: row {row}, column 't': not a strictly increasing time stamp")
 
 
 @pytest.mark.parametrize("name", ["R73", "icd10:a b"], ids=["unprefixed", "invalid-iri"])

@@ -194,15 +194,27 @@ def test_timeseries_rejects_nan_stamps(samples):
 def _increasing_stamp(n, form):
     """A time cell whose value lies within half a unit of the integer n, so
     stamps drawn from increasing n stay strictly increasing."""
-    return [f"{n}", f"{n}.5", f" {n} ", f"{n}e0", f"{n}_0e-1", f"+{n}\t"][form].replace("+-", "-")
+    forms = [f"{n}", f"{n}.5", f" {n} ", f"{n}e0", f"{n}_0e-1", f"+{n}\t", f"\xa0{n}\u2003"]
+    return forms[form].replace("+-", "-")
 
 
 NUMBERS = ["0", "1", "-1", "+2.5", "1e3", "-1E-3", "inf", "-inf", "nan", "-nan", "1_0",
-           " 3 ", "\t4", "1e400", "\u0663"]
-CELLS = st.sampled_from(NUMBERS + ["", " ", "x", "0x1", "1__0", "_1", "5\r", '"5"', '"6,7"'])
+           " 3 ", "\t4", "1e400", "\u0663", "\xa05", "6\u2003", "Infinity", "-iNfInItY",
+           "1e-400", "-0.0", "4.9e-324", "2.2250738585072011e-308"]
+# 17 to 25 digits with a point somewhere: past what float64 holds exactly
+LONG_DECIMALS = st.tuples(
+    st.text("0123456789", min_size=17, max_size=25), st.integers(0, 25)
+).map(lambda d: d[0][: d[1]] + "." + d[0][d[1] :])
+VALUES = st.one_of(st.sampled_from(NUMBERS), st.floats().map(repr), LONG_DECIMALS)
+CELLS = st.one_of(VALUES, st.sampled_from(
+    ["", " ", "x", "0x1", "1__0", "_1", "5\r", '"5"', '"6,7"', "#", "1#2", "\x00", "1\x00",
+     "\ufeff1", "1.0j", "0x1p3", "1d3", "\x0c", "1\x0b2"]
+))
 SEPARATORS = st.sampled_from([",", ",", ",", ",,", "", ", ", "\r,"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r"])
-HEADERS = st.sampled_from(["t,v", "t", "t,v,w", "", '"t",v', " , ", "t,v\r"])
+HEADERS = st.sampled_from(
+    ["t,v", "t", "t,v,w", "", '"t",v', '"t,v"', " , ", "t,v\r", "\ufefft,v", "#t,v"]
+)
 
 
 @st.composite
@@ -210,19 +222,19 @@ def series_texts(draw):
     """Series CSV text: clean (every row plain ``number,number``), a few
     rows off, or anything from the alphabet."""
     mess = draw(st.sampled_from(["clean", "clean", "some", "any"]))
-    header = "t,v" if mess != "any" else draw(HEADERS)
+    header = draw(st.sampled_from(["t,v", "t,v", "\ufefft,v"]) if mess != "any" else HEADERS)
     kinds = ["plain"] if mess == "clean" else ["plain"] * 6 + ["noise", "blank", "stamp"]
     stamps = sorted(draw(st.lists(st.integers(-30, 30), unique=True, max_size=12)))
     lines = []
     for n in stamps:
         kind = draw(st.sampled_from(kinds))
         if kind == "plain":
-            t = _increasing_stamp(n, draw(st.integers(0, 5)))
-            lines.append(t + "," + draw(st.sampled_from(NUMBERS)))
+            t = _increasing_stamp(n, draw(st.integers(0, 6)))
+            lines.append(t + "," + draw(VALUES))
         elif kind == "noise":
             lines.append(draw(CELLS) + draw(SEPARATORS) + draw(CELLS))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", ",", ",,", "\t"])))
+            lines.append(draw(st.sampled_from(["", "", " ", ",", ",,", "\t", "\xa0"])))
         else:  # a stamp out of order, repeated or NaN
             lines.append(draw(st.sampled_from(["nan", "-5", "0", "inf"])) + ",1")
     ends = [draw(LINE_ENDS) if mess == "any" else "\n" for _ in lines]
@@ -239,6 +251,7 @@ def _series_outcome(read, text):
     return ("ok", series.label, series.t.tobytes(), series.v.tobytes())
 
 
+@pytest.mark.filterwarnings("error")  # such as loadtxt's on a text without rows
 @settings(max_examples=400, deadline=None)
 @given(series_texts())
 @example("t,v\n0,1\n1,2\n")
@@ -249,6 +262,15 @@ def _series_outcome(read, text):
 @example("t,v\n0,nan\n1,-0.0\n2,-inf\n")
 @example("t,v\n0,1\nnan,2\n")
 @example("t,v\n" + "0" * csv.field_size_limit() + "1,2\n")  # a field past the limit
+@example("t,v\n\n")  # bodies of blank lines only
+@example("t,v\n\n\n")
+@example("t,v\n \n")
+@example("t,v\n0,1\n\n\n")
+@example("\ufefft,v\n0,1\n")
+@example("t,v\n0,1#\n")  # comments=None: csv keeps what follows a #
+@example('"t,v"\n0,1\n')  # a header of one quoted cell
+@example("t,v\n5\n6\n")  # one column
+@example("t,v\n0,1,2\n1,2,3\n")  # three
 def test_series_fast_path_matches_rows(text):
     assert _series_outcome(load_series_csv, text) == _series_outcome(
         dataset._load_series_rows, text
@@ -262,7 +284,9 @@ def test_series_fast_path_matches_rows(text):
         ("t,v\n0,1\n0.01,-2e3", True),
         ("t,v\n", True),
         ("t,v\n1,2,3\n4\n", False),
-        ("t,v\n0,1\n\n", False),
+        ("t,v\n0,1\n\n", True),  # numpy skips a blank line, as the row reader does
+        ("t,v\n\n\n", False),
+        ("t,v\n0,1_0\n", False),
         ('t,v\n"0",1\n', False),
         ("t,v\r\n0,1\r\n", False),
         ("t,v,w\n0,1,2\n", False),
@@ -284,6 +308,17 @@ def _read_in_one_pass(text, monkeypatch) -> bool:
     monkeypatch.setattr(dataset, "_load_series_rows", counted)
     _series_outcome(load_series_csv, text)
     return not row_reads
+
+
+def test_series_fast_path_reads_long_plain_text(monkeypatch):
+    # 200 KB, past csv.field_size_limit(), yet every line is short
+    rows = [f"{n / 1000!r},{(n * 7919 % 1000) / 7!r}" for n in range(12_000)]
+    text = "t,v\n" + "\n".join(rows) + "\n"
+    assert len(text) > 200_000 > csv.field_size_limit()
+    assert _read_in_one_pass(text, monkeypatch)
+    assert _series_outcome(load_series_csv, text) == _series_outcome(
+        dataset._load_series_rows, text
+    )
 
 
 def test_series_fast_path_reads_written_series(monkeypatch):

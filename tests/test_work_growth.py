@@ -57,10 +57,11 @@ def _profile(workload, op) -> pstats.Stats:
     return pstats.Stats(profiler)
 
 
-def _compare_calls(stats) -> int:
+def _calls(stats, module, function) -> int:
+    """How often cProfile saw ``function`` of the module ``module`` run."""
     return sum(
         calls for (path, _, name), (_, calls, *_) in stats.stats.items()
-        if name == "_compare" and path.endswith("predicate.py")
+        if name == function and path.endswith(f"{module}.py")
     )
 
 
@@ -130,6 +131,14 @@ def test_call_count_grows_linearly_with_the_data(data_ladder, case):
 
 def test_marks_export_compares_per_distinct_value_not_per_record(data_ladder):
     rows = data_ladder[1]["records"]
-    compares = [_compare_calls(stats) for stats in data_ladder[0][("records", "render")]]
+    stats = data_ladder[0][("records", "render")]
+    compares = [_calls(s, "predicate", "_compare") for s in stats]
     for records, calls in zip(rows, compares):
         assert calls <= MAX_COMPARES_PER_RECORD * records, f"{calls} _compare calls"
+
+
+def test_gait_reads_every_force_file_without_the_row_reader(data_ladder):
+    # the bench's force files are plain: numpy's C reader takes each whole
+    for stats in data_ladder[0][("gait", "read")]:
+        files = _calls(stats, "dataset", "load_series_csv")
+        assert files >= 2 and _calls(stats, "dataset", "_load_series_rows") == 0, files
