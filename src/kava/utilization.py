@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import groupby
+from itertools import groupby, repeat
 from importlib import resources
+from numbers import Number
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -29,15 +30,12 @@ from .skos import ConceptScheme, has_broader_cycle
 if TYPE_CHECKING:
     from .dataset import Dataset
 
-# An array property whose schema is exactly this is checked element by
-# element with is_type instead of through the validator.
-_OBJECT_ARRAY = {"type": "array", "items": {"type": "object"}}
-# Keywords that judge an object by its keys and through "properties" only, so
-# swapping the value of a listed property for [] leaves their verdict alone.
-_PLAIN_OBJECT_KEYWORDS = frozenset(
-    {"$schema", "title", "description", "type", "required", "additionalProperties",
-     "properties", "$defs"}
-)
+# The keywords the compiled check reads, and metadata; compiling raises on any
+# other keyword, so that a schema edit cannot quietly weaken the check.
+_KEYWORDS = frozenset({"type", "enum", "required", "additionalProperties", "properties",
+                       "items", "$ref", "$schema", "title", "description", "$defs"})
+# jsonschema's Draft 2020-12 types; a bool is no number there
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": Number}
 
 
 @functools.cache
@@ -50,68 +48,69 @@ def channels() -> tuple[str, ...]:
     return tuple(_schema()["properties"]["encoding"]["properties"])
 
 
-def _object_arrays(schema, path=()):
-    """Key paths from the root to every array property that the schema asks
-    only to hold objects, reached through plain object schemas."""
-    if schema == _OBJECT_ARRAY:
-        yield path
-    elif isinstance(schema, dict) and schema.keys() <= _PLAIN_OBJECT_KEYWORDS:
-        for key, sub in schema.get("properties", {}).items():
-            yield from _object_arrays(sub, path + (key,))
+def _compile(schema, resolve):
+    """A function telling whether a value meets schema, as Draft 2020-12
+    judges it; resolve(ref) gives the compiled schema a $ref names."""
+    if not schema.keys() <= _KEYWORDS:
+        raise ValueError(f"unsupported schema keywords: {sorted(schema.keys() - _KEYWORDS)}")
+    checks = []
+    if "type" in schema:
+        cls = _TYPES[schema["type"]]
+        checks.append(lambda v: isinstance(v, cls) and not (cls is Number and isinstance(v, bool)))
+    if "enum" in schema:
+        enum = tuple(schema["enum"])
+        if not all(isinstance(e, str) for e in enum):
+            raise ValueError(f"enum entries other than strings: {enum!r}")
+        checks.append(lambda v: isinstance(v, str) and v in enum)
+    required = tuple(schema.get("required", ()))
+    props = {k: _compile(sub, resolve) for k, sub in schema.get("properties", {}).items()}
+    additional = schema.get("additionalProperties", True)
+    if not isinstance(additional, bool):
+        raise ValueError(f"additionalProperties must be a boolean: {additional!r}")
+    if required or props or not additional:
+        checks.append(lambda v: not isinstance(v, dict) or (
+            all(k in v for k in required)
+            and (additional or v.keys() <= props.keys())
+            and all(k not in props or props[k](x) for k, x in v.items())))
+    if "items" in schema:
+        items = schema["items"]
+        if items.keys() == {"type"} and items["type"] != "number":  # one scan over the rows
+            row = _TYPES[items["type"]]
+            checks.append(lambda v: not isinstance(v, list) or all(map(isinstance, v, repeat(row))))
+        else:
+            ok = _compile(items, resolve)
+            checks.append(lambda v: not isinstance(v, list) or all(map(ok, v)))
+    if "$ref" in schema:
+        checks.append(resolve(schema["$ref"]))
+    return checks[0] if len(checks) == 1 else lambda v: all(check(v) for check in checks)
 
 
 @functools.cache
-def _validator():
-    import jsonschema  # costs a tenth of a second; commands without fragments skip it
+def _check():
+    """The fragment schema, compiled; each $ref is resolved once."""
 
-    schema = _schema()
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema), tuple(_object_arrays(schema))
+    @functools.cache
+    def resolve(ref):
+        target = {"#": _schema()}
+        for key in ref.split("/"):
+            target = target.get(key) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            raise ValueError(f"unresolvable $ref: {ref!r}")
+        return _compile(target, resolve)
 
-
-def _hold_out(value, path, is_type, held):
-    """value with the array at the key path swapped for [] (the array is
-    appended to held); value itself when there is no array at that path."""
-    if not is_type(value, "object") or path[0] not in value:
-        return value
-    sub = value[path[0]]
-    if len(path) > 1:
-        new = _hold_out(sub, path[1:], is_type, held)
-        if new is sub:
-            return value
-    elif is_type(sub, "array"):
-        held.append(sub)
-        new = []
-    else:
-        return value
-    return {**value, path[0]: new}
+    return resolve("#")
 
 
 def validate_fragment(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the fragment is malformed.
-
-    Arrays whose schema is exactly {"type": "array", "items": {"type":
-    "object"}} (data.values, diagnostics) are held out: the validator runs on
-    the document with each of them replaced by [], and their elements are
-    checked with the validator's own is_type(x, "object"), once per distinct
-    element type: that check reads the type alone. The paths are read from
-    the schema when the validator is built. If either check fails, the
-    whole document is validated and the best_match error is raised, so every
-    verdict and message is that of a full validation.
-    """
-    validator, paths = _validator()
-    held = []
-    skeleton = doc
-    for path in paths:
-        skeleton = _hold_out(skeleton, path, validator.is_type, held)
-    one_per_type = {type(x): x for rows in held for x in rows}.values()
-    if validator.is_valid(skeleton) and all(
-        validator.is_type(x, "object") for x in one_per_type
-    ):
+    """Raise jsonschema.ValidationError if the fragment is malformed. A check
+    compiled from the schema judges it; jsonschema is imported only to raise
+    a full validation's best_match error for a fragment the check refuses."""
+    if _check()(doc):
         return
-    from jsonschema.exceptions import best_match
+    import jsonschema  # costs a tenth of a second: loaded only to report
 
-    error = best_match(validator.iter_errors(doc))
+    validator = jsonschema.Draft202012Validator(_schema())
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if error is not None:
         raise error
 
@@ -212,7 +211,7 @@ def encoded_marks_text(
         "encoding": {channel: {"field": "concept", "type": "nominal"}},
         "diagnostics": [],
     }
-    validate_fragment(doc)  # held-out rows need only be objects, as all of these are
+    validate_fragment(doc)  # the rows written below are objects, all that the schema asks of them
 
     def values(newline):
         columns = {  # a data column named concept keeps its place

@@ -11,12 +11,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_text, random_tree_graph
-from kava import cli, manifestation
+from kava import cli, manifestation, utilization
 from kava.cli import main, read_graph, read_table
 from kava.errors import CsvSyntaxError, CsvTypeError, ForeignDialect, KavaError
 from kava.gait import (
@@ -468,22 +469,68 @@ def test_commands_without_fragments_do_not_import_jsonschema(tmp_path):
     script = (
         "import sys\n"
         "from kava.cli import main\n"
-        "listing4, data, out = sys.argv[1:]\n"
+        "listing4, data = sys.argv[1:]\n"
         "assert main(['validate', listing4]) == 0\n"
         "assert main(['manifest', listing4, data, '--concept', 'icd10:R73']) == 0\n"
         "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
-        "assert main(['export-vis', listing4, '--pattern', 'threshold', '-o', out]) == 0\n"
-        "assert 'jsonschema' in sys.modules, 'fragment not validated'\n"
     )
     root = Path(__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(FIXTURES / "listing4.ttl"), str(data),
-         str(tmp_path / "region.json")],
+        [sys.executable, "-c", script, str(FIXTURES / "listing4.ttl"), str(data)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "obs.csv"
+    data.write_text("patientId,glucose,t\n1,150,1\n2,250,2\n3,260,3\n4,100,4\n")
+    out = str(tmp_path / "fragment.json")
+    exports = [
+        ["export-vis", str(FIXTURES / "gps_scheme.ttl"), "--pattern", "tree", "-o", out],
+        ["export-vis", str(FIXTURES / "listing4.ttl"), "--pattern", "threshold", "-o", out],
+        ["export-vis", str(FIXTURES / "listing5.ttl"), str(data), "--pattern", "marks",
+         "-o", out],
+        ["export-vis", str(FIXTURES / "listing5.ttl"), str(data), "--pattern", "aggregate",
+         "--concept", "icd10:R73", "-o", out],
+    ]
+    # Each fragment goes through the compiled check once, and passes it;
+    # then a tree whose names are numbers fails it, and only then is
+    # jsonschema loaded, to report the failure.
+    script = (
+        "import json, sys\n"
+        "from kava import utilization\n"
+        "from kava.cli import main\n"
+        "check, verdicts = utilization._check(), []\n"
+        "utilization._check = lambda: lambda doc: verdicts.append(check(doc)) or verdicts[-1]\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert verdicts == [True] * (i + 1), (argv, verdicts)\n"
+        "    assert 'jsonschema' not in sys.modules, ('jsonschema imported', argv)\n"
+        "utilization._concept_name = lambda iri, prefixes: 1\n"
+        "assert main(json.loads(sys.argv[1])[0]) == 3\n"
+        "assert verdicts[4:] == [False], verdicts\n"
+        "assert 'jsonschema' in sys.modules\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(exports)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the message is that of a full validation of the fragment the tree
+    # command wrote
+    docs = []
+    monkeypatch.setattr(utilization, "_concept_name", lambda iri, prefixes: 1)
+    monkeypatch.setattr(utilization, "validate_fragment", docs.append)
+    assert main(exports[0]) == 0
+    validator = jsonschema.Draft202012Validator(utilization._schema())
+    error = jsonschema.exceptions.best_match(validator.iter_errors(docs[0]))
+    assert proc.stderr == f"internal error: {error}\n"
 
 
 def test_graph_only_commands_do_not_import_numpy(tmp_path):

@@ -3,8 +3,10 @@ import functools
 import inspect
 import json
 import sys
+from decimal import Decimal
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,6 @@ from kava.rdf import DEFAULT_PREFIXES, Iri
 from kava.skos import Concept, ConceptScheme, load_scheme
 from kava.turtle import parse_turtle
 from kava.utilization import (
-    _object_arrays,
     _runs,
     _schema,
     aggregate_mark_spec,
@@ -251,6 +252,10 @@ def test_published_schema_in_sync():
     ).read_bytes()
 
 
+def test_shipped_schema_is_a_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(_schema())
+
+
 def test_fragments_validate():
     g, scheme = _gps_scheme()
     validate_fragment(concept_tree_spec(scheme, prefixes=g.prefixes))
@@ -398,6 +403,21 @@ def _full_check(doc):
         raise error
 
 
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Numbers to JSON Schema that are no int or float; and values that are no
+# numbers, or no booleans, to JSON Schema, bools and ints among them.
+_OTHER_NUMBERS = st.sampled_from([Decimal("-0.5"), np.float64(2.5), np.int64(3)])
+_NUMBERS = st.one_of(st.integers(), st.floats(), _OTHER_NUMBERS)
+_NOT_NUMBERS = st.sampled_from([True, False, "1", None])
+_NOT_BOOLEANS = st.sampled_from([0, 1, 1.0, "true"])
+
 _CHANNELS = st.dictionaries(
     st.sampled_from(["x", "x2", "y", "y2", "color", "size"]),
     st.fixed_dictionaries(
@@ -405,13 +425,13 @@ _CHANNELS = st.dictionaries(
         optional={
             "field": st.text(max_size=2),
             "type": st.sampled_from(["quantitative", "nominal", "ordinal", "temporal"]),
-            "datum": st.one_of(st.integers(), st.floats()),
+            "datum": _NUMBERS,
         },
     ),
     max_size=2,
 )
 _BOUND = st.fixed_dictionaries(
-    {"value": st.one_of(st.integers(), st.floats()), "inclusive": st.booleans()}
+    {"value": _NUMBERS, "inclusive": st.booleans()}
 )
 _OBJECT_ROWS = st.lists(st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2), max_size=4)
 _NOT_OBJECTS = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))
@@ -426,6 +446,23 @@ def _insert(rows, draw):
 
 def _data(doc):
     return doc["data"] if isinstance(doc.get("data"), dict) else {}
+
+
+def _as_tuple(doc, draw):
+    """doc with one of its arrays made a tuple."""
+    key = draw(st.sampled_from(["values", "layer", "edges", "diagnostics", "warnings"]))
+    value = (_data(doc) if key == "values" else doc).get(key)
+    value = tuple(value) if isinstance(value, list) else ()
+    return {**doc, "data": {**_data(doc), key: value}} if key == "values" else {**doc, key: value}
+
+
+def _subclassed(doc, draw):
+    """doc as a dict subclass, with its kind, mark and data of subclasses too."""
+    out = _Dict(doc)
+    for key, cls in (("kind", _Str), ("mark", _Str), ("data", _Dict)):
+        if isinstance(doc.get(key), (str, dict)) and draw(st.booleans()):
+            out[key] = cls(doc[key])
+    return out
 
 
 # Each mutation takes a fragment and draw, and returns a changed copy.
@@ -448,6 +485,18 @@ _MUTATIONS = [
     lambda doc, draw: {**doc, "region": {"upper": {"value": 1}}},
     lambda doc, draw: {**doc, "layer": [{"mark": "rule", "extra": 1}]},
     lambda doc, draw: {**doc, "edges": [{"source": "a"}]},
+    lambda doc, draw: {**doc, "encoding": {"y": {"datum": draw(_NOT_NUMBERS)}}},
+    lambda doc, draw: {
+        **doc, "region": {"upper": {"value": draw(_NOT_NUMBERS), "inclusive": True}}
+    },
+    lambda doc, draw: {
+        **doc, "region": {"lower": {"value": draw(_NUMBERS), "inclusive": draw(_NOT_BOOLEANS)}}
+    },
+    _as_tuple,
+    lambda doc, draw: {**doc, draw(st.sampled_from([1, None])): 1},
+    lambda doc, draw: {**doc, "data": {**_data(doc), draw(st.sampled_from([1, None])): "x"}},
+    lambda doc, draw: {**doc, "encoding": {draw(st.sampled_from([1, None])): {}}},
+    _subclassed,
 ]
 
 
@@ -539,39 +588,58 @@ def test_validate_fragment_reports_what_full_validation_reports(doc):
 
 @settings(max_examples=400, deadline=None)
 @given(_fragments())
+@example({"kind": "aggregateMark", "layer": [{"encoding": {"x": {"datum": True}}}]})
+@example({"kind": "thresholdRegion", "region": {"lower": {"value": True, "inclusive": True}}})
+@example({"kind": "thresholdRegion", "region": {"upper": {"value": 1, "inclusive": 0}}})
+@example({"kind": "thresholdRegion", "region": {"upper": {"value": 1, "inclusive": 1}}})
+@example({"kind": "encodedMarks", "data": {"values": ({"id": 1},)}, "diagnostics": ()})
+@example({"kind": "conceptTree", "edges": ({"source": "a", "target": "b"},)})
+@example({"kind": "encodedMarks", "data": {"values": [{"id": 1}, ("id", 2)]}})
+@example({"kind": "conceptTree", 1: "x"})
+@example({"kind": "conceptTree", None: "x"})
+@example({"kind": "encodedMarks", "data": {"values": [{1: "a", None: "b"}]}})
+@example(_Dict(kind=_Str("conceptTree"), data=_Dict(values=[_Dict(id=_Str("a"))])))
+@example(_Dict(kind=_Str("wrong")))
+@example({"kind": "thresholdRegion", "encoding": {"y": {"datum": Decimal("1.5")}}})
+@example({"kind": "thresholdRegion", "encoding": {"y": {"datum": np.float64(2.5)}}})
+@example({"kind": "thresholdRegion", "encoding": {"y2": {"datum": np.int64(3)}}})
 def test_validate_fragment_verdict_equals_full_validation(doc):
     assert _verdict(validate_fragment, doc) == _verdict(_full_check, doc)
 
 
-def test_held_out_rows_are_type_checked_once_per_type(monkeypatch):
-    validator_class = type(utilization._validator()[0])
-    is_type, checked = validator_class.is_type, []
+# Edits to the schema that the compiled check could not read, and so must
+# refuse to compile.
+_SCHEMA_EDITS = {
+    "maxItems": lambda s: s["properties"]["diagnostics"].update(maxItems=3),
+    "patternProperties": lambda s: s["properties"]["data"].update(
+        patternProperties={"^v": {"maxItems": 1}}
+    ),
+    "allOf": lambda s: s.update(allOf=[{"required": ["mark"]}]),
+    "additionalProperties-schema": lambda s: s.update(additionalProperties={}),
+    "enum-number": lambda s: s["properties"]["kind"]["enum"].append(1),
+    "missing-ref": lambda s: s["properties"]["encoding"]["properties"]["x"].update(
+        {"$ref": "#/$defs/missing"}
+    ),
+}
 
-    def counting(self, instance, type_name):
-        checked.append(id(instance))
-        return is_type(self, instance, type_name)
 
-    monkeypatch.setattr(validator_class, "is_type", counting)
+@pytest.mark.parametrize("edit", _SCHEMA_EDITS)
+def test_compiling_refuses_a_schema_the_check_cannot_read(monkeypatch, edit):
+    edited = copy.deepcopy(_schema())
+    monkeypatch.setattr(utilization, "_schema", lambda: edited)
+    assert utilization._check.__wrapped__()(_MARKS)  # the shipped schema compiles
+    _SCHEMA_EDITS[edit](edited)
+    with pytest.raises(ValueError):
+        utilization._check.__wrapped__()
+
+
+@pytest.mark.parametrize("at", [0, 500, 999])
+@pytest.mark.parametrize("path", [("data", "values"), ("diagnostics",)])
+def test_a_non_object_row_gets_full_validations_error(path, at):
     rows = [{"id": i, "concept": "none"} for i in range(1000)]
-    diagnostics = [{"record": str(i), "concepts": ["ex:a", "ex:b"]} for i in range(10)]
-    doc = {**_MARKS, "data": {"values": rows}, "diagnostics": diagnostics}
-    validate_fragment(doc)
-    held = {id(row) for row in rows + diagnostics}
-    assert sum(i in held for i in checked) == 1  # every held-out row is a dict
-    with pytest.raises(jsonschema.ValidationError):
-        validate_fragment({**doc, "diagnostics": diagnostics + ["not an object"]})
-
-
-def test_held_out_arrays_come_from_the_schema():
-    schema = _schema()
-    assert set(_object_arrays(schema)) == {("data", "values"), ("diagnostics",)}
-    # Any other keyword on the array, or on an object schema above it,
-    # leaves the array to the validator.
-    edited = json.loads(json.dumps(schema))
-    edited["properties"]["diagnostics"]["maxItems"] = 3
-    edited["properties"]["data"]["patternProperties"] = {"^v": {"maxItems": 1}}
-    assert list(_object_arrays(edited)) == []
-    edited = json.loads(json.dumps(schema))
-    edited["properties"]["diagnostics"]["items"] = {"type": "object", "required": ["record"]}
-    edited["allOf"] = [{"properties": {"data": {"properties": {"values": {"maxItems": 1}}}}}]
-    assert list(_object_arrays(edited)) == []
+    assert _verdict(validate_fragment, _with(_MARKS, path, rows)) is None
+    rows[at] = "not an object"
+    doc = _with(_MARKS, path, rows)
+    expected = _verdict(_full_check, doc)
+    assert expected is not None
+    assert _verdict(validate_fragment, doc) == expected
