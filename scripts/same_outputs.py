@@ -20,9 +20,10 @@ are:
   and cells with quotes, backslashes, a quoted newline and U+2028);
 - a store without manifestations;
 - a store in which one concept has several overlapping manifestations, one
-  of each mapping kind, and a copy of it with one more in a foreign
-  dialect; each meets every edge-case CSV through ``manifest``,
-  ``--pattern marks`` and ``--pattern aggregate``;
+  of each mapping kind, a copy of it with one more in a foreign dialect,
+  and a store whose query mapping ORs 600 comparisons, one of them under
+  300 NOTs and one under 100 parentheses; each meets every edge-case CSV
+  through ``manifest``, ``--pattern marks`` and ``--pattern aggregate``;
 - a set of edge-case Turtle stores: one per error the Turtle reader
   reports, and one well-formed store with escapes, comments, an empty
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
@@ -44,7 +45,8 @@ are:
 - a gait store and trials directory that the benchmark does not make: a
   concept with one prototype, ``gait set-range`` overrides of which one
   replaces an earlier one, and ``gait analyze`` and ``gait table`` with no
-  ``--filter``, one that keeps some prototypes and one that keeps none;
+  ``--filter``, one that keeps some prototypes, one that keeps none and a
+  300-term OR chain;
   among its force files, some that numpy's C reader takes (``-0.0``,
   17-digit values, ``nan``, a blank line mid-file, spaces around cells)
   and some that go row by row (a third column, ``1_0``-style stamps).
@@ -163,6 +165,14 @@ MULTI_STORES = {
 MULTI_STORES["multi_foreign.ttl"] = MULTI_STORES["multi.ttl"] + (
     'icd10:R73 kava:manifest [ kava:matchQuery "SELECT * FROM t"; kava:queryDialect "sql" ] .\n'
 )
+# A long query mapping: 600 comparisons ORed, the last two under 300 NOTs and
+# under 100 parentheses. They sit at the top of the left-deep chain, so the
+# tree stays shallow enough for a parser and walkers that recurse.
+_LONG_QUERY = " OR ".join(
+    [f"[glucose] = {k}" for k in range(0, 1196, 2)]
+    + ["NOT " * 300 + "[glucose] = 201", "(" * 100 + "[glucose] = 9007199254740993" + ")" * 100]
+)
+MULTI_STORES["long_query.ttl"] = f'icd10:R73 kava:manifest [ kava:matchQuery "{_LONG_QUERY}" ] .\n'
 
 _EX = "@prefix ex: <http://example.org/edge#> .\n"
 _DEPTH = 300
@@ -346,6 +356,10 @@ FORCE_FORMS = {
 }
 
 
+# A 300-term population filter: the prototypes of even age.
+EVEN_AGES = " OR ".join(f"[age] = {k}" for k in range(0, 600, 2))
+
+
 def _gait_case(base: Path, work: Path):
     from kava.gait import square_wave_trial, write_trials_dir
 
@@ -376,7 +390,8 @@ def _gait_case(base: Path, work: Path):
                                f"gps:{concept}", "--param", param, "--min", lo, "--max", hi]])
     for command in ("analyze", "table"):
         for patient in ("1", "7", "8", "9", "10"):
-            for population in ([], ["--filter", "[age] > 50"], ["--filter", "[age] > 1000"]):
+            for population in ([], ["--filter", "[age] > 50"], ["--filter", "[age] > 1000"],
+                               ["--filter", EVEN_AGES]):
                 steps.append(["argv", ["gait", command, "--knowledge", store, "--trials", trials,
                                        "--patient", patient, *population]])
     return None, None, steps

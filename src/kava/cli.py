@@ -84,15 +84,23 @@ def serialize_graph(graph: Graph, suffix: str) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write-temp-then-rename, as UTF-8; knowledge files are the system of
-    record. A failure is an OSError naming ``path``, not the temporary file."""
+    record. The file keeps its permission bits, or gets those of ``open()``
+    if new. A failure is an OSError naming ``path``, not the temporary file."""
     import tempfile
 
     p = Path(path)
     tmp = None
     try:
+        try:
+            mode = os.stat(p).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0o022)  # reading the umask means setting it; mkstemp gives 0600
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, str(p))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None

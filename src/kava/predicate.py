@@ -108,78 +108,86 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.parse_or()
-        kind, _, at = self.peek()
-        if kind != "EOF":
-            raise PredicateSyntaxError(at, "trailing input after expression")
-        return node
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek()[0] == "OR":
-            self.next()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "AND":
-            self.next()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        kind, value, at = self.peek()
-        if kind == "NOT":
-            self.next()
-            return Not(self.parse_unary())
-        if kind == "(":
-            self.next()
-            node = self.parse_or()
-            kind, _, at = self.next()
-            if kind != ")":
-                raise PredicateSyntaxError(at, "expected ')'")
-            return node
-        if kind == "VAR":
-            return self.parse_comparison()
-        raise PredicateSyntaxError(at, f"expected comparison, NOT, or '(', found {kind}")
-
-    def parse_comparison(self):
-        _, variable, _ = self.next()
-        kind, op, at = self.next()
-        if kind != "OP":
-            raise PredicateSyntaxError(at, "expected comparison operator")
-        kind, constant, at = self.next()
-        if kind not in ("NUM", "STR"):
-            raise PredicateSyntaxError(at, "expected numeric or string constant")
-        return Comparison(variable, op, constant)
+_BINDS = {"OR": 1, "AND": 2}  # how tightly each binary operator binds
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse a predicate string; NOT binds tighter than AND, AND than OR."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse a predicate string; NOT binds tighter than AND, AND than OR,
+    and chains of one operator nest to the left. One operator-stack loop
+    over the tokens, so neither nesting nor length meets a recursion
+    limit; the first error in token order is the one raised."""
+    tokens = _tokenize(text)
+    pending = []  # "(", "NOT", "AND" and "OR" whose operands are not all read
+    lefts = []  # the left operand of each pending AND and OR, in order
+    i = 0
+    while True:
+        while tokens[i][0] in ("NOT", "("):
+            pending.append(tokens[i][0])
+            i += 1
+        kind, variable, at = tokens[i]
+        if kind != "VAR":
+            raise PredicateSyntaxError(at, f"expected comparison, NOT, or '(', found {kind}")
+        kind, op, at = tokens[i + 1]
+        if kind != "OP":
+            raise PredicateSyntaxError(at, "expected comparison operator")
+        kind, constant, at = tokens[i + 2]
+        if kind not in ("NUM", "STR"):
+            raise PredicateSyntaxError(at, "expected numeric or string constant")
+        node = Comparison(variable, op, constant)
+        i += 3
+        while True:  # node is a whole operand: apply what binds tighter than the next token
+            while pending and pending[-1] == "NOT":
+                pending.pop()
+                node = Not(node)
+            kind, _, at = tokens[i]
+            i += 1
+            binds = _BINDS.get(kind, 0)
+            while pending and pending[-1] in _BINDS and _BINDS[pending[-1]] >= binds:
+                node = (And if pending.pop() == "AND" else Or)(lefts.pop(), node)
+            if binds:
+                lefts.append(node)
+                pending.append(kind)
+                break
+            if pending and kind == ")":
+                pending.pop()  # the "(": node is the operand it encloses
+            elif pending:
+                raise PredicateSyntaxError(at, "expected ')'")
+            elif kind != "EOF":
+                raise PredicateSyntaxError(at, "trailing input after expression")
+            else:
+                return node
+
+
+def _fold(pred: Predicate, leaf, negate, both, either):
+    """``pred`` folded bottom-up without recursion: ``leaf`` on each
+    comparison, then ``negate`` (NOT), ``both`` (AND) or ``either`` (OR) on
+    the values of a node's operands. Listed in pre-order, right operands
+    pushed first, and read backwards, the nodes come after their operands."""
+    order, todo = [], [pred]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Not):
+            todo.append(node.operand)
+        elif not isinstance(node, Comparison):
+            todo += (node.right, node.left)
+    values = []
+    for node in reversed(order):
+        if isinstance(node, Comparison):
+            values.append(leaf(node))
+        elif isinstance(node, Not):
+            values.append(negate(values.pop()))
+        else:
+            left = values.pop()
+            values.append((both if isinstance(node, And) else either)(left, values.pop()))
+    return values[0]
 
 
 def variables(pred: Predicate) -> set[str]:
-    if isinstance(pred, Comparison):
-        return {pred.variable}
-    if isinstance(pred, Not):
-        return variables(pred.operand)
-    return variables(pred.left) | variables(pred.right)
+    names = set()  # every leaf adds to this one set, so nothing is combined
+    ignore = lambda *operands: None
+    _fold(pred, lambda c: names.add(c.variable), ignore, ignore, ignore)
+    return names
 
 
 def _compare(value, op, constant):
@@ -192,33 +200,19 @@ def _compare(value, op, constant):
 
 
 def compile_predicate(pred: Predicate):
-    """Compile to a closure over a record dict (variable name -> value):
-    ``compile_mask`` evaluated on the columns of that one record."""
-    import numpy as np
-
-    from .dataset import Column  # dataset imports this module
-
-    mask = compile_mask(pred)
-    names = variables(pred)
-    code = np.zeros(1, dtype=np.intp)
-    return lambda rec: bool(mask({v: Column((rec.get(v),), code) for v in names})[0])
+    """Compile to a function of a record dict (variable name -> value):
+    ``_compare`` on each comparison, record by record, the reference that
+    ``compile_mask`` computes column by column."""
+    return lambda rec: bool(_fold(pred, lambda c: _compare(rec.get(c.variable), c.op, c.constant),
+                                  operator.not_, operator.and_, operator.or_))
 
 
 def compile_mask(pred: Predicate):
     """Compile to a function from a dataset's columns (variable name ->
     ``dataset.Column``) to a boolean mask over its records. Each comparison
     is one ``Column.compare`` on its variable's column."""
-    if isinstance(pred, Comparison):
-        var, op, const = pred.variable, pred.op, pred.constant
-        return lambda columns: columns[var].compare(op, const)
-    if isinstance(pred, Not):
-        inner = compile_mask(pred.operand)
-        return lambda columns: ~inner(columns)
-    left = compile_mask(pred.left)
-    right = compile_mask(pred.right)
-    if isinstance(pred, And):
-        return lambda columns: left(columns) & right(columns)
-    return lambda columns: left(columns) | right(columns)
+    return lambda columns: _fold(pred, lambda c: columns[c.variable].compare(c.op, c.constant),
+                                 operator.invert, operator.and_, operator.or_)
 
 
 def _float_text(x: float) -> str:
@@ -232,16 +226,16 @@ def _float_text(x: float) -> str:
     return text if "." in text else text + ".0"
 
 
+def _comparison_text(c: Comparison) -> str:
+    const = c.constant
+    if isinstance(const, str):
+        const = '"' + const.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    elif isinstance(const, float):
+        const = _float_text(const)
+    return f"[{c.variable}] {c.op} {const}"
+
+
 def to_text(pred: Predicate) -> str:
     """Render a predicate back to its string form."""
-    if isinstance(pred, Comparison):
-        const = pred.constant
-        if isinstance(const, str):
-            const = '"' + const.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        elif isinstance(const, float):
-            const = _float_text(const)
-        return f"[{pred.variable}] {pred.op} {const}"
-    if isinstance(pred, Not):
-        return f"NOT ({to_text(pred.operand)})"
-    joint = "AND" if isinstance(pred, And) else "OR"
-    return f"({to_text(pred.left)}) {joint} ({to_text(pred.right)})"
+    return _fold(pred, _comparison_text, "NOT ({})".format,
+                 "({}) AND ({})".format, "({}) OR ({})".format)

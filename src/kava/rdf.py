@@ -185,9 +185,6 @@ class Triple(_Tuple):
             raise ValueError("triple predicate must be an IRI")
         return tuple.__new__(cls, (subject, predicate, object))
 
-    def sort_key(self):
-        return (str(self.subject), str(self.predicate), str(self.object))
-
 
 def expand(name: str, prefixes: dict[str, str]) -> Iri:
     """Expand a prefixed name like ``skos:prefLabel`` to a full IRI.

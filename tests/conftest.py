@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,16 @@ def fixtures():
 
 def fixture_text(name):
     return (FIXTURES / name).read_text()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit for the test, whatever the runner
+    set: code that must not recurse per nesting level is run at it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 _PREDICATE_POOL = [

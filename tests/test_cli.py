@@ -1092,6 +1092,44 @@ def test_annotate_appends_second_prototype(capsys, tmp_path):
     assert len(load_manifestations(parse_turtle(store.read_text()))) == 2
 
 
+def test_written_files_keep_their_permission_bits(tmp_path):
+    """Under umask 022 a new output file is 0644, and an edited store keeps
+    its mode, although the temporary file renamed into place is 0600."""
+    stores = {}
+    for mode in (0o664, 0o600):
+        stores[mode] = tmp_path / f"store_{mode:o}.ttl"
+        shutil.copy(FIXTURES / "listing3.ttl", stores[mode])
+        stores[mode].chmod(mode)
+    outputs = [tmp_path / "out.jsonld", tmp_path / "tree.json"]
+    argvs = [
+        ["convert", str(FIXTURES / "listing1.ttl"), "--to", "jsonld", "-o", str(outputs[0])],
+        ["export-vis", str(FIXTURES / "gps_scheme.ttl"), "--pattern", "tree",
+         "-o", str(outputs[1])],
+        *(["annotate", str(store), "--concept", "icd10:R73", "--prototype", "patientId=777",
+           "--creator", "Doctor Dreamy"] for store in stores.values()),
+    ]
+    script = (
+        "import json, sys\n"
+        "from kava.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        umask=0o022,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0]
+    assert [out.stat().st_mode & 0o777 for out in outputs] == [0o644, 0o644]
+    assert {mode: store.stat().st_mode & 0o777 for mode, store in stores.items()} == {
+        0o664: 0o664, 0o600: 0o600,
+    }
+    assert all("patientId" in store.read_text() for store in stores.values())
+
+
 def test_annotate_without_creator_warns(capsys, tmp_path):
     store = tmp_path / "store.ttl"
     store.write_text("")
@@ -1670,6 +1708,61 @@ def test_gait_filter_with_long_predicate_constant(capsys, gait_workspace):
     assert code in (0, 1, 2)
     assert "internal error" not in err
     assert (code, lines, err) == unfiltered  # every prototype is younger than that
+
+
+# Predicates of any length and nesting parse and evaluate within the
+# default recursion limit. A recursive parser made `validate` exit 3 under
+# 327 parentheses or 981 NOTs, and recursive walkers made `manifest` exit 3
+# on a chain of 989 terms.
+def _query_store(tmp_path, name, query):
+    store = tmp_path / name
+    store.write_text(f'icd10:R73 kava:manifest [ kava:matchQuery "{query}" ] .\n')
+    return str(store)
+
+
+def test_a_query_that_ors_1200_codes_is_evaluated(capsys, tmp_path, default_recursion_limit):
+    codes = range(1, 1201)
+    store = _query_store(tmp_path, "codes.ttl", " OR ".join(f"[code] = {k}" for k in codes))
+    rng = random.Random(7)
+    rows = [(i, rng.randrange(-100, 1400)) for i in range(300)]
+    data = tmp_path / "codes.csv"
+    data.write_text("id,code\n" + "".join(f"{i},{value}\n" for i, value in rows))
+    matched = [i for i, value in rows if value in codes]  # brute force, row by row
+    assert run(capsys, "validate", store)[0] == 0
+    assert run(capsys, "manifest", store, str(data), "--concept", "icd10:R73") == (0, [matched], "")
+    exit_code = main(["export-vis", store, str(data), "--pattern", "marks"])
+    out = capsys.readouterr()
+    assert (exit_code, out.err) == (0, "")
+    concepts = [row["concept"] for row in json.loads(out.out)["data"]["values"]]
+    assert concepts == ["icd10:R73" if value in codes else "none" for _, value in rows]
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda query: "(" * 1000 + query + ")" * 1000,
+    lambda query: "NOT " * 1000 + query,
+], ids=["1000-parentheses", "1000-nots"])
+def test_a_deeply_nested_comparison_reads_as_the_bare_one(
+    capsys, tmp_path, default_recursion_limit, wrap
+):
+    bare = _query_store(tmp_path, "bare.ttl", "[glucose] > 200")
+    nested = _query_store(tmp_path, "nested.ttl", wrap("[glucose] > 200"))
+    data = str(tmp_path / "glucose.csv")
+    Path(data).write_text("id,glucose\n1,150\n2,201\n3,250\n4,\n")
+    for argv in (["validate", "{}"], ["manifest", "{}", data, "--concept", "icd10:R73"]):
+        want = run(capsys, *(a.format(bare) for a in argv))
+        assert want[0] == 0
+        assert run(capsys, *(a.format(nested) for a in argv)) == want
+
+
+def test_gait_filter_with_a_1200_term_or_chain(capsys, gait_workspace, default_recursion_limit):
+    knowledge, trials = gait_workspace
+    _add_prototypes(knowledge, trials, "1", "3")
+    args = ["gait", "analyze", "--knowledge", knowledge, "--trials", trials, "--patient", "2"]
+    capsys.readouterr()
+    everyone = run(capsys, *args, "--filter", "[age] >= 0")
+    assert everyone[0] == 0
+    chain = " OR ".join(f"[age] = {k}" for k in range(1200))  # every age from 0 to 1199
+    assert run(capsys, *args, "--filter", chain) == everyone
 
 
 @pytest.mark.parametrize("command", ["analyze", "table"])

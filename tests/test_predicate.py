@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import predicate_reference
 from kava.errors import PredicateSyntaxError
 from kava.predicate import (
     And,
@@ -147,3 +148,72 @@ def test_compiled_matches_oracle(seed):
             v: rng.choice([None, rng.randrange(-6, 7)]) for v in "abcde"
         }
         assert test(record) == oracle_eval(pred, record)
+
+
+# Tokens of every kind the tokenizer reads, keywords in any case, stray
+# characters and whitespace; and, for each, the ones that may follow it in
+# a well-formed predicate.
+_VARIABLES = ["[a]", "[b c]"]
+_OPERATORS = [">", ">=", "<", "<=", "=", "!="]
+_CONSTANTS = ["7", "-2", "0.5", "-12.25", '"x"', '"say \\"hi\\""', '"back\\\\slash"']
+_OPERAND = [*_VARIABLES, "NOT", "Not", "not", "("]
+_JOINS = ["AND", "and", "or", "OR", ")"]
+_ANY = [*_OPERAND, *_OPERATORS, *_CONSTANTS, *_JOINS, "~", "]", "#", "", " ", "\t\n"]
+_FOLLOWS = {
+    **dict.fromkeys(_VARIABLES, _OPERATORS),
+    **dict.fromkeys(_OPERATORS, _CONSTANTS),
+    **dict.fromkeys([*_CONSTANTS, ")"], _JOINS),
+}
+
+
+@st.composite
+def _token_texts(draw):
+    """Texts of up to 20 tokens, each drawn 15 times in 16 from those that
+    may follow the token before it, else from every kind. A text may end
+    wherever a predicate may: most parse far, and many parse whole."""
+    tokens = []
+    while len(tokens) < 20:
+        follows = _FOLLOWS.get(tokens[-1], _OPERAND) if tokens else _OPERAND
+        if follows is _JOINS and draw(st.integers(0, 3)) == 3:
+            break
+        tokens.append(draw(st.sampled_from(follows if draw(st.integers(0, 15)) < 15 else _ANY)))
+    return " ".join(tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PredicateSyntaxError as exc:
+        return exc.position, exc.message
+
+
+@settings(max_examples=1000, deadline=None)
+@example("[a]")  # a variable at the end of the input
+@example("( [a] > 2.5 ( [b] = 1")  # an operand followed by '(' inside parentheses
+@given(_token_texts())
+def test_parser_matches_the_recursive_reference(text):
+    """The same tree, or the same first error at the same position."""
+    assert _outcome(parse_predicate, text) == _outcome(predicate_reference.parse_predicate, text)
+
+
+def test_predicates_of_any_depth_need_no_recursion(default_recursion_limit):
+    leaf = "[a] = 1"
+    texts = [
+        " AND ".join([leaf] * 3000),
+        " OR ".join(f"[v{k}] > {k}" for k in range(3000)),
+        "(" * 3000 + leaf + ")" * 3000,
+        "NOT " * 3001 + leaf,
+        "(" * 1500 + leaf + "".join(f" OR [b] = {k})" for k in range(1500)),
+        "".join(f"[a] = {k} AND (" for k in range(1500)) + leaf + ")" * 1500,
+    ]
+    results = []
+    for text in texts:
+        pred = parse_predicate(text)
+        rendered = to_text(pred)  # deep trees are compared as text: == on them recurses
+        assert to_text(parse_predicate(rendered)) == rendered
+        test = compile_predicate(pred)
+        results.append((len(variables(pred)), test({"a": 1}), test({"a": 2, "b": 7})))
+    assert results == [
+        (1, True, False), (3000, False, False), (1, True, False), (1, False, True),
+        (2, True, True), (1, False, False),
+    ]

@@ -131,7 +131,8 @@ def test_match_returns_sorted_everything_once():
     g = random_tree_graph(rng, 30)
     everything = g.match()
     assert len(everything) == len(g)
-    assert everything == sorted(everything, key=Triple.sort_key)
+    by_text = sorted(everything, key=lambda t: (str(t.subject), str(t.predicate), str(t.object)))
+    assert everything == by_text
     for subject in {t.subject for t in everything}:
         assert g.match(s=subject) == [t for t in everything if t.subject == subject]
 
