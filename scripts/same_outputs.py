@@ -17,7 +17,11 @@ are:
   values around 2**53, where float64 stops holding every integer:
   2**53 - 1, 2**53, 2**53 + 1, ``9007199254740993.0``, ``-0.0``, ``1e308``
   and ``inf``; a data column named ``concept``; and string identifiers
-  and cells with quotes, backslashes, a quoted newline and U+2028);
+  and cells with quotes, backslashes, a quoted newline and U+2028; and
+  number columns on each side of the one-map conversions: identifiers
+  ``7`` and ``007``, negative ints, decimals with missing cells, ``70``
+  with ``70.5``, ``1.``, ``.5``, `` 5.5`` and ``25_0.5``, an int of 4,301
+  digits and Arabic-Indic digits);
 - a store without manifestations;
 - a store in which one concept has several overlapping manifestations, one
   of each mapping kind, a copy of it with one more in a foreign dialect,
@@ -150,6 +154,15 @@ EDGE_CSVS = {
     "short_row.csv": "id,glucose,t\n1,250,1\n2,150\n3,210,3\n",
     "long_row.csv": "id,glucose,t\n1,250,1\n2,150,2,9\n3,210,3\n",
     "header_only_no_newline.csv": "id,glucose,t",
+    # each side of the one-map conversions: all digits ("007" is 7 again, and
+    # Arabic-Indic digits are ints), a "." in every text, and neither
+    "leading_zero_ids.csv": "id,glucose,t\n7,250,1\n007,150,2\n",
+    "negative_ints.csv": "id,glucose,t\n1,-250,1\n2,-150,-2\n3,210,-3\n",
+    "decimal_gaps.csv": "id,glucose,t\n1,250.5,1.5\n2,,2.5\n3,201.25,\n4,,4.0\n",
+    "int_and_decimal.csv": "id,glucose,t\n1,70,1\n2,70.5,2\n3,201,3\n4,250.0,4\n",
+    "dot_texts.csv": "id,glucose,t\n1,201.,1.\n2,.5,.5\n3, 250.5,2\n4,25_0.5,3\n",
+    "long_int.csv": f"id,glucose,t\n1,250,1\n2,{'9' * 4301},2\n3,150,3\n",
+    "arabic_digits.csv": "id,glucose,t\n\u0661,250,\u0661\n\u0662,\u0662\u0660\u0661,\u0662\n",
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

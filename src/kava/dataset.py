@@ -6,7 +6,7 @@ import csv
 import io
 import operator
 from functools import cached_property
-from itertools import compress, zip_longest
+from itertools import compress, repeat, zip_longest
 
 import numpy as np
 
@@ -175,7 +175,16 @@ class Column:
         return hits[self.codes]
 
     @cached_property
+    def _unmerged(self) -> bool:
+        """Whether no two values are one dict key, as 1, 1.0 and True are;
+        a set merges exactly the values that dict keys merge."""
+        return len(set(self.values)) == len(self.values)
+
+    @cached_property
     def _equal_codes(self) -> dict:
+        """Per value as a dict key, the codes of the values equal to it."""
+        if self._unmerged:
+            return dict(zip(self.values, zip(range(len(self.values)))))
         groups = {}
         for code, value in enumerate(self.values):
             groups.setdefault(value, []).append(code)
@@ -185,6 +194,8 @@ class Column:
     def canonical_codes(self) -> np.ndarray:
         """Per code, the first code whose value is equal to its value as a
         dict key: 1, 1.0 and True share one, each NaN object keeps its own."""
+        if self._unmerged:
+            return np.arange(len(self.values), dtype=np.intp)
         groups = self._equal_codes
         return np.fromiter((groups[v][0] for v in self.values), np.intp, len(self.values))
 
@@ -298,11 +309,13 @@ def load_csv(text: str | list, schema: Schema) -> Dataset:
 
     Header must contain exactly the schema variables, in any order. Plain
     text (``_plain_cells``) is split in one pass, any other by ``csv.reader``.
-    Each distinct cell text of a column is parsed once and given one code.
-    An INFER variable is a NUMBER when that parse finds a number and no
-    other text, else a STRING; the dataset's schema holds the decided
-    kinds. Errors are those of a row-by-row read: the first bad cell, or
-    missing or repeated identifier, wins.
+    Each distinct cell text of a column is parsed once and given one code;
+    a column of digits only, or of texts that each have a ".", is
+    converted by one ``int()`` or ``float()`` map, with the values
+    ``parse_number`` gives. An INFER variable is a NUMBER when that parse
+    finds a number and no other text, else a STRING; the dataset's schema
+    holds the decided kinds. Errors are those of a row-by-row read: the
+    first bad cell, or missing or repeated identifier, wins.
     """
     plain = _plain_cells(text) if isinstance(text, str) else None
     if plain is not None:
@@ -385,12 +398,13 @@ def _plain_cells(text: str):
 def _parse_column(cells, kind):
     """The Column of one variable's cells, or None when a cell of a NUMBER
     variable is not a number, and the kind, decided for INFER. Each distinct
-    cell text is parsed once; texts whose values share one ``_key``, such as
-    "1" and "01", share one code."""
+    cell text is parsed once (see ``_parse_numbers``); texts whose values
+    share one ``_key``, such as "1" and "01", share one code. A column whose
+    cells are all distinct, with no two values equal, has the codes 0, 1, 2..."""
     texts = list(dict.fromkeys(cells))  # in order of first appearance
     try:
-        values = list(map(_parse_text if kind == STRING else parse_number, texts))
-    except ValueError:  # at the first text that is no number
+        values = list(map(_parse_text, texts)) if kind == STRING else _parse_numbers(texts)
+    except ValueError:  # at a text that is no number
         if kind == NUMBER:
             return None, kind
         kind, values = STRING, list(map(_parse_text, texts))
@@ -400,13 +414,45 @@ def _parse_column(cells, kind):
         value_of = dict(zip(texts, values))  # float() makes a new NaN object per cell
         cell_values = [value_of[c] if value_of[c] == value_of[c] else float(c) for c in cells]
         return _encode(cell_values), kind
-    code_of_text = range(len(texts))
-    if len(set(values)) < len(values):  # some values are equal, maybe of one key
-        merged = _encode(values)
-        values, code_of_text = merged.values, merged.codes.tolist()
-    code_of = dict(zip(texts, code_of_text))
-    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
-    return Column(tuple(values), _frozen(codes)), kind
+    unmerged = len(set(values)) == len(values)  # no two values are equal, so none share a key
+    if unmerged and len(texts) == len(cells):  # one cell per text
+        codes = np.arange(len(cells), dtype=np.intp)
+    else:
+        code_of_text = range(len(texts))
+        if not unmerged:
+            merged = _encode(values)
+            values, code_of_text = merged.values, merged.codes.tolist()
+        code_of = dict(zip(texts, code_of_text))
+        codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    column = Column(tuple(values), _frozen(codes))
+    if unmerged:
+        column._unmerged = True  # what the set above found
+    return column, kind
+
+
+def _parse_numbers(texts: list) -> list:
+    """``parse_number`` of each text, by one C-level ``int()`` or ``float()``
+    map where that gives the same values and errors; the empty text and
+    None are None. ``parse_number`` reads a text of digits with ``int()``
+    when ``int()`` takes it (not "²", nor more digits than it reads: then
+    the texts are parsed one by one), and a text with a "." with
+    ``float()`` alone. Neither map makes a NaN. Other texts, such as signed
+    ints, exponents without a "." and ints among decimals, are parsed one
+    by one."""
+    rest = list(filter(None, texts))
+    joined = "".join(rest)
+    if joined.isdigit():
+        try:
+            values = list(map(int, rest))
+        except ValueError:
+            return list(map(parse_number, texts))
+    elif all(map(operator.contains, rest, repeat("."))):
+        values = list(map(float, rest))
+    else:
+        return list(map(parse_number, texts))
+    for at in sorted(texts.index(t) for t in ("", None) if t in texts):
+        values.insert(at, None)
+    return values
 
 
 def _identifiers_unique(schema, columns, length) -> bool:
@@ -417,7 +463,7 @@ def _identifiers_unique(schema, columns, length) -> bool:
     if any(None in part.values for part in parts):
         return False
     if len(parts) == 1:  # one value per code; set() merges 1, 1.0 and -0.0, 0
-        return len(parts[0].values) == length and len(set(parts[0].values)) == length
+        return len(parts[0].values) == length and parts[0]._unmerged
     return len(set(zip(*(part.decode() for part in parts)))) == length
 
 

@@ -21,26 +21,72 @@ _OPS = {
 }
 
 
-class Comparison(Value):
+class _Node(Value):
+    """A predicate node. ``==``, ``!=`` and ``repr`` walk the tree with an
+    explicit stack, so that trees of any depth compare and print; they give
+    what tuple equality and ``_Tuple.__repr__`` give, and the hash is the
+    tuple's."""
+
+    __slots__ = ()
+    __hash__ = Value.__hash__
+
+    def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        pairs = [(self, other)]  # item pairs still to compare, the next one last
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and isinstance(b, tuple):
+                if len(a) != len(b):
+                    return False
+                pairs += reversed(list(zip(a, b)))
+            elif not a == b:
+                return False
+        return True
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self):
+        out, todo = [], [self]  # texts to write and nodes to print, the next one last
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__name__}("]
+            for i, (field, value) in enumerate(zip(item._fields, item[item._first:])):
+                pieces += [f"{', ' if i else ''}{field}=",
+                           value if isinstance(value, _Node) else repr(value)]
+            todo += reversed(pieces + [")"])
+        return "".join(out)
+
+    __str__ = __repr__
+
+
+class Comparison(_Node):
     __slots__ = ()
     variable: str
     op: str
     constant: object  # int, float, or str
 
 
-class And(Value):
+class And(_Node):
     __slots__ = ()
     left: object
     right: object
 
 
-class Or(Value):
+class Or(_Node):
     __slots__ = ()
     left: object
     right: object
 
 
-class Not(Value):
+class Not(_Node):
     __slots__ = ()
     operand: object
 

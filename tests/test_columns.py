@@ -26,12 +26,14 @@ from kava import predicate
 from kava import dataset as dataset_module
 from kava.cli import _infer_schema, read_table
 from kava.dataset import (
+    INFER,
     NUMBER,
     STRING,
     Dataset,
     Record,
     Schema,
     _encode,
+    _parse_column,
     filter_records,
     load_csv,
     write_csv,
@@ -718,6 +720,81 @@ def test_load_csv_matches_row_reference(text, schema, pred):
     want_kept = ref_filter(Dataset(schema, records), pred)
     assert typed_records(kept.records) == typed_records(want_kept)
     assert columns_form(kept) == canonical_form(kept)
+
+
+# --- one-map number conversion against parse_number text by text ----------
+
+# Texts on each side of the guards of the one-map conversions: all digits
+# (leading zeros that merge, non-ASCII digits that int() reads, "²" that it
+# does not, and more digits than it reads), a "." in every text (with texts
+# float() refuses), and neither (signs, exponents, NaN, words).
+GUARD_TEXTS = ["1", "7", "007", "12", "0", "\u0663", "\u00b2", LONG_INT, "1.", ".5", " 5.5",
+               "5_0.5", "2.5", "-2.5", "1.e3", "nan.", "1e3.", "-0", "-3", "+4", "1e3",
+               "1.5e3", " 5", "nan", "inf", "x", "", None]
+DIGIT_TEXTS = [t for t in GUARD_TEXTS if not t or t.isdigit()]
+DOT_TEXTS = [t for t in GUARD_TEXTS if not t or "." in t]
+
+
+def ref_parse_column(cells, kind):
+    """_parse_column cell by cell: each cell's own parse_number (the empty
+    text and None are None), then _encode; the column of a NUMBER variable
+    with a text that is no number is None."""
+    try:
+        values = [None if not c else c if kind == STRING else predicate.parse_number(c)
+                  for c in cells]
+    except ValueError:
+        if kind == NUMBER:
+            return None, kind
+        kind, values = STRING, [c or None for c in cells]
+    if kind == INFER:
+        kind = NUMBER if any(v is not None for v in values) else STRING
+    return _encode(values), kind
+
+
+def column_form(column, kind):
+    """The column's kind, typed values, codes, canonical codes, and per
+    value the codes of the values equal to it as a dict key."""
+    if column is None:
+        return None, kind
+    groups = {}
+    for code, value in enumerate(column.values):
+        groups.setdefault(value, []).append(code)
+    assert [list(column._equal_codes[v]) for v in column.values] == [
+        groups[v] for v in column.values]
+    assert column.canonical_codes.tolist() == [groups[v][0] for v in column.values]
+    return kind, typed(column.values), column.codes.tolist()
+
+
+@st.composite
+def guarded_cells(draw):
+    """A column's cells, mostly from one side of a guard, now and then all distinct."""
+    alphabet = st.sampled_from(draw(st.sampled_from([DIGIT_TEXTS, DOT_TEXTS, GUARD_TEXTS])))
+    return draw(st.lists(alphabet, max_size=8, unique=draw(st.booleans())))
+
+
+@settings(max_examples=600, deadline=None)
+@given(guarded_cells(), st.sampled_from([NUMBER, INFER, STRING]))
+@example(["7", "12", "", "0", "12"], NUMBER)  # all digits: int()
+@example(["3", "1", "2"], INFER)  # all distinct: codes 0, 1, 2
+@example(["7", "007", None], NUMBER)  # all digits, one value of two texts
+@example(["7", "\u0663"], NUMBER)  # digits that are not ASCII: int() reads them
+@example(["7", "\u00b2"], INFER)  # a digit int() refuses: no number
+@example(["7", LONG_INT], NUMBER)  # more digits than int() reads: float() reads them
+@example(["1.", ".5", None, " 5.5", ""], NUMBER)  # a "." in each: float()
+@example(["2.5", "5_0.5", "1.e3"], INFER)
+@example(["2.5", "nan."], INFER)  # a "." in each, and no number
+@example(["2.5", "1e3."], NUMBER)
+@example(["2.5", "7"], NUMBER)  # neither: one by one
+@example(["1", "1.", "7", "007"], NUMBER)  # 1 and 1.0: equal values of two keys
+@example(["-3", "1.5e3", "+4", " 5"], NUMBER)
+@example(["nan", "nan", "1"], NUMBER)  # one NaN value per cell
+@example(["", None, ""], INFER)
+@example([], NUMBER)
+def test_parse_column_matches_parse_number_text_by_text(cells, kind):
+    got = column_form(*_parse_column(cells, kind))
+    assert got == column_form(*ref_parse_column(cells, kind))
+    column, _ = _parse_column(cells, kind)
+    assert column is None or column._unmerged == (len(set(column.values)) == len(column.values))
 
 
 SPLITTER_CASES = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import predicate_reference
 from kava.errors import PredicateSyntaxError
+from kava.gait import CategoryModel
 from kava.predicate import (
     And,
     Comparison,
@@ -18,6 +19,7 @@ from kava.predicate import (
     to_text,
     variables,
 )
+from kava.rdf import Iri
 
 
 def oracle_eval(pred, record):
@@ -209,11 +211,70 @@ def test_predicates_of_any_depth_need_no_recursion(default_recursion_limit):
     results = []
     for text in texts:
         pred = parse_predicate(text)
-        rendered = to_text(pred)  # deep trees are compared as text: == on them recurses
-        assert to_text(parse_predicate(rendered)) == rendered
+        rendered = to_text(pred)
+        assert parse_predicate(rendered) == pred
         test = compile_predicate(pred)
         results.append((len(variables(pred)), test({"a": 1}), test({"a": 2, "b": 7})))
     assert results == [
         (1, True, False), (3000, False, False), (1, True, False), (1, False, True),
         (2, True, True), (1, False, False),
     ]
+
+
+def _plain(pred):
+    """The predicate as nested plain tuples: what tuple equality compares."""
+    if isinstance(pred, (Comparison, And, Or, Not)):
+        return tuple(map(_plain, pred))
+    return pred
+
+
+def _recursive_repr(pred):
+    """``_Tuple.__repr__`` applied at every level of the tree."""
+    if isinstance(pred, (Comparison, And, Or, Not)):
+        fields = ", ".join(f"{f}={_recursive_repr(v)}" for f, v in zip(pred._fields, pred[1:]))
+        return f"{type(pred).__name__}({fields})"
+    return repr(pred)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_equality_and_repr_match_the_tuple_ones(seed):
+    rng = random.Random(seed)
+    a, b = _random_predicate(rng, 3), _random_predicate(rng, 3)
+    twin = parse_predicate(to_text(a))  # a equal tree of other objects
+    for x, y in [(a, b), (a, twin), (b, a), (a, Comparison("a", "=", 1)), (a, _plain(a))]:
+        assert (x == y) is (_plain(x) == _plain(y))
+        assert (x != y) is (_plain(x) != _plain(y))
+    assert hash(a) == hash(twin) and a == twin
+    assert repr(a) == str(a) == _recursive_repr(a)
+    assert (a == "text", a != None) == (False, True)  # noqa: E711
+
+
+def test_one_equals_one_point_zero_in_a_comparison():
+    assert Not(Comparison("a", "=", 1)) == Not(Comparison("a", "=", 1.0))
+    assert And(Comparison("a", "=", 1), Comparison("b", "=", 2)) != Or(
+        Comparison("a", "=", 1), Comparison("b", "=", 2)
+    )
+
+
+def test_deep_predicates_compare_and_print_without_recursion(default_recursion_limit):
+    leaf = "Comparison(variable='a', op='=', constant=1)"
+    nested_text = "(" * 1500 + "[a] = 1" + "".join(f" OR [b] = {k})" for k in range(1500))
+    cases = [
+        ("NOT " * 3000 + "[a] = {}", "Not(operand=" * 3000 + leaf + ")" * 3000),
+        (nested_text.replace("[a] = 1", "[a] = {}"), "Or(left=" * 1500 + leaf + "".join(
+            f", right=Comparison(variable='b', op='=', constant={k}))" for k in range(1500))),
+    ]
+    for text, printed in cases:
+        pred = parse_predicate(text.format(1))
+        assert pred == parse_predicate(text.format(1)) == parse_predicate(text.format("1.0"))
+        assert pred != parse_predicate(text.format(2))
+        assert not pred != parse_predicate(text.format(1))
+        assert hash(pred) == hash(parse_predicate(text.format(1)))
+        assert repr(pred) == str(pred) == printed
+        concept = Iri("http://example.org/c")
+        model = CategoryModel(concept, [], population_filter=pred)
+        assert model == CategoryModel(concept, [], population_filter=parse_predicate(text.format(1)))
+        assert model != CategoryModel(concept, [], population_filter=parse_predicate(text.format(2)))
+        assert repr(model) == (f"CategoryModel(concept={concept!r}, prototypes=[], "
+                               f"overrides=mappingproxy({{}}), population_filter={printed})")

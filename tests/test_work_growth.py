@@ -33,6 +33,10 @@ MAX_GROWTH = 4.4
 # predicate._compare runs once per distinct value that float64 cannot
 # compare exactly (the sex column's "F" and "M"), never once per record
 MAX_COMPARES_PER_RECORD = 0.05
+# predicate.parse_number reads the constants of the records plan's ten
+# query mappings, whatever the row count, and the sex column's first text,
+# which makes it a string column; never the CSV's number cell texts
+MAX_NUMBER_PARSES = 100
 
 
 def _aggregate_argv(workload) -> list:
@@ -142,3 +146,11 @@ def test_gait_reads_every_force_file_without_the_row_reader(data_ladder):
     for stats in data_ladder[0][("gait", "read")]:
         files = _calls(stats, "dataset", "load_series_csv")
         assert files >= 2 and _calls(stats, "dataset", "_load_series_rows") == 0, files
+
+
+@pytest.mark.parametrize("op", ["read", "render"], ids=["manifest", "export-vis marks"])
+def test_records_parse_numbers_of_predicate_constants_only(data_ladder, op):
+    # each number column of the data CSV is converted by one int() or float() map
+    for stats in data_ladder[0][("records", op)]:
+        calls = _calls(stats, "predicate", "parse_number")
+        assert calls <= MAX_NUMBER_PARSES, f"{calls} parse_number calls"
