@@ -10,9 +10,10 @@ class UndecodableText(KavaError):
 
 
 def read_text(path) -> str:
-    """The text of the file at ``path``, read as UTF-8."""
+    """The text of the file at ``path``, read as UTF-8 without the byte
+    order mark that some editors write at its start."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UndecodableText(f"{str(path)!r} is not UTF-8 text: {exc}") from None

@@ -4,6 +4,8 @@ category matching."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_left
 from pathlib import Path
@@ -586,18 +588,20 @@ def write_trials_dir(path, trials) -> None:
     """Inverse of load_trials_dir, for fixtures and demos."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    lines = ["patientId,age,bodyMass"]
+    metadata = io.StringIO()
+    rows = csv.writer(metadata, lineterminator="\n")  # quotes an id such as a,b
+    rows.writerow(["patientId", "age", "bodyMass"])
     for trial in trials:
         age = "" if trial.age is None else trial.age
         mass = "" if trial.body_mass is None else trial.body_mass
-        lines.append(f"{trial.patient_id},{age},{mass}")
+        rows.writerow([trial.patient_id, f"{age}", f"{mass}"])  # csv.writer reprs a float
         (root / f"{trial.patient_id}_left.csv").write_text(
             write_series_csv(trial.fv_left)
         )
         (root / f"{trial.patient_id}_right.csv").write_text(
             write_series_csv(trial.fv_right)
         )
-    (root / "metadata.csv").write_text("\n".join(lines) + "\n")
+    (root / "metadata.csv").write_text(metadata.getvalue())
 
 
 def square_wave_trial(

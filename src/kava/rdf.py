@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import decimal
 import re
-from bisect import insort
 from collections import Counter, _tuplegetter  # namedtuple's field reader
 from itertools import chain, groupby
 
@@ -215,34 +214,39 @@ def shrink(iri: Iri, prefixes: dict[str, str]) -> str | None:
 
 
 class Graph:
-    """An immutable set of triples plus a prefix map.
+    """An immutable set of triples plus a prefix map, held as one tuple of
+    the distinct triples in sorted order.
 
     No method changes a graph after construction; ``insert`` and ``merge``
     return a new one. All reads are pure and safe for concurrent readers.
     """
 
     def __init__(self, triples=(), prefixes=None):
-        self._triples: frozenset[Triple] = frozenset(triples)
+        # dict.fromkeys drops repeats in input order, so the sort meets the
+        # input's runs: a parsed store and a merge arrive nearly sorted
+        self._triples: tuple[Triple, ...] = tuple(sorted(dict.fromkeys(triples)))
         self.prefixes: dict[str, str] = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-        self._sorted: tuple[Triple, ...] | None = None
+        self._hash: int | None = None
         self._indexes: list[dict[Term, list[Triple]] | None] = [None, None]
 
     def __len__(self):
         return len(self._triples)
 
     def __iter__(self):
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._triples))
-        return iter(self._sorted)
+        return iter(self._triples)
 
     def __contains__(self, triple):
-        return triple in self._triples
+        hash(triple)  # an unhashable value raises TypeError, as a set's lookup does
+        return (isinstance(triple, tuple) and len(triple) == 3
+                and triple in self._index(0).get(triple[0], ()))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self._triples == other._triples
 
-    def __hash__(self):
-        return hash(self._triples)
+    def __hash__(self):  # a tuple does not keep its hash; caches keyed by graph ask often
+        if self._hash is None:
+            self._hash = hash(self._triples)
+        return self._hash
 
     def _index(self, position: int) -> dict[Term, list[Triple]]:
         """Subject (position 0) or predicate (1) -> its triples in sorted
@@ -273,15 +277,8 @@ class Graph:
 
 
 def merge(graph: Graph, triples) -> Graph:
-    """The graph plus the triples, under set semantics. The graph's sorted
-    order is kept and each new triple placed in it by bisection."""
-    added = set(triples).difference(graph._triples)
-    order = list(graph)
-    for t in added:
-        insort(order, t)
-    merged = Graph((), graph.prefixes)
-    merged._triples, merged._sorted = graph._triples.union(added), tuple(order)
-    return merged
+    """The graph plus the triples, under set semantics."""
+    return Graph(chain(graph, triples), graph.prefixes)
 
 
 def insert(graph: Graph, triple: Triple) -> Graph:

@@ -12,12 +12,14 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     CyclicScheme,
+    ForeignDialect,
     UnknownVariable,
     UnsupportedChannel,
     UnsupportedPredicateShape,
 )
 from .jsontext import _encode, _list_text, _row_list, _value_texts, fragment_text
 from .manifestation import (
+    KAVA_PREDICATE_DIALECT,
     IndirectQueryMapping,
     IndirectVariableMapping,
     Manifestation,
@@ -274,6 +276,8 @@ def aggregate_mark_spec(
 
 
 def _bounds_from_query(kind: IndirectQueryMapping, axis_variable: str):
+    if kind.dialect != KAVA_PREDICATE_DIALECT:
+        raise ForeignDialect(kind.dialect)
     pred = parse_predicate(kind.query_text)
     if not isinstance(pred, Comparison):
         raise UnsupportedPredicateShape(

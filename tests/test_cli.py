@@ -133,6 +133,46 @@ def test_undecodable_input_is_input_error(capsys, gait_workspace, tmp_path, comm
     assert f"{str(bad)!r} is not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("reader", ["turtle", "jsonld", "data-csv", "gait"])
+def test_a_leading_byte_order_mark_is_read_past(capsys, tmp_path, reader):
+    """Each reader gives the same output for a copy of its input that starts
+    with the UTF-8 byte order mark that Windows editors and Excel write."""
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    plain.mkdir()
+    shutil.copy(FIXTURES / "listing5.ttl", plain)
+    shutil.copy(FIXTURES / "listing2_corrected.jsonld", plain)
+    (plain / "store.ttl").write_text(
+        'icd10:R73 kava:manifest [ kava:isPrototype [ kava:variable "id"; kava:value 1 ] ] .\n'
+    )
+    (plain / "data.csv").write_text("id,glucose\n1,250\n2,150\n")
+    shutil.copy(FIXTURES / "gait_categories.ttl", plain / "gait.ttl")
+    write_trials_dir(plain / "trials", [square_wave_trial("1", stance=0.55, age=30),
+                                        square_wave_trial("2", stance=0.6, body_mass=80.0)])
+    assert main(["gait", "add-prototype", "--knowledge", str(plain / "gait.ttl"),
+                 "--trials", str(plain / "trials"), "--patient", "2",
+                 "--concept", "gps:affectedKnee"]) == 0
+    shutil.copytree(plain, bom)
+    argv, marked = {
+        "turtle": (["convert", "{d}/listing5.ttl", "--to", "jsonld"], ["listing5.ttl"]),
+        "jsonld": (["convert", "{d}/listing2_corrected.jsonld", "--to", "ttl"],
+                   ["listing2_corrected.jsonld"]),
+        "data-csv": (["manifest", "{d}/store.ttl", "{d}/data.csv", "--concept", "icd10:R73"],
+                     ["data.csv"]),
+        "gait": (["gait", "analyze", "--knowledge", "{d}/gait.ttl", "--trials", "{d}/trials",
+                  "--patient", "1"], ["trials/metadata.csv", "trials/1_left.csv"]),
+    }[reader]
+    for name in marked:
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (bom / name).read_bytes())
+    capsys.readouterr()
+    outputs = []
+    for d in (plain, bom):
+        code = main([a.replace("{d}", str(d)) for a in argv])
+        out = capsys.readouterr()
+        outputs.append((code, out.out.replace(str(d), "{d}"), out.err.replace(str(d), "{d}")))
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle-at-bottom"])
 def test_deep_broader_chain_is_walked(capsys, tmp_path, cycle):
     depth = 3000
@@ -1256,6 +1296,19 @@ def test_export_threshold_query_needs_axis(capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["region"] == {"lower": {"value": 200, "inclusive": False}}
+
+
+@pytest.mark.parametrize("query", ["[glucose] > 125", "SELECT * FROM t WHERE glucose > 125"])
+def test_threshold_refuses_a_foreign_dialect(capsys, tmp_path, query):
+    """A query in another dialect is not parsed as kava's, even when it
+    would parse: threshold reports it as aggregate does."""
+    store = tmp_path / "foreign.ttl"
+    store.write_text(
+        f'icd10:R73 kava:manifest [ kava:matchQuery "{query}"; kava:queryDialect "sql" ] .\n'
+    )
+    code, lines, err = run(capsys, "export-vis", str(store), "--pattern", "threshold",
+                           "--concept", "icd10:R73", "--axis-var", "glucose")
+    assert (code, lines, err) == (2, [], "query dialect 'sql' is not evaluable locally\n")
 
 
 def test_export_marks_and_aggregate(capsys, tmp_path):

@@ -528,6 +528,22 @@ def test_trials_dir_roundtrip(tmp_path):
         assert back.fv_right.samples == t.fv_right.samples
 
 
+def test_trials_dir_roundtrip_quotes_ids(tmp_path):
+    """An id with a comma or a quote is written quoted and read back."""
+    trials = [square_wave_trial("a,b", age=40.0, body_mass=70.0),
+              square_wave_trial('x"y', age=41.0)]
+    write_trials_dir(tmp_path, trials)
+    assert (tmp_path / "metadata.csv").read_text() == (
+        'patientId,age,bodyMass\n"a,b",40.0,70.0\n"x""y",41.0,\n'
+    )
+    loaded = load_trials_dir(tmp_path)
+    assert list(loaded) == ["a,b", 'x"y']
+    for t in trials:
+        back = loaded[t.patient_id]
+        assert (back.age, back.body_mass) == (t.age, t.body_mass)
+        assert back.fv_left.samples == t.fv_left.samples
+
+
 def test_trial_set_reads_and_scores_each_scored_trial_once(tmp_path):
     trials = _population(4)  # ages 40, 45, 50, 55
     write_trials_dir(tmp_path, trials)

@@ -277,3 +277,33 @@ def test_graph_order_and_match_against_brute_force(seed, extra):
                     t for t in everything if t.subject == s and t.predicate == p
                 ]
     assert merge(tree, extra) == Graph([*tree, *extra])
+
+
+_TRIPLE_LISTS = st.lists(st.builds(Triple, _SUBJECTS, _PREDICATES, _TERMS), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLE_LISTS, _TRIPLE_LISTS, st.data())
+def test_graph_is_its_distinct_triples_in_order(triples, extra, data):
+    """Whatever the order and repeats of its input, a graph iterates its
+    distinct triples in sorted order; graphs of one set are equal and hash
+    alike; merge equals a graph built anew; membership answers as a set's."""
+    repeated = data.draw(st.permutations(triples + triples[: len(triples) // 2]))
+    g = Graph(repeated, {"ex": "http://example.org/"})
+    assert list(g) == sorted(set(triples)) and len(g) == len(set(triples))
+    shuffled = Graph(data.draw(st.permutations(repeated)))
+    assert g == shuffled and hash(g) == hash(shuffled)
+
+    merged = merge(g, extra)
+    assert merged == Graph(list(g) + extra, g.prefixes)
+    assert merged.prefixes == g.prefixes == {"ex": "http://example.org/"}
+
+    for t in triples:
+        assert t in g and tuple(t) in g  # a plain 3-tuple equals its Triple
+    for t in extra:
+        assert (t in g) is (t in set(triples))
+    for value in (None, "", "abc", (), (None, None, None)):
+        assert value not in g
+    for t in triples[:1] + extra[:1]:
+        with pytest.raises(TypeError):
+            list(t) in g
