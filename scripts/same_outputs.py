@@ -163,6 +163,11 @@ EDGE_CSVS = {
     "dot_texts.csv": "id,glucose,t\n1,201.,1.\n2,.5,.5\n3, 250.5,2\n4,25_0.5,3\n",
     "long_int.csv": f"id,glucose,t\n1,250,1\n2,{'9' * 4301},2\n3,150,3\n",
     "arabic_digits.csv": "id,glucose,t\n\u0661,250,\u0661\n\u0662,\u0662\u0660\u0661,\u0662\n",
+    # more than 256 distinct values per column, with NaN, -0.0, missing cells
+    # and ints past 2**53: codes of two bytes, ranked in byte planes
+    "wide_columns.csv": "id,glucose,t\n" + "".join(
+        f"{i},{['nan', '', '-0.0', '9007199254740993'][i % 4] if i % 37 == 0 else 60 + i / 2},"
+        f"{2**53 + i if i % 3 else i}\n" for i in range(1, 401)),
 }
 
 # Overlapping manifestations: most records of edge_values.csv match two or more.

@@ -210,12 +210,10 @@ def read_table(path: str, id_var: str | None) -> Dataset:
 
 
 def cmd_manifest(args) -> int:
-    import numpy as np
-
     graph = read_graph(args.knowledge)
     dataset = read_table(args.data, args.id_var)
     concept = expand(args.concept, graph.prefixes)
-    mask = np.zeros(len(dataset), dtype=bool)
+    mask = 0  # no record
     foreign = False
     for m in manifestation.concept_manifestations(graph, concept):
         if _skip_foreign(m):

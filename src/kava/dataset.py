@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from functools import cached_property
+import struct
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
+from functools import cached_property, partial
 from itertools import compress, repeat, zip_longest
-
-import numpy as np
 
 from .errors import (
     CsvSyntaxError,
@@ -17,7 +19,7 @@ from .errors import (
     HeaderMismatch,
     UnknownVariable,
 )
-from .predicate import _OPS, Predicate, _compare, compile_mask, parse_number, variables
+from .predicate import Predicate, _compare, all_records, compile_mask, parse_number, variables
 from .rdf import Value
 
 NUMBER = "number"
@@ -77,6 +79,7 @@ class TimeSeries:
     __slots__ = ("t", "v", "label")
 
     def __init__(self, samples, label=""):
+        import numpy as np  # here, so that the records commands never load numpy
         pairs = np.array(samples, dtype=np.float64).reshape(len(samples), 2)
         self._adopt(pairs[:, 0], pairs[:, 1], label)
 
@@ -88,6 +91,7 @@ class TimeSeries:
         return series
 
     def _adopt(self, t, v, label):
+        import numpy as np
         t = np.array(t, dtype=np.float64)
         v = np.array(v, dtype=np.float64)
         if t.ndim != 1 or t.shape != v.shape:
@@ -106,10 +110,10 @@ class TimeSeries:
     def __eq__(self, other):
         if not isinstance(other, TimeSeries):
             return NotImplemented
-        return (
+        return (  # as np.array_equal: NaN is unequal, -0.0 equals 0.0
             self.label == other.label
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.v, other.v)
+            and self.t.tolist() == other.t.tolist()
+            and self.v.tolist() == other.v.tolist()
         )
 
     def __hash__(self):
@@ -128,51 +132,69 @@ def _key(value):
 
 class Column:
     """One variable of a dataset, dictionary-encoded (treat it as immutable):
-    its distinct values in order of first appearance and, per record, the
-    index of its value."""
+    its distinct values and, per record, the index of its value, numbered
+    in order of first appearance: ``bytes`` for at most 256 values, else an
+    ``array`` of the smallest unsigned type. A mask of records is an int of
+    one byte per record, 1 if selected, else 0, the first record lowest."""
 
-    def __init__(self, values: tuple, codes: np.ndarray):
-        self.values, self.codes = values, codes  # codes: read-only intp, one per record
+    def __init__(self, values: tuple, codes: bytes | array):
+        self.values, self.codes = values, codes
 
     def decode(self) -> list:
         """The value of every record, in record order."""
-        return list(map(self.values.__getitem__, self.codes.tolist()))
+        return list(map(self.values.__getitem__, self.codes))
 
-    def compare(self, op, constant) -> np.ndarray:
-        """Mask of the records whose value v passes ``_compare(v, op,
-        constant)``: one float64 comparison over the distinct values when
-        float64 holds them and the constant exactly, else one ``_compare``
-        per distinct value."""
-        floats, numbers = self._floats
-        if floats is not None and (
-            type(constant) is float or type(constant) is int and abs(constant) <= _EXACT
-        ):
-            hits = _OPS[op](floats, constant) & numbers
-        else:
-            hits = np.fromiter((_compare(v, op, constant) for v in self.values), bool)
-        return hits[self.codes]
+    def compare(self, op, constant) -> int:
+        """Mask of the records whose value v passes ``_compare(v, op, constant)``:
+        ``=`` and ``!=`` by a dict lookup, a range against a number by a ``bisect``
+        among the ranked numbers, any other by a ``_compare`` per distinct value."""
+        if op in ("=", "!="):
+            typed = self._typed[isinstance(constant, str)]
+            hits = typed & self.equal(constant)
+            return hits if op == "=" else typed ^ hits
+        ranked = self._ranked
+        if ranked is not None and type(constant) in _NUMBER_TYPES and constant == constant:
+            numbers, planes, held = ranked
+            at = (bisect_left if op in (">=", "<") else bisect_right)(numbers, constant)
+            above = _at_least(planes, at + 1)  # the records from the number at ``at`` up
+            return above if op in (">", ">=") else held ^ above
+        return self._select(bytes(_compare(v, op, constant) for v in self.values))
 
     @cached_property
-    def _floats(self) -> tuple:
-        """The distinct values as float64 and the mask of the numbers among
-        them; (None, None) unless each is None, a str, a float, a bool or
-        an int within 2**53 of 0."""
-        kinds = list(map(type, self.values))
-        if not set(kinds) <= _FLOAT64_TYPES or any(
-            abs(v) > _EXACT for v in self.values if type(v) is int
-        ):
-            return None, None
-        numbers = np.fromiter(map(_NUMBER_TYPES.__contains__, kinds), bool, len(kinds))
-        floats = np.where(numbers, np.array(self.values, dtype=object), 0.0)
-        return floats.astype(np.float64), numbers
+    def _typed(self) -> tuple:
+        """Masks of the records holding neither None nor a str, and a str."""
+        strings = self._select(bytes(map(isinstance, self.values, repeat(str))))
+        return all_records(len(self.codes)) ^ strings ^ self.equal(None), strings
 
-    def equal(self, value) -> np.ndarray:
-        """Mask of the records whose value ``== value``, found by a dict
-        lookup among the distinct values."""
-        hits = np.zeros(len(self.values), dtype=bool)
+    @cached_property
+    def _ranked(self):
+        """The unequal numbers among the values (not NaN) in order, each
+        record's rank among them from 1 (0 for no number) as byte planes, and
+        the mask of the records with a number; None unless every other value
+        is None or a str. A set merges the equal numbers, as 1 and 1.0."""
+        if not set(map(type, self.values)) <= _RANKABLE:
+            return None
+        numbers = sorted({v for v in self.values if type(v) in _NUMBER_TYPES and v == v})
+        rank_of = dict(zip(numbers, range(1, len(numbers) + 1)))
+        ranks = list(map(rank_of.get, self.values, repeat(0)))  # per code
+        planes = _planes(_pack(list(map(ranks.__getitem__, self.codes)), len(numbers) + 1))
+        return numbers, planes, _at_least(planes, 1)
+
+    def equal(self, value) -> int:
+        """Mask of the records whose value ``== value``, by a dict lookup among the values."""
+        hits, planes = 0, _planes(self.codes)
         for code in self._equal_codes.get(value, ()):
-            hits[code] = self.values[code] == value  # a NaN is found but unequal
-        return hits[self.codes]
+            if self.values[code] == value:  # a NaN is found but unequal
+                hits |= _at_least(planes, code) ^ _at_least(planes, code + 1)
+        return hits
+
+    def _select(self, flags) -> int:
+        """Mask of the records whose code's flag, a 0 or 1 per value, is 1."""
+        if 1 not in flags:
+            return 0
+        if type(self.codes) is bytes:
+            return _mask(self.codes.translate(bytes(flags).ljust(256, b"\0")))
+        return _mask(bytes(map(flags.__getitem__, self.codes)))
 
     @cached_property
     def _unmerged(self) -> bool:
@@ -190,24 +212,41 @@ class Column:
             groups.setdefault(value, []).append(code)
         return groups
 
-    @cached_property
-    def canonical_codes(self) -> np.ndarray:
-        """Per code, the first code whose value is equal to its value as a
-        dict key: 1, 1.0 and True share one, each NaN object keeps its own."""
-        if self._unmerged:
-            return np.arange(len(self.values), dtype=np.intp)
-        groups = self._equal_codes
-        return np.fromiter((groups[v][0] for v in self.values), np.intp, len(self.values))
 
-
-_EXACT = 2**53  # float64 holds every int up to this size exactly
 _NUMBER_TYPES = frozenset({float, int, bool})
-_FLOAT64_TYPES = _NUMBER_TYPES | {str, type(None)}
+_RANKABLE = _NUMBER_TYPES | {str, type(None)}
+_mask = partial(int.from_bytes, byteorder="little")  # of one 0 or 1 byte per record
 
 
-def _frozen(codes: np.ndarray) -> np.ndarray:
-    codes.flags.writeable = False
-    return codes
+def _pack(codes: list, count: int) -> bytes | array:
+    """Codes below count as bytes, or an array of the smallest unsigned type (filled by struct)."""
+    if count <= 256:
+        return bytes(codes)
+    typecode = next(t for t in "HILQ" if count <= 256 ** struct.calcsize(t))
+    return array(typecode, struct.pack(f"{len(codes)}{typecode}", *codes))
+
+
+def _planes(numbers: bytes | array) -> list:
+    """Byte planes of unsigned numbers, the most significant byte's first."""
+    if type(numbers) is bytes:
+        return [numbers]
+    raw, size = numbers.tobytes(), numbers.itemsize
+    order = range(size) if sys.byteorder == "big" else range(size - 1, -1, -1)
+    return [raw[i::size] for i in order]
+
+
+def _at_least(planes: list, k: int) -> int:
+    """Mask of the records whose number in the byte planes is at least k, a
+    bit-sliced compare from the lowest plane up: a record passes a plane when
+    its byte there is above k's, or equal to it and the record passed below."""
+    if k >> 8 * len(planes):
+        return 0
+    digits = k.to_bytes(len(planes), "big")
+    hits = _mask(planes[-1].translate(bytes(digits[-1]).ljust(256, b"\1")))
+    for plane, digit in zip(planes[-2::-1], digits[-2::-1]):  # 2 above the digit, 1 at it
+        passed = _mask(plane.translate((bytes(digit) + b"\1").ljust(256, b"\2"))) + hits
+        hits = passed >> 1 & all_records(len(plane))  # a byte's sum is 2 or 3 where it passes
+    return hits
 
 
 def _encode(values: list) -> Column:
@@ -225,7 +264,7 @@ def _encode(values: list) -> Column:
                 distinct.append(value)
             code_of_object[id(value)] = code
         codes.append(code)
-    return Column(tuple(distinct), _frozen(np.array(codes, dtype=np.intp)))
+    return Column(tuple(distinct), _pack(codes, len(distinct)))
 
 
 class Dataset:
@@ -281,21 +320,20 @@ class Dataset:
         parts = [self.columns[name].decode() for name in ident]
         return _encode(list(zip(*parts)) if parts else [()] * len(self))
 
-    def identifier_hits(self, mask: np.ndarray) -> np.ndarray:
-        """Per identifier code, whether a record the boolean mask selects
-        has an equal identifier (one in the code's canonical_codes class)."""
+    def identifier_hits(self, mask: int) -> int:
+        """A mask over the identifier codes, one byte per code: whether the
+        identifier of a record the mask selects is equal to the code's value
+        as a dict key (1, 1.0 and True are, a NaN object is only itself)."""
         column = self.identifier_column
-        canon = column.canonical_codes
-        hits = np.zeros(len(column.values), dtype=bool)
-        hits[canon[column.codes[mask]]] = True
-        return hits[canon]
+        if len(column.values) == len(self) and column._unmerged:
+            return mask  # record i has code i, and no other code an equal value
+        return _mask(bytes(map(self.matched_identifiers(mask).__contains__, column.values)))
 
-    def matched_identifiers(self, mask: np.ndarray) -> set:
-        """Identifiers of the records a boolean mask selects, added to the
-        set in record order (of equal identifiers the first one is kept)."""
-        column = self.identifier_column
-        values = column.values
-        return {values[c] for c in dict.fromkeys(column.codes[mask].tolist())}
+    def matched_identifiers(self, mask: int) -> set:
+        """Identifiers of the records a mask selects, added to the set in
+        record order (of equal identifiers the first one is kept)."""
+        values, codes = self.identifier_column.values, self.identifier_column.codes
+        return {values[c] for c in compress(codes, mask.to_bytes(len(self), "little"))}
 
 
 def _parse_text(raw):
@@ -366,42 +404,42 @@ def _plain_cells(text: str):
     text that ``csv.reader`` splits exactly at its commas and newlines, all
     taken from one ``str.split``; None for any other text. Plain text has no
     quote and no carriage return, the header's comma count in every line
-    (one numpy pass over the bytes), no field past
-    ``csv.field_size_limit()`` and no line of empty cells only, which
-    ``csv.reader`` reads as a row that load_csv drops, or as none."""
+    (one ``bytes.translate`` keeps the commas and newlines of its UTF-8
+    form), no line past ``csv.field_size_limit()`` and no line of empty
+    cells only, which ``csv.reader`` reads as a row that load_csv drops, or
+    as none."""
     if not text or '"' in text or "\r" in text:
         return None
     text += "" if text.endswith("\n") else "\n"
-    width = text.count(",", 0, text.index("\n")) + 1  # cells per line, as in the header
+    line = "," * text.count(",", 0, text.index("\n")) + "\n"  # the header's separators
     try:
-        raw = np.frombuffer(text.encode(), dtype=np.uint8)
+        separators = text.encode().translate(None, _NOT_SEPARATORS)
     except ValueError:  # a lone surrogate has no UTF-8 form
         return None
-    newlines = raw == ord("\n")
-    at = np.flatnonzero(newlines | (raw == ord(",")))
-    ends = at[width - 1 :: width]  # each line's end, when it has width - 1 commas
-    if len(at) % width or np.count_nonzero(newlines) != len(ends) or not newlines[ends].all():
-        return None
     if (
-        np.diff(at, prepend=-1).max() > csv.field_size_limit()  # a field's length plus one
-        or ends[0] == width - 1  # a header of empty cells only
-        or (np.diff(ends) == width).any()  # a body line of empty cells only
+        separators != line.encode() * (len(separators) // len(line))
+        or "\n" + line in "\n" + text  # a line of empty cells only
+        or not _within_field_limit(text)
     ):
         return None
-    del raw, newlines, at, ends
     cells = text.replace("\n", ",").split(",")
-    header = cells[:width]
-    del cells[:width], cells[-1]  # the header's, and the one after the final newline
+    header = cells[: len(line)]  # a line holds one separator per cell
+    del cells[: len(line)], cells[-1]  # the header's, and the one after the final newline
     return header, cells
+
+
+_NOT_SEPARATORS = bytes(range(10)) + bytes(range(11, 44)) + bytes(range(45, 256))  # not \n or ,
 
 
 def _parse_column(cells, kind):
     """The Column of one variable's cells, or None when a cell of a NUMBER
-    variable is not a number, and the kind, decided for INFER. Each distinct
-    cell text is parsed once (see ``_parse_numbers``); texts whose values
-    share one ``_key``, such as "1" and "01", share one code. A column whose
-    cells are all distinct, with no two values equal, has the codes 0, 1, 2..."""
-    texts = list(dict.fromkeys(cells))  # in order of first appearance
+    variable is not a number, and the kind, decided for INFER. One pass
+    numbers the distinct cell texts in order of first appearance; each is
+    parsed once (see ``_parse_numbers``), and texts whose values share one
+    ``_key``, such as "1" and "01", share one code."""
+    code_of = {}  # cell text -> its number
+    text_codes = list(map(code_of.setdefault, cells, map(len, repeat(code_of))))
+    texts = list(code_of)
     try:
         values = list(map(_parse_text, texts)) if kind == STRING else _parse_numbers(texts)
     except ValueError:  # at a text that is no number
@@ -415,16 +453,10 @@ def _parse_column(cells, kind):
         cell_values = [value_of[c] if value_of[c] == value_of[c] else float(c) for c in cells]
         return _encode(cell_values), kind
     unmerged = len(set(values)) == len(values)  # no two values are equal, so none share a key
-    if unmerged and len(texts) == len(cells):  # one cell per text
-        codes = np.arange(len(cells), dtype=np.intp)
-    else:
-        code_of_text = range(len(texts))
-        if not unmerged:
-            merged = _encode(values)
-            values, code_of_text = merged.values, merged.codes.tolist()
-        code_of = dict(zip(texts, code_of_text))
-        codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
-    column = Column(tuple(values), _frozen(codes))
+    if not unmerged:
+        merged = _encode(values)
+        values, text_codes = merged.values, list(map(merged.codes.__getitem__, text_codes))
+    column = Column(tuple(values), _pack(text_codes, len(values)))
     if unmerged:
         column._unmerged = True  # what the set above found
     return column, kind
@@ -514,12 +546,12 @@ def filter_records(dataset: Dataset, predicate: Predicate) -> Dataset:
     missing = variables(predicate) - known
     if missing:
         raise UnknownVariable(", ".join(sorted(missing)))
-    keep = compile_mask(predicate)(dataset.columns).tolist()
+    keep = compile_mask(predicate)(dataset.columns).to_bytes(len(dataset), "little")
     columns = {
         name: _encode(list(compress(column.decode(), keep)))
         for name, column in dataset.columns.items()
     }
-    return Dataset.from_columns(dataset.schema, columns, sum(keep))
+    return Dataset.from_columns(dataset.schema, columns, keep.count(1))
 
 
 def load_series_csv(text: str, label: str = "") -> TimeSeries:
@@ -545,6 +577,7 @@ def load_series_csv(text: str, label: str = "") -> TimeSeries:
         if not body:
             return TimeSeries.from_arrays((), (), label)
         if not body.isspace():  # loadtxt warns of a body without rows
+            import numpy as np
             try:
                 pairs = np.loadtxt(
                     io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=np.float64

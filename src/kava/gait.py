@@ -291,7 +291,7 @@ def _category_model(concept, trials, ids, population_filter, overrides) -> Categ
     if population_filter is not None:  # one mask over the candidates' metadata columns
         rows = [trials.metadata[pid] for pid in kept]
         columns = {v: _encode([row.get(v) for row in rows]) for v in variables(population_filter)}
-        mask = compile_mask(population_filter)(columns).tolist()
+        mask = compile_mask(population_filter)(columns).to_bytes(len(kept), "little")
         kept = [pid for pid, passes in zip(kept, mask) if passes]
     if not kept:
         raise EmptyPopulation(str(concept))

@@ -15,7 +15,7 @@ from .errors import (
     MalformedManifestation,
     UnknownVariable,
 )
-from .predicate import compile_mask, parse_predicate, variables
+from .predicate import all_records, compile_mask, parse_predicate, variables
 from .rdf import (
     DEFAULT_PREFIXES,
     BlankNode,
@@ -292,18 +292,16 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
 
 
 def record_mask(m: Manifestation, dataset: Dataset):
-    """Boolean numpy mask of the records the manifestation matches.
+    """Mask of the records the manifestation matches (see ``dataset.Column``).
 
     Works on the dataset's columns, through Column.equal and Column.compare.
     Raises ForeignDialect for query mappings in a foreign dialect and
     UnknownVariable when a referenced variable is not in the schema.
     """
-    import numpy as np  # here, so that graph-only commands never load numpy
-
     known = set(dataset.schema.names())
     kind = m.kind
     if isinstance(kind, DirectMapping):
-        mask = np.ones(len(dataset), dtype=bool)
+        mask = all_records(len(dataset))
         for var, value in kind.bindings:
             if var not in known:
                 raise UnknownVariable(str(var))

@@ -253,12 +253,19 @@ def compile_predicate(pred: Predicate):
                                   operator.not_, operator.and_, operator.or_))
 
 
+def all_records(length: int) -> int:
+    """The mask of each of ``length`` records (see ``dataset.Column``)."""
+    return int.from_bytes(b"\1" * length, "little")
+
+
 def compile_mask(pred: Predicate):
     """Compile to a function from a dataset's columns (variable name ->
-    ``dataset.Column``) to a boolean mask over its records. Each comparison
-    is one ``Column.compare`` on its variable's column."""
+    ``dataset.Column``) to the mask of the records that pass. Each
+    comparison is one ``Column.compare`` on its variable's column; NOT is an
+    XOR with the mask of all records."""
     return lambda columns: _fold(pred, lambda c: columns[c.variable].compare(c.op, c.constant),
-                                 operator.invert, operator.and_, operator.or_)
+                                 all_records(len(next(iter(columns.values())).codes)).__xor__,
+                                 operator.and_, operator.or_)
 
 
 def _float_text(x: float) -> str:

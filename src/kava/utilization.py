@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from importlib import resources
 from numbers import Number
 from typing import TYPE_CHECKING
@@ -177,35 +177,35 @@ def encoded_marks_text(
     The rows are written from the dictionary-encoded columns: each distinct
     value, identifier and match pattern is encoded once.
     """
-    import numpy as np  # here, so that graph-only commands never load numpy
-
     if channel not in channels():
         raise UnsupportedChannel(
             f"unsupported channel {channel!r}; expected one of: {', '.join(channels())}"
         )
     prefixes = prefixes or {}
     idents = dataset.identifier_column
-    # bit j of an identifier code's row: manifestation j matches a record
-    # with an equal identifier
-    width = max(1, -(-len(manifestations) // 8))
-    bits = np.zeros((len(idents.values), width), dtype=np.uint8)
+    # Bit j of an identifier code's match pattern: manifestation j matches a
+    # record with an equal identifier. Plane p, a mask over the codes, holds
+    # bits 8p to 8p + 7; a code's bytes across the planes are its pattern's key.
+    planes = [0] * max(1, -(-len(manifestations) // 8))
     concept_texts = []  # as JSON strings
     for j, m in enumerate(manifestations):
-        bits[dataset.identifier_hits(record_mask(m, dataset)), j >> 3] |= 0x80 >> (j & 7)
+        planes[j >> 3] |= dataset.identifier_hits(record_mask(m, dataset)) << (j & 7)
         concept_texts.append(_encode(_concept_name(m.concept, prefixes)))
-    patterns, pattern_of = np.unique(
-        bits.view(np.dtype((np.void, width))).ravel(), return_inverse=True
-    )
-    # the concepts of each pattern's manifestations, pattern by pattern
-    at, js = np.nonzero(np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1))
-    bounds = np.searchsorted(at, np.arange(len(patterns) + 1)).tolist()
-    concepts = list(map(concept_texts.__getitem__, js.tolist()))
+    keys = zip(*(plane.to_bytes(len(idents.values), "little") for plane in planes))
+    numbers = {}  # pattern key -> its number, in order of first appearance
+    pattern_of = list(map(numbers.setdefault, keys, map(len, repeat(numbers))))
     firsts, distinct = [], []  # per pattern
-    for lo, hi in zip(bounds, bounds[1:]):
-        firsts.append('"concept": ' + (concepts[lo] if hi > lo else '"none"'))
-        distinct.append(list(dict.fromkeys(concepts[lo:hi])))
-    record_pattern = pattern_of[idents.codes]
-    overlapping = np.array([len(d) > 1 for d in distinct], dtype=bool)[record_pattern]
+    for key in numbers:
+        bits = int.from_bytes(bytes(key), "little")
+        concepts = []
+        while bits:  # the set bits, lowest first
+            concepts.append(concept_texts[(bits & -bits).bit_length() - 1])
+            bits &= bits - 1
+        firsts.append('"concept": ' + (concepts[0] if concepts else '"none"'))
+        distinct.append(list(dict.fromkeys(concepts)))
+    record_pattern = list(map(pattern_of.__getitem__, idents.codes))
+    overlapping = list(compress(range(len(record_pattern)),
+                                map([len(d) > 1 for d in distinct].__getitem__, record_pattern)))
     doc = {
         "kind": "encodedMarks",
         "mark": "point",
@@ -217,17 +217,18 @@ def encoded_marks_text(
 
     def values(newline):
         columns = {  # a data column named concept keeps its place
-            name: np.array(_value_texts(name, c.values, newline + "    "), object)[c.codes]
+            name: map(_value_texts(name, c.values, newline + "    ").__getitem__, c.codes)
             for name, c in dataset.columns.items()
         }
-        columns["concept"] = np.array(firsts, object)[record_pattern]
+        columns["concept"] = map(firsts.__getitem__, record_pattern)
         return _row_list(list(columns.values()), newline)
 
     def diagnostics(newline):
         field = newline + "    "
-        records = np.array(_value_texts("record", list(map(str, idents.values)), field), object)
-        lists = np.array(['"concepts": ' + _list_text(d, field) for d in distinct], object)
-        rows = [records[idents.codes[overlapping]], lists[record_pattern[overlapping]]]
+        records = _value_texts("record", list(map(str, idents.values)), field)
+        lists = ['"concepts": ' + _list_text(d, field) for d in distinct]
+        rows = [[records[idents.codes[i]] for i in overlapping],
+                [lists[record_pattern[i]] for i in overlapping]]
         return _row_list(rows, newline)
 
     return fragment_text({**doc, "data": {"values": values}, "diagnostics": diagnostics})
@@ -254,12 +255,11 @@ def aggregate_mark_spec(
         raise UnknownVariable(time_variable)
     if dataset.schema.kind(time_variable) != "number":
         raise UnknownVariable(f"{time_variable} is not numeric")
-    idents = dataset.identifier_column
-    hits = dataset.identifier_hits(record_mask(m, dataset))[idents.codes].tolist()
+    matched = dataset.matched_identifiers(record_mask(m, dataset))
+    idents = dataset.identifiers()
     times = dataset.columns[time_variable].decode()
-    codes = idents.codes.tolist()
     ordered = sorted(range(len(times)), key=lambda i: (times[i] is None, times[i]))
-    flags = [hits[i] for i in ordered]
+    flags = [idents[i] in matched for i in ordered]
     runs = _runs([f and times[i] is not None for i, f in zip(ordered, flags)])
     layers = [
         {"mark": "rule", "encoding": {"x": {"datum": times[ordered[start]]},
@@ -267,7 +267,7 @@ def aggregate_mark_spec(
         for start, end in runs
     ]
     values = [
-        {"id": str(idents.values[codes[i]]), "t": times[i], "matched": "yes" if f else "no"}
+        {"id": str(idents[i]), "t": times[i], "matched": "yes" if f else "no"}
         for i, f in zip(ordered, flags)
     ]
     doc = {"kind": "aggregateMark", "layer": layers, "data": {"values": values}}

@@ -15,9 +15,10 @@ reference reads the CSV row by row.
 import csv
 import io
 import json
+import random
+from array import array
 from itertools import compress, zip_longest
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,7 @@ from kava.predicate import (
     Comparison,
     Not,
     Or,
+    all_records,
     compile_mask,
     parse_predicate,
     to_text,
@@ -140,7 +142,7 @@ def ref_filter_records(dataset: Dataset, predicate) -> Dataset:
     if missing:
         raise UnknownVariable(", ".join(sorted(missing)))
     mask = compile_mask(predicate)(dataset.columns)
-    kept = list(compress(dataset.records, mask.tolist()))
+    kept = list(compress(dataset.records, flags(mask, len(dataset))))
     return Dataset(schema=dataset.schema, records=kept)
 
 
@@ -340,6 +342,22 @@ CONCEPTS = [Iri("urn:c:a"), Iri("urn:c:b"), Iri("urn:c:c")]
 MANIFESTATIONS = st.lists(st.builds(Manifestation, st.sampled_from(CONCEPTS), KINDS), max_size=12)
 
 
+def flags(mask, length):
+    """A mask's per-record flags. A mask is an int of one byte per record,
+    each 0 or 1, and nothing past them."""
+    assert type(mask) is int and mask >= 0
+    selected = mask.to_bytes(length, "little")  # OverflowError past the records
+    assert set(selected) <= {0, 1}
+    return [b == 1 for b in selected]
+
+
+def codes_list(codes):
+    """A column's codes as a list: bytes for at most 256 values, else an
+    array of the smallest unsigned type that holds them."""
+    assert type(codes) in (bytes, array)
+    return list(codes)
+
+
 def outcome(fn, *args):
     """Result, or the error's type and message, for comparing two paths."""
     try:
@@ -521,7 +539,7 @@ def typed(values):
 
 
 def columns_form(dataset):
-    return {name: (typed(c.values), c.codes.tolist()) for name, c in dataset.columns.items()}
+    return {name: (typed(c.values), codes_list(c.codes)) for name, c in dataset.columns.items()}
 
 
 def canonical_form(dataset):
@@ -544,7 +562,7 @@ def test_loaded_columns_equal_columns_built_from_records():
     for name in schema.names():
         a, b = loaded.columns[name], rebuilt.columns[name]
         assert list(map(repr, a.values)) == list(map(repr, b.values))
-        assert a.codes.tolist() == b.codes.tolist()
+        assert codes_list(a.codes) == codes_list(b.codes)
     # each NaN cell is its own value, as each was parsed on its own
     assert len(loaded.columns["v"].values) == 7
     # a filtered dataset's columns hold only the values its records use
@@ -588,7 +606,135 @@ def test_column_compare_equals_compare_per_value(values, constant):
     column = _encode(values)
     for op in predicate._OPS:
         want = [predicate._compare(v, op, constant) for v in column.decode()]
-        assert column.compare(op, constant).tolist() == want
+        assert flags(column.compare(op, constant), len(values)) == want
+
+
+# --- columns of more than 256 distinct values: codes and ranks in byte planes --
+
+# Values whose order or equality a ranked compare could get wrong, mixed into
+# every wide column: missing cells, strings, NaN (a new object per use),
+# -0.0 and 0, 1 / 1.0 / True, ints past 2**53 and the float next to them.
+WIDE_EXTRAS = [None, "a", "", "1", -0.0, 0.0, 0, 1, 1.0, True, False, BIG, BIG - 1,
+               float(BIG - 1), -BIG, 2**64 + 1, float("inf"), float("-inf"), 2.5]
+
+
+def nan():
+    return float("nan")
+
+
+@st.composite
+def wide_columns(draw):
+    """The values of the records of a column of 257 to 2,000 distinct
+    values: a run of ints, halves or ints past 2**53, each once in shuffled
+    order, with repeats and the extras scattered among them."""
+    count = draw(st.integers(257, 2000))
+    start, step = draw(st.sampled_from([(0, 1), (-700, 0.5), (0, 3), (BIG - 1000, 1), (2**64, 3)]))
+    numbers = [start + i * step for i in range(count)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = numbers + rng.choices(numbers, k=draw(st.integers(0, 300)))
+    values += [nan() if rng.random() < 0.1 else rng.choice(WIDE_EXTRAS)
+               for _ in range(draw(st.integers(0, 60)))]
+    rng.shuffle(values)
+    return values
+
+
+def wide_constants(values):
+    """Constants that fall on, between and beyond the column's values."""
+    numbers = [v for v in values if type(v) in (int, float) and v == v]
+    picks = numbers[:: max(1, len(numbers) // 5)]
+    return picks + [p + 0.25 for p in picks] + [p - 1 for p in picks] + [
+        0, -0.0, 1, 1.0, True, BIG, BIG - 1, float(BIG - 1), 2**64 + 1, float("inf"),
+        float("-inf"), min(numbers) - 1, max(numbers) + 1, "a", "", "1", float("nan")]
+
+
+def check_compares(column, constants):
+    decoded = column.decode()
+    for constant in constants:
+        for op in predicate._OPS if constant is not None else ("=", "!="):
+            want = [predicate._compare(v, op, constant) for v in decoded]
+            assert flags(column.compare(op, constant), len(decoded)) == want, (op, constant)
+        want = [v == constant for v in decoded]
+        assert flags(column.equal(constant), len(decoded)) == want, constant
+
+
+def ref_identifier_hits(dataset, mask):
+    """Per identifier code: whether an identifier equal to its value (as a
+    dict key: one NaN object is equal to itself only) is that of a record
+    the mask selects."""
+    selected = flags(mask, len(dataset))
+    hit = {ident for ident, chosen in zip(dataset.identifiers(), selected) if chosen}
+    return [v in hit for v in dataset.identifier_column.values]
+
+
+def ref_matched_identifiers(dataset, mask):
+    """The identifiers of the selected records, added one by one in record order."""
+    matched = set()
+    for ident, chosen in zip(dataset.identifiers(), flags(mask, len(dataset))):
+        if chosen:
+            matched.add(ident)
+    return matched
+
+
+def check_identifiers(dataset, rng):
+    n = len(dataset)
+    for density in (0.0, 0.01, 0.5, 1.0):
+        mask = int.from_bytes(bytes(rng.random() < density for _ in range(n)), "little")
+        hits = dataset.identifier_hits(mask)
+        assert flags(hits, len(dataset.identifier_column.values)) == ref_identifier_hits(
+            dataset, mask)
+        got = dataset.matched_identifiers(mask)
+        assert exact(("ok", got)) == exact(("ok", ref_matched_identifiers(dataset, mask)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_columns(), st.integers(0, 2**32))
+@example([*range(300), None, "a", float("nan"), -0.0, 1.0, True, BIG, 2**64 + 1], 0)
+@example([*range(255), *range(255), float("nan"), "a"], 1)  # 257 values
+def test_wide_column_compare_equals_compare_per_record(values, seed):
+    rng = random.Random(seed)
+    column = _encode(values)
+    assert len(column.values) > 256 and type(column.codes) is array
+    check_compares(column, wide_constants(values) + [None])  # None: = and != only
+    # NOT, AND and OR over a wide and a narrow column, against the per-record reference
+    narrow = [rng.choice(WIDE_EXTRAS) for _ in values]
+    schema = Schema((("w", NUMBER), ("k", NUMBER)), identifying=("w",))
+    dataset = Dataset(schema, [Record((("w", w), ("k", k))) for w, k in zip(values, narrow)])
+    rows = [r.as_dict() for r in dataset.records]
+    constants = wide_constants(values)
+    for _ in range(30):
+        pred = random_predicate(rng, constants, depth=3)
+        got = flags(compile_mask(pred)(dataset.columns), len(dataset))
+        assert got == [predicate.compile_predicate(pred)(row) for row in rows], pred
+    # identifiers that repeat, equal ones (1, 1.0, True) and NaN objects
+    check_identifiers(dataset, rng)
+    unique = Dataset(schema, [Record((("w", w), ("k", 0))) for w in dict.fromkeys(values)])
+    check_identifiers(unique, rng)
+
+
+def random_predicate(rng, constants, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Comparison(rng.choice("wk"), rng.choice(list(predicate._OPS)), rng.choice(constants))
+    shape = rng.choice([Not, And, Or])
+    if shape is Not:
+        return Not(random_predicate(rng, constants, depth - 1))
+    return shape(random_predicate(rng, constants, depth - 1),
+                 random_predicate(rng, constants, depth - 1))
+
+
+def test_column_of_more_than_65536_distinct_ints():
+    count = 70_000
+    rng = random.Random(7)
+    values = list(range(-1000, count - 1000)) + [rng.choice(WIDE_EXTRAS) for _ in range(200)]
+    values += [nan() for _ in range(20)]
+    rng.shuffle(values)
+    column = _encode(values)
+    assert len(column.values) > 65_536 and column.codes.itemsize == 4
+    assert codes_list(column.codes) == codes_list(_encode(column.decode()).codes)
+    check_compares(column, [-1000, -1, 0, 255, 256, 65_535, 65_536, 30_000.5, count, "a",
+                            BIG, float("nan"), True, -0.0, None])
+    schema = Schema((("id", NUMBER),), identifying=("id",))
+    dataset = Dataset.from_columns(schema, {"id": column}, len(values))
+    check_identifiers(dataset, rng)
 
 
 def test_numeric_column_compares_without_compare_calls(monkeypatch):
@@ -614,20 +760,40 @@ def test_numeric_column_compares_without_compare_calls(monkeypatch):
     inside = {r["id"] for r in records if r["glucose"] is not None and 70 <= r["glucose"] <= 180.5}
     assert evaluate_manifestation(m, dataset) == inside
     assert calls == []
-    # a constant past 2**53 takes the per-value path: one call per distinct value
-    filter_records(dataset, parse_predicate(f"[glucose] > {BIG}"))
-    assert len(calls) == len(dataset.columns["glucose"].values)
+    # a constant past 2**53 is ranked among the numbers exactly, as Python compares
+    for constant in (BIG, -BIG, BIG - 1, float(BIG - 1)):
+        big = Comparison("glucose", ">", constant)
+        assert len(filter_records(dataset, big)) == sum(oracle_eval(big, r) for r in records)
+        column = dataset.columns["glucose"]
+        for op in predicate._OPS:
+            want = [original(v, op, constant) for v in column.decode()]
+            assert flags(column.compare(op, constant), len(dataset)) == want
+    assert calls == []
 
 
-def test_column_masks_are_numpy_booleans():
+def test_column_codes_are_bytes_or_arrays_and_masks_are_ints():
     schema = Schema(variables=(("id", NUMBER),), identifying=("id",))
     dataset = Dataset(schema, [Record((("id", i),)) for i in (3, 1, 3)])
     column = dataset.columns["id"]
     assert column.values == (3, 1)
-    assert column.codes.tolist() == [0, 1, 0]
-    assert column.equal(3).dtype == np.bool_
-    with pytest.raises(ValueError):
-        column.codes[0] = 1  # read-only
+    assert column.codes == b"\x00\x01\x00"  # bytes: immutable
+    # one byte per record, the first record lowest
+    assert column.equal(3) == 0x01_00_01 and column.compare(">", 2) == 0x01_00_01
+    assert column.compare("<", 2) == 0x00_01_00 and column.equal(7) == 0
+    assert compile_mask(parse_predicate("NOT [id] = 3"))(dataset.columns) == 0x00_01_00
+    # wider codes: the smallest unsigned array type that holds them
+    for count, typecode in ((257, "H"), (65_536, "H"), (65_537, "I")):
+        wide = _encode(list(range(count)) + [0])
+        assert type(wide.codes) is array and wide.codes.typecode == typecode
+        assert wide.codes.itemsize == {"H": 2, "I": 4}[typecode]
+        assert codes_list(wide.codes) == [*range(count), 0]
+        assert wide.equal(0) == 1 | 1 << 8 * count
+        assert wide.compare(">=", count - 1) == 1 << 8 * (count - 1)
+    # as many numbers as the rank planes' bytes can hold: a rank past them is no record
+    for count in (255, 65_535):
+        full = _encode(list(range(count)))
+        assert full.compare(">", count - 1) == full.compare(">=", count) == 0
+        assert full.compare("<", count) == full.compare("<=", count - 1) == all_records(count)
 
 
 # --- loader against the row-by-row reference ------------------------------
@@ -752,8 +918,8 @@ def ref_parse_column(cells, kind):
 
 
 def column_form(column, kind):
-    """The column's kind, typed values, codes, canonical codes, and per
-    value the codes of the values equal to it as a dict key."""
+    """The column's kind, typed values, codes, and per value the codes of
+    the values equal to it as a dict key."""
     if column is None:
         return None, kind
     groups = {}
@@ -761,8 +927,7 @@ def column_form(column, kind):
         groups.setdefault(value, []).append(code)
     assert [list(column._equal_codes[v]) for v in column.values] == [
         groups[v] for v in column.values]
-    assert column.canonical_codes.tolist() == [groups[v][0] for v in column.values]
-    return kind, typed(column.values), column.codes.tolist()
+    return kind, typed(column.values), codes_list(column.codes)
 
 
 @st.composite
