@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all kava modules, and the UTF-8 file reader."""
+"""Exception hierarchy shared by all kava modules, and the UTF-8 file reader.
+Every exception here is a KavaError (exit 2) but FragmentError (exit 3)."""
 
 
 class KavaError(Exception):
@@ -152,3 +153,16 @@ class NoDefinedRanges(KavaError):
 
 class DuplicatePrototype(KavaError):
     pass
+
+
+class FragmentError(ValueError):
+    """A fragment that fails its schema: kava built it wrong, so this is no
+    KavaError, and the command exits 3. path leads from the fragment to the
+    value that fails keyword; the message names it as an RFC 6901 pointer."""
+
+    def __init__(self, path, keyword, value):
+        pointer = "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in path)
+        text = repr(value)
+        super().__init__(f"fragment fails its schema at {pointer!r} ({keyword}): "
+                         + (text if len(text) <= 60 else text[:57] + "..."))
+        self.path, self.keyword, self.value = path, keyword, value

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     CyclicScheme,
     ForeignDialect,
+    FragmentError,
     UnknownVariable,
     UnsupportedChannel,
     UnsupportedPredicateShape,
@@ -38,6 +39,8 @@ _KEYWORDS = frozenset({"type", "enum", "required", "additionalProperties", "prop
                        "items", "$ref", "$schema", "title", "description", "$defs"})
 # jsonschema's Draft 2020-12 types; a bool is no number there
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": Number}
+# each byte's set bits, lowest first, as bytes: the garbage collector tracks no bytes
+_BITS = [bytes(b for b in range(8) if byte >> b & 1) for byte in range(256)]
 
 
 @functools.cache
@@ -51,40 +54,51 @@ def channels() -> tuple[str, ...]:
 
 
 def _compile(schema, resolve):
-    """A function telling whether a value meets schema, as Draft 2020-12
-    judges it; resolve(ref) gives the compiled schema a $ref names."""
+    """A function giving None for a value that meets schema, as Draft 2020-12
+    judges it, or its first failure: (path, keyword, value), path the keys and
+    indexes down to the value that fails keyword. The keywords are tried in
+    the order below; resolve(ref) gives the compiled schema a $ref names."""
     if not schema.keys() <= _KEYWORDS:
         raise ValueError(f"unsupported schema keywords: {sorted(schema.keys() - _KEYWORDS)}")
-    checks = []
-    if "type" in schema:
-        cls = _TYPES[schema["type"]]
-        checks.append(lambda v: isinstance(v, cls) and not (cls is Number and isinstance(v, bool)))
-    if "enum" in schema:
-        enum = tuple(schema["enum"])
-        if not all(isinstance(e, str) for e in enum):
-            raise ValueError(f"enum entries other than strings: {enum!r}")
-        checks.append(lambda v: isinstance(v, str) and v in enum)
+    cls = _TYPES[schema["type"]] if "type" in schema else None
+    enum = schema.get("enum")
+    if enum is not None and not all(isinstance(e, str) for e in enum):
+        raise ValueError(f"enum entries other than strings: {enum!r}")
     required = tuple(schema.get("required", ()))
     props = {k: _compile(sub, resolve) for k, sub in schema.get("properties", {}).items()}
     additional = schema.get("additionalProperties", True)
     if not isinstance(additional, bool):
         raise ValueError(f"additionalProperties must be a boolean: {additional!r}")
-    if required or props or not additional:
-        checks.append(lambda v: not isinstance(v, dict) or (
-            all(k in v for k in required)
-            and (additional or v.keys() <= props.keys())
-            and all(k not in props or props[k](x) for k, x in v.items())))
-    if "items" in schema:
-        items = schema["items"]
-        if items.keys() == {"type"} and items["type"] != "number":  # one scan over the rows
-            row = _TYPES[items["type"]]
-            checks.append(lambda v: not isinstance(v, list) or all(map(isinstance, v, repeat(row))))
-        else:
-            ok = _compile(items, resolve)
-            checks.append(lambda v: not isinstance(v, list) or all(map(ok, v)))
-    if "$ref" in schema:
-        checks.append(resolve(schema["$ref"]))
-    return checks[0] if len(checks) == 1 else lambda v: all(check(v) for check in checks)
+    keyed = bool(required or props or not additional)
+    items = schema.get("items")  # rows of one type but number take one isinstance scan
+    row = items and items.keys() == {"type"} and items["type"] != "number" and _TYPES[items["type"]]
+    each = _compile(items, resolve) if items is not None and not row else None
+    ref = resolve(schema["$ref"]) if "$ref" in schema else None
+
+    def check(v):
+        if cls and (not isinstance(v, cls) or cls is Number and isinstance(v, bool)):
+            return (), "type", v
+        if enum is not None and not (isinstance(v, str) and v in enum):
+            return (), "enum", v
+        if keyed and isinstance(v, dict):
+            for k in required:
+                if k not in v:
+                    return (), "required", v
+            if not (additional or v.keys() <= props.keys()):
+                return (), "additionalProperties", v
+            for k, x in v.items():
+                if k in props and (f := props[k](x)):
+                    return (k, *f[0]), f[1], f[2]
+        if row and isinstance(v, list) and not all(map(isinstance, v, repeat(row))):
+            i = next(i for i, x in enumerate(v) if not isinstance(x, row))
+            return (i,), "type", v[i]
+        if each and isinstance(v, list):
+            for i, x in enumerate(v):
+                if f := each(x):
+                    return (i, *f[0]), f[1], f[2]
+        return ref(v) if ref else None
+
+    return check
 
 
 @functools.cache
@@ -104,17 +118,11 @@ def _check():
 
 
 def validate_fragment(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the fragment is malformed. A check
-    compiled from the schema judges it; jsonschema is imported only to raise
-    a full validation's best_match error for a fragment the check refuses."""
-    if _check()(doc):
-        return
-    import jsonschema  # costs a tenth of a second: loaded only to report
-
-    validator = jsonschema.Draft202012Validator(_schema())
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise error
+    """Raise FragmentError, naming the first value that fails and the keyword
+    it fails, if the fragment does not meet the packaged schema. A check
+    compiled once from the schema judges it."""
+    if failure := _check()(doc):
+        raise FragmentError(*failure)
 
 
 def _concept_name(iri, prefixes):
@@ -195,12 +203,8 @@ def encoded_marks_text(
     numbers = {}  # pattern key -> its number, in order of first appearance
     pattern_of = list(map(numbers.setdefault, keys, map(len, repeat(numbers))))
     firsts, distinct = [], []  # per pattern
-    for key in numbers:
-        bits = int.from_bytes(bytes(key), "little")
-        concepts = []
-        while bits:  # the set bits, lowest first
-            concepts.append(concept_texts[(bits & -bits).bit_length() - 1])
-            bits &= bits - 1
+    for key in numbers:  # the set bits, lowest first
+        concepts = [concept_texts[8 * p + b] for p, byte in enumerate(key) for b in _BITS[byte]]
         firsts.append('"concept": ' + (concepts[0] if concepts else '"none"'))
         distinct.append(list(dict.fromkeys(concepts)))
     record_pattern = list(map(pattern_of.__getitem__, idents.codes))

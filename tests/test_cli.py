@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import inspect
 import io
 import json
@@ -11,7 +12,6 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -524,11 +524,11 @@ def test_commands_without_fragments_do_not_import_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path, capsys, monkeypatch):
+def _fragment_exports(tmp_path, out):
+    """export-vis argument lists, one per pattern, each writing to out."""
     data = tmp_path / "obs.csv"
     data.write_text("patientId,glucose,t\n1,150,1\n2,250,2\n3,260,3\n4,100,4\n")
-    out = str(tmp_path / "fragment.json")
-    exports = [
+    return [
         ["export-vis", str(FIXTURES / "gps_scheme.ttl"), "--pattern", "tree", "-o", out],
         ["export-vis", str(FIXTURES / "listing4.ttl"), "--pattern", "threshold", "-o", out],
         ["export-vis", str(FIXTURES / "listing5.ttl"), str(data), "--pattern", "marks",
@@ -536,9 +536,17 @@ def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path, capsys, m
         ["export-vis", str(FIXTURES / "listing5.ttl"), str(data), "--pattern", "aggregate",
          "--concept", "icd10:R73", "-o", out],
     ]
+
+
+# A tree whose names are numbers: its first edge's source fails the schema.
+_BAD_TREE = "internal error: fragment fails its schema at '/edges/0/source' (type): 1\n"
+
+
+def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path):
+    exports = _fragment_exports(tmp_path, str(tmp_path / "fragment.json"))
     # Each fragment goes through the compiled check once, and passes it;
-    # then a tree whose names are numbers fails it, and only then is
-    # jsonschema loaded, to report the failure.
+    # then a tree whose names are numbers fails it, and jsonschema is still
+    # not loaded.
     script = (
         "import json, sys\n"
         "from kava import utilization\n"
@@ -547,12 +555,12 @@ def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path, capsys, m
         "utilization._check = lambda: lambda doc: verdicts.append(check(doc)) or verdicts[-1]\n"
         "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
         "    assert main(argv) == 0, argv\n"
-        "    assert verdicts == [True] * (i + 1), (argv, verdicts)\n"
+        "    assert verdicts == [None] * (i + 1), (argv, verdicts)\n"
         "    assert 'jsonschema' not in sys.modules, ('jsonschema imported', argv)\n"
         "utilization._concept_name = lambda iri, prefixes: 1\n"
         "assert main(json.loads(sys.argv[1])[0]) == 3\n"
-        "assert verdicts[4:] == [False], verdicts\n"
-        "assert 'jsonschema' in sys.modules\n"
+        "assert verdicts[4:] == [(('edges', 0, 'source'), 'type', 1)], verdicts\n"
+        "assert 'jsonschema' not in sys.modules\n"
     )
     root = Path(__file__).parent.parent
     proc = subprocess.run(
@@ -562,15 +570,43 @@ def test_valid_fragments_are_checked_once_without_jsonschema(tmp_path, capsys, m
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # the message is that of a full validation of the fragment the tree
-    # command wrote
-    docs = []
-    monkeypatch.setattr(utilization, "_concept_name", lambda iri, prefixes: 1)
-    monkeypatch.setattr(utilization, "validate_fragment", docs.append)
-    assert main(exports[0]) == 0
-    validator = jsonschema.Draft202012Validator(utilization._schema())
-    error = jsonschema.exceptions.best_match(validator.iter_errors(docs[0]))
-    assert proc.stderr == f"internal error: {error}\n"
+    assert proc.stderr == _BAD_TREE
+
+
+def test_export_vis_runs_with_jsonschema_blocked(tmp_path, capsys):
+    # Every pattern writes the same bytes in an interpreter that cannot
+    # import jsonschema as in this one, where it is importable; a bad tree
+    # exits 3.
+    assert importlib.util.find_spec("jsonschema") is not None
+    blocked = _fragment_exports(tmp_path, str(tmp_path / "blocked.json"))
+    script = (
+        "import json, sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from kava import utilization\n"
+        "from kava.cli import main\n"
+        "written = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    written.append(open(argv[-1], 'rb').read().hex())\n"
+        "utilization._concept_name = lambda iri, prefixes: 1\n"
+        "assert main(json.loads(sys.argv[1])[0]) == 3\n"
+        "print(json.dumps(written))\n"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(blocked)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == _BAD_TREE
+    out = tmp_path / "fragment.json"
+    expected = []
+    for argv in _fragment_exports(tmp_path, str(out)):
+        assert main(argv) == 0
+        expected.append(out.read_bytes().hex())
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
 
 def test_graph_only_commands_do_not_import_numpy(tmp_path):

@@ -16,6 +16,8 @@ from kava import utilization
 from kava.dataset import NUMBER, Schema, load_csv
 from kava.errors import (
     CyclicScheme,
+    FragmentError,
+    KavaError,
     UnknownVariable,
     UnsupportedChannel,
     UnsupportedPredicateShape,
@@ -259,8 +261,20 @@ def test_shipped_schema_is_a_draft_2020_12_schema():
 def test_fragments_validate():
     g, scheme = _gps_scheme()
     validate_fragment(concept_tree_spec(scheme, prefixes=g.prefixes))
-    with pytest.raises(Exception):
+    with pytest.raises(FragmentError):
         validate_fragment({"kind": "nonsense"})
+
+
+def test_fragment_error_names_an_rfc_6901_pointer():
+    # a bad fragment is kava's fault: no KavaError or OSError, which exit 2
+    assert issubclass(FragmentError, ValueError)
+    assert not issubclass(FragmentError, (KavaError, OSError))
+    assert str(FragmentError((), "required", {})) == (
+        "fragment fails its schema at '' (required): {}"
+    )
+    error = FragmentError(("a/b", "m~n", 0), "type", "x" * 100)
+    assert str(error) == "fragment fails its schema at '/a~1b/m~0n/0' (type): '" + "x" * 56 + "..."
+    assert (error.path, error.keyword, error.value) == (("a/b", "m~n", 0), "type", "x" * 100)
 
 
 def test_encoded_marks_rejects_channel_outside_schema():
@@ -389,18 +403,30 @@ def _full_validator():
     return jsonschema.Draft202012Validator(_schema())
 
 
-def _verdict(check, doc):
-    try:
-        check(doc)
-    except jsonschema.ValidationError as exc:
-        return type(exc), exc.message, list(exc.path), exc.validator
-    return None
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
-def _full_check(doc):
+def _best_match(doc):
     error = jsonschema.exceptions.best_match(_full_validator().iter_errors(doc))
-    if error is not None:
-        raise error
+    return tuple(error.path), error.validator
+
+
+def _verdict(doc):
+    """The (path, keyword) of the failure validate_fragment raises for doc, or
+    None; checked against a full validation: doc fails if and only if
+    jsonschema reports an error, and the failure is one of its errors."""
+    errors = {(tuple(e.path), e.validator) for e in _full_validator().iter_errors(doc)}
+    try:
+        validate_fragment(doc)
+    except FragmentError as exc:
+        assert (exc.path, exc.keyword) in errors, (exc.path, exc.keyword, errors)
+        assert exc.value is _at(doc, exc.path)
+        return exc.path, exc.keyword
+    assert not errors, errors
+    return None
 
 
 class _Dict(dict):
@@ -556,34 +582,51 @@ _REGION = {
 }
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        _with(_MARKS, ("kind",), "wrong"),
-        _with(_MARKS, ("kind",), None),
-        _with(_MARKS, ("extra",), 1),
-        _with(_MARKS, ("data", "extra"), 1),
+# Bad fragments and the (path, keyword) of their first failure, which is
+# also the one jsonschema's best_match picks.
+_FAILURES = [
+    (_with(_MARKS, ("kind",), "wrong"), (("kind",), "enum")),
+    (_with(_MARKS, ("kind",), None), ((), "required")),
+    (_with(_MARKS, ("extra",), 1), ((), "additionalProperties")),
+    (_with(_MARKS, ("data", "extra"), 1), (("data",), "additionalProperties")),
+    (
         _with(_MARKS, ("data", "values"), [{"id": 1}, 2, {"id": 3}]),
-        _with(_MARKS, ("data", "values"), [[{"id": 1}]]),
-        _with(_MARKS, ("data", "values"), {"id": 1}),
-        _with(_MARKS, ("data", "values"), "rows"),
-        _with(_MARKS, ("data",), [{"id": 1}]),
-        _with(_MARKS, ("diagnostics",), [{"record": "1"}, "x"]),
-        _with(_MARKS, ("diagnostics",), {"record": "1"}),
+        (("data", "values", 1), "type"),
+    ),
+    (_with(_MARKS, ("data", "values"), [[{"id": 1}]]), (("data", "values", 0), "type")),
+    (_with(_MARKS, ("data", "values"), {"id": 1}), (("data", "values"), "type")),
+    (_with(_MARKS, ("data", "values"), "rows"), (("data", "values"), "type")),
+    (_with(_MARKS, ("data",), [{"id": 1}]), (("data",), "type")),
+    (_with(_MARKS, ("diagnostics",), [{"record": "1"}, "x"]), (("diagnostics", 1), "type")),
+    (_with(_MARKS, ("diagnostics",), {"record": "1"}), (("diagnostics",), "type")),
+    (
         _with(_MARKS, ("encoding",), {"shape": {"field": "concept", "type": "nominal"}}),
+        (("encoding",), "additionalProperties"),
+    ),
+    (
         _with(_MARKS, ("encoding", "color", "type"), "bogus"),
+        (("encoding", "color", "type"), "enum"),
+    ),
+    (
         _with(_with(_MARKS, ("data", "values"), [{"id": 1}, 2]), ("extra",), 1),
-        _with(_REGION, ("region", "lower", "value"), "200"),
-        _with(_REGION, ("region", "lower", "inclusive"), None),
+        ((), "additionalProperties"),
+    ),
+    (_with(_REGION, ("region", "lower", "value"), "200"), (("region", "lower", "value"), "type")),
+    (_with(_REGION, ("region", "lower", "inclusive"), None), (("region", "lower"), "required")),
+    (
         _with(_REGION, ("region", "upper"), {"value": 1, "inclusive": "yes"}),
-    ],
+        (("region", "upper", "inclusive"), "type"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, failure", _FAILURES, ids=[f"doc{i}" for i in range(len(_FAILURES))]
 )
-def test_validate_fragment_reports_what_full_validation_reports(doc):
-    assert _verdict(validate_fragment, _MARKS) is None
-    assert _verdict(validate_fragment, _REGION) is None
-    expected = _verdict(_full_check, doc)
-    assert expected is not None
-    assert _verdict(validate_fragment, doc) == expected
+def test_validate_fragment_reports_what_full_validation_reports(doc, failure):
+    assert _verdict(_MARKS) is None
+    assert _verdict(_REGION) is None
+    assert _verdict(doc) == failure == _best_match(doc)
 
 
 @settings(max_examples=400, deadline=None)
@@ -604,7 +647,7 @@ def test_validate_fragment_reports_what_full_validation_reports(doc):
 @example({"kind": "thresholdRegion", "encoding": {"y": {"datum": np.float64(2.5)}}})
 @example({"kind": "thresholdRegion", "encoding": {"y2": {"datum": np.int64(3)}}})
 def test_validate_fragment_verdict_equals_full_validation(doc):
-    assert _verdict(validate_fragment, doc) == _verdict(_full_check, doc)
+    _verdict(doc)
 
 
 # Edits to the schema that the compiled check could not read, and so must
@@ -627,7 +670,7 @@ _SCHEMA_EDITS = {
 def test_compiling_refuses_a_schema_the_check_cannot_read(monkeypatch, edit):
     edited = copy.deepcopy(_schema())
     monkeypatch.setattr(utilization, "_schema", lambda: edited)
-    assert utilization._check.__wrapped__()(_MARKS)  # the shipped schema compiles
+    assert utilization._check.__wrapped__()(_MARKS) is None  # the shipped schema compiles
     _SCHEMA_EDITS[edit](edited)
     with pytest.raises(ValueError):
         utilization._check.__wrapped__()
@@ -637,9 +680,7 @@ def test_compiling_refuses_a_schema_the_check_cannot_read(monkeypatch, edit):
 @pytest.mark.parametrize("path", [("data", "values"), ("diagnostics",)])
 def test_a_non_object_row_gets_full_validations_error(path, at):
     rows = [{"id": i, "concept": "none"} for i in range(1000)]
-    assert _verdict(validate_fragment, _with(_MARKS, path, rows)) is None
+    assert _verdict(_with(_MARKS, path, rows)) is None
     rows[at] = "not an object"
     doc = _with(_MARKS, path, rows)
-    expected = _verdict(_full_check, doc)
-    assert expected is not None
-    assert _verdict(validate_fragment, doc) == expected
+    assert _verdict(doc) == ((*path, at), "type") == _best_match(doc)
