@@ -28,6 +28,12 @@ are:
   and a store whose query mapping ORs 600 comparisons, one of them under
   300 NOTs and one under 100 parentheses; each meets every edge-case CSV
   through ``manifest``, ``--pattern marks`` and ``--pattern aggregate``;
+- a store with one concept per threshold case: a range with only a
+  minimum, only a maximum, both bounds and equal bounds (a degenerate
+  band), a range over an IRI ``kava:variable``, a query for each operator,
+  a compound query, a string constant, a foreign dialect and a concept
+  with only a direct mapping; each runs through ``--pattern threshold``
+  with no ``--axis-var``, the matching one and a mismatching one;
 - a set of edge-case Turtle stores: one per error the Turtle reader
   reports, and one well-formed store with escapes, comments, an empty
   ``[]``, a trailing ``;``, a statement without predicates and ``[ … ]``
@@ -193,6 +199,23 @@ _LONG_QUERY = " OR ".join(
 MULTI_STORES["long_query.ttl"] = f'icd10:R73 kava:manifest [ kava:matchQuery "{_LONG_QUERY}" ] .\n'
 
 _EX = "@prefix ex: <http://example.org/edge#> .\n"
+# One concept per threshold case (see the docstring)
+_RANGES = {"min": "kava:minValue 2", "max": "kava:maxValue -0.0",
+           "both": "kava:minValue 1 ; kava:maxValue 3.5",
+           "equal": "kava:minValue 4 ; kava:maxValue 4"}
+_QUERIES = {"gt": "[v] > 7", "ge": "[v] >= 7.5", "lt": "[v] < -1", "le": "[v] <= 0",
+            "eq": "[v] = 7", "ne": "[v] != 7", "compound": "[v] > 1 AND [v] < 3",
+            "string": '[v] = \\"a\\"'}
+THRESHOLD_CONCEPTS = [*_RANGES, "iri", *_QUERIES, "foreign", "direct"]
+THRESHOLD_STORE = _EX + "".join(
+    [f'ex:{name} kava:manifest [ kava:matchVariable [ kava:variable "v" ; {bounds} ] ] .\n'
+     for name, bounds in _RANGES.items()]
+    + ["ex:iri kava:manifest [ kava:matchVariable [ kava:variable ex:v ; kava:minValue 1 ] ] .\n"]
+    + [f'ex:{name} kava:manifest [ kava:matchQuery "{text}" ] .\n'
+       for name, text in _QUERIES.items()]
+    + ['ex:foreign kava:manifest [ kava:matchQuery "v > 1" ; kava:queryDialect "sql" ] .\n',
+       'ex:direct kava:manifest [ kava:isPrototype [ kava:variable "v" ; kava:value 1 ] ] .\n']
+)
 _DEPTH = 300
 _LONG = "a" * 40  # a long shared prefix
 EDGE_TTLS = {
@@ -311,7 +334,8 @@ def _bench_case(name, seed, scale, rounds):
 
 def _fixture_case(base: Path, work: Path):
     shutil.copytree(FIXTURES, base / "fixtures")
-    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS, **EDGE_JSONLDS, **MULTI_STORES}.items():
+    for text_name, text in {**EDGE_CSVS, **EDGE_TTLS, **EDGE_JSONLDS, **MULTI_STORES,
+                            "threshold.ttl": THRESHOLD_STORE}.items():
         (base / text_name).write_text(text)
     fixtures = work / "fixtures"
     steps = []
@@ -327,6 +351,11 @@ def _fixture_case(base: Path, work: Path):
     for path, axis in (("listing4.ttl", []), ("listing5.ttl", ["--axis-var", "glucose"])):
         steps.append(["argv", ["export-vis", str(fixtures / path), "--pattern", "threshold",
                                "--concept", "icd10:R73", *axis]])
+    threshold = str(work / "threshold.ttl")
+    for concept in THRESHOLD_CONCEPTS:
+        for axis in ([], ["--axis-var", "v"], ["--axis-var", "w"]):
+            steps.append(["argv", ["export-vis", threshold, "--pattern", "threshold",
+                                   "--concept", f"ex:{concept}", *axis]])
     for text_name in EDGE_CSVS:
         data = str(work / text_name)
         stores = [str(fixtures / "listing5.ttl"), *(str(work / name) for name in MULTI_STORES)]

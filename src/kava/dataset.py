@@ -148,10 +148,9 @@ class Column:
         """Mask of the records whose value v passes ``_compare(v, op, constant)``:
         ``=`` and ``!=`` by a dict lookup, a range against a number by a ``bisect``
         among the ranked numbers, any other by a ``_compare`` per distinct value."""
-        if op in ("=", "!="):
-            typed = self._typed[isinstance(constant, str)]
-            hits = typed & self.equal(constant)
-            return hits if op == "=" else typed ^ hits
+        if op in ("=", "!="):  # what == the constant is of its kind; a None constant == nothing
+            hits = self.equal(constant) if constant is not None else 0
+            return hits if op == "=" else self._typed[isinstance(constant, str)] ^ hits
         ranked = self._ranked
         if ranked is not None and type(constant) in _NUMBER_TYPES and constant == constant:
             numbers, planes, held = ranked

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import reduce
 from itertools import chain, count
 from typing import TYPE_CHECKING
 
@@ -15,7 +16,9 @@ from .errors import (
     MalformedManifestation,
     UnknownVariable,
 )
-from .predicate import all_records, compile_mask, parse_predicate, variables
+from .predicate import (
+    And, Comparison, Not, Or, Predicate, all_records, compile_mask, parse_predicate, variables,
+)
 from .rdf import (
     DEFAULT_PREFIXES,
     BlankNode,
@@ -291,42 +294,46 @@ def evaluate_manifestation(m: Manifestation, dataset: Dataset) -> set:
     return dataset.matched_identifiers(record_mask(m, dataset))
 
 
-def record_mask(m: Manifestation, dataset: Dataset):
-    """Mask of the records the manifestation matches (see ``dataset.Column``).
-
-    Works on the dataset's columns, through Column.equal and Column.compare.
-    Raises ForeignDialect for query mappings in a foreign dialect and
-    UnknownVariable when a referenced variable is not in the schema.
-    """
-    known = set(dataset.schema.names())
-    kind = m.kind
+def kind_predicate(kind: Kind) -> Predicate | None:
+    """The predicate a mapping kind stands for, which record_mask evaluates
+    and utilization.threshold_region_spec draws. A direct mapping ANDs
+    ``[var] = value`` over its bindings, in order (None, every record, for
+    none; for a value of None, that the variable has no value: neither a
+    number, each ``!= nan``, nor a string, each ``>= ""``); a range ANDs
+    ``[v] >= min`` and ``[v] <= max`` over the bounds it has (``[v] != nan``,
+    every number, for neither); a query in kava's dialect is its parsed text.
+    ForeignDialect for another dialect, InvalidKind for no mapping kind."""
     if isinstance(kind, DirectMapping):
-        mask = all_records(len(dataset))
-        for var, value in kind.bindings:
-            if var not in known:
-                raise UnknownVariable(str(var))
-            mask &= dataset.columns[var].equal(value)
-    elif isinstance(kind, IndirectVariableMapping):
-        name = kind.variable_name()
-        if name not in known:
-            raise UnknownVariable(name)
-        lo, hi = kind.min_value, kind.max_value
-        column = dataset.columns[name]
-        # NaN fails every bound test; "!= nan" holds for every number, NaN too
-        mask = column.compare("!=", math.nan) if lo is None else column.compare(">=", lo)
-        if hi is not None:
-            mask &= column.compare("<=", hi)
-    elif isinstance(kind, IndirectQueryMapping):
+        terms = [Comparison(var, "=", value) if value is not None
+                 else Not(Or(Comparison(var, "!=", math.nan), Comparison(var, ">=", "")))
+                 for var, value in kind.bindings]
+        return reduce(And, terms) if terms else None
+    if isinstance(kind, IndirectVariableMapping):
+        v = kind.variable_name()
+        bounds = [Comparison(v, op, bound) for op, bound in
+                  ((">=", kind.min_value), ("<=", kind.max_value)) if bound is not None]
+        return reduce(And, bounds) if bounds else Comparison(v, "!=", math.nan)
+    if isinstance(kind, IndirectQueryMapping):
         if kind.dialect != KAVA_PREDICATE_DIALECT:
             raise ForeignDialect(kind.dialect)
-        pred = parse_predicate(kind.query_text)
-        missing = variables(pred) - known
-        if missing:
-            raise UnknownVariable(", ".join(sorted(missing)))
-        mask = compile_mask(pred)(dataset.columns)
-    else:
-        raise InvalidKind(f"unknown mapping kind: {kind!r}")
-    return mask
+        return parse_predicate(kind.query_text)
+    raise InvalidKind(f"unknown mapping kind: {kind!r}")
+
+
+def record_mask(m: Manifestation, dataset: Dataset):
+    """Mask of the records that pass the kind's predicate (see kind_predicate
+    and ``dataset.Column``), by compile_mask. Raises kind_predicate's errors,
+    then UnknownVariable for a direct mapping's first variable not in the
+    schema, in binding order, or for all of a range's or a query's, sorted."""
+    pred = kind_predicate(m.kind)
+    if pred is None:
+        return all_records(len(dataset))
+    missing = variables(pred) - set(dataset.schema.names())
+    if missing:
+        if isinstance(m.kind, DirectMapping):
+            missing = [next(var for var, _ in m.kind.bindings if var in missing)]
+        raise UnknownVariable(", ".join(sorted(map(str, missing))))
+    return compile_mask(pred)(dataset.columns)
 
 
 def _fresh_bnodes(taken=frozenset()):

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     CyclicScheme,
-    ForeignDialect,
     FragmentError,
     UnknownVariable,
     UnsupportedChannel,
@@ -20,13 +19,14 @@ from .errors import (
 )
 from .jsontext import _encode, _list_text, _row_list, _value_texts, fragment_text
 from .manifestation import (
-    KAVA_PREDICATE_DIALECT,
-    IndirectQueryMapping,
+    DirectMapping,
     IndirectVariableMapping,
+    Kind,
     Manifestation,
+    kind_predicate,
     record_mask,
 )
-from .predicate import Comparison, parse_predicate
+from .predicate import And, Comparison
 from .rdf import shrink
 from .skos import ConceptScheme, has_broader_cycle
 
@@ -279,57 +279,34 @@ def aggregate_mark_spec(
     return doc
 
 
-def _bounds_from_query(kind: IndirectQueryMapping, axis_variable: str):
-    if kind.dialect != KAVA_PREDICATE_DIALECT:
-        raise ForeignDialect(kind.dialect)
-    pred = parse_predicate(kind.query_text)
-    if not isinstance(pred, Comparison):
-        raise UnsupportedPredicateShape(
-            "threshold regions require a single comparison"
-        )
-    if pred.variable != axis_variable:
-        raise UnknownVariable(pred.variable)
-    if isinstance(pred.constant, str):
-        raise UnsupportedPredicateShape("threshold bound must be numeric")
-    v = pred.constant
-    if pred.op in (">", ">="):
-        return {"lower": {"value": v, "inclusive": pred.op == ">="}}
-    if pred.op in ("<", "<="):
-        return {"upper": {"value": v, "inclusive": pred.op == "<="}}
-    if pred.op == "=":
-        return {
-            "lower": {"value": v, "inclusive": True},
-            "upper": {"value": v, "inclusive": True},
-        }
-    raise UnsupportedPredicateShape(f"operator {pred.op!r} has no region form")
+# The sides of the region a comparison bounds, each with whether it holds its bound
+_SIDES = {">": (("lower", False),), ">=": (("lower", True),), "<": (("upper", False),),
+          "<=": (("upper", True),), "=": (("lower", True), ("upper", True))}
 
 
 def threshold_region_spec(kind, axis_variable: str) -> dict:
-    """Background region fragment for a single-variable bound."""
-    if isinstance(kind, IndirectVariableMapping):
-        if kind.variable_name() != axis_variable:
-            raise UnknownVariable(kind.variable_name())
-        region = {}
-        if kind.min_value is not None:
-            region["lower"] = {"value": kind.min_value, "inclusive": True}
-        if kind.max_value is not None:
-            region["upper"] = {"value": kind.max_value, "inclusive": True}
-    elif isinstance(kind, IndirectQueryMapping):
-        region = _bounds_from_query(kind, axis_variable)
-    else:
+    """Background region fragment for a single-variable bound: the region of a
+    range's or a query's predicate (see manifestation.kind_predicate), its one
+    or two ANDed bounds or the query's one comparison; ``!= nan``, a range
+    without bounds, spans the axis. A direct mapping has no region form."""
+    if isinstance(kind, DirectMapping) or not isinstance(kind, Kind):
         raise UnsupportedPredicateShape(f"no region form for {type(kind).__name__}")
-    encoding = {}
-    if "lower" in region:
-        encoding["y"] = {"datum": region["lower"]["value"]}
-    if "upper" in region:
-        encoding["y2"] = {"datum": region["upper"]["value"]}
-    warnings = []
-    if (
-        "lower" in region
-        and "upper" in region
-        and region["lower"]["value"] == region["upper"]["value"]
-    ):
-        warnings.append("degenerate zero-height band")
+    pred = kind_predicate(kind)
+    ranged = isinstance(kind, IndirectVariableMapping) and isinstance(pred, And)
+    region = {}
+    for c in (pred.left, pred.right) if ranged else (pred,):
+        if not isinstance(c, Comparison):
+            raise UnsupportedPredicateShape("threshold regions require a single comparison")
+        if c.variable != axis_variable:
+            raise UnknownVariable(c.variable)
+        if isinstance(c.constant, str):
+            raise UnsupportedPredicateShape("threshold bound must be numeric")
+        if c.op not in _SIDES and not (c.op == "!=" and c.constant != c.constant):
+            raise UnsupportedPredicateShape(f"operator {c.op!r} has no region form")
+        for side, inclusive in _SIDES.get(c.op, ()):
+            region[side] = {"value": c.constant, "inclusive": inclusive}
+    encoding = {channel: {"datum": region[side]["value"]}
+                for side, channel in (("lower", "y"), ("upper", "y2")) if side in region}
     doc = {
         "kind": "thresholdRegion",
         "mark": "rect",
@@ -337,7 +314,7 @@ def threshold_region_spec(kind, axis_variable: str) -> dict:
         "region": region,
         "encoding": encoding,
     }
-    if warnings:
-        doc["warnings"] = warnings
+    if len(region) == 2 and region["lower"]["value"] == region["upper"]["value"]:
+        doc["warnings"] = ["degenerate zero-height band"]
     validate_fragment(doc)
     return doc

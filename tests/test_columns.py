@@ -423,6 +423,11 @@ def _cycled(count):
 @example(_MANY_MATCHED, _cycled(0))
 @example(_MANY_MATCHED, _cycled(9))
 @example(_MANY_MATCHED, _cycled(17))
+# no binding matches every record, a binding to None the records without a
+# value, and a range with neither bound every record that holds a number
+@example(_MANY_MATCHED, [Manifestation(CONCEPTS[0], DirectMapping(())),
+                         Manifestation(CONCEPTS[1], DirectMapping((("v", None), ("s", None)))),
+                         Manifestation(CONCEPTS[2], IndirectVariableMapping("v"))])
 def test_evaluate_and_marks_match_per_record_reference(dataset, manifestations):
     for m in manifestations:
         got = outcome(evaluate_manifestation, m, dataset)

@@ -16,6 +16,7 @@ from kava import utilization
 from kava.dataset import NUMBER, Schema, load_csv
 from kava.errors import (
     CyclicScheme,
+    ForeignDialect,
     FragmentError,
     KavaError,
     UnknownVariable,
@@ -24,6 +25,7 @@ from kava.errors import (
 )
 from kava.jsontext import fragment_text
 from kava.manifestation import (
+    DirectMapping,
     IndirectQueryMapping,
     IndirectVariableMapping,
     create_manifestation,
@@ -235,6 +237,77 @@ def test_threshold_rejects_compound():
 def test_threshold_axis_variable_mismatch():
     with pytest.raises(UnknownVariable):
         threshold_region_spec(IndirectVariableMapping("v", 1, None), "other")
+
+
+def _region(lower=None, upper=None):
+    """A region's bounds, lower first, as (value, inclusive) pairs."""
+    sides = {"lower": lower, "upper": upper}
+    return {side: {"value": b[0], "inclusive": b[1]} for side, b in sides.items() if b}
+
+
+@pytest.mark.parametrize(
+    "op, region",
+    [(">", _region(lower=(7, False))), (">=", _region(lower=(7, True))),
+     ("<", _region(upper=(7, False))), ("<=", _region(upper=(7, True))),
+     ("=", _region((7, True), (7, True)))],
+)
+def test_threshold_region_of_each_query_operator(op, region):
+    doc = threshold_region_spec(IndirectQueryMapping(f"[v] {op} 7"), "v")
+    assert doc["region"] == region
+    assert doc["encoding"] == {channel: {"datum": 7} for channel, side
+                               in (("y", "lower"), ("y2", "upper")) if side in region}
+    assert ("warnings" in doc) == (op == "=")
+
+
+@pytest.mark.parametrize("lo, hi", [(2.5, None), (None, -0.0), (1, 3), (4, 4)])
+def test_threshold_region_of_a_range_is_its_bounds_as_queries(lo, hi):
+    doc = threshold_region_spec(IndirectVariableMapping("v", lo, hi), "v")
+    assert doc["region"] == _region(None if lo is None else (lo, True),
+                                    None if hi is None else (hi, True))
+    assert list(doc["region"]) == [side for side, b in (("lower", lo), ("upper", hi))
+                                   if b is not None]
+    for op, bound in ((">=", lo), ("<=", hi)):
+        if bound is not None and (lo is None or hi is None):
+            query = threshold_region_spec(IndirectQueryMapping(f"[v] {op} {bound}"), "v")
+            assert json.dumps(query) == json.dumps(doc)
+
+
+def test_threshold_region_of_a_range_without_bounds_spans_the_axis():
+    doc = threshold_region_spec(IndirectVariableMapping("v"), "v")
+    assert doc["region"] == {} and doc["encoding"] == {} and "warnings" not in doc
+    with pytest.raises(UnknownVariable, match="^v$"):
+        threshold_region_spec(IndirectVariableMapping("v"), "w")
+
+
+@pytest.mark.parametrize(
+    "kind, axis, error, message",
+    [
+        (DirectMapping((("v", 1),)), "v", UnsupportedPredicateShape,
+         "no region form for DirectMapping"),
+        (DirectMapping(()), "v", UnsupportedPredicateShape, "no region form for DirectMapping"),
+        ("[v] > 1", "v", UnsupportedPredicateShape, "no region form for str"),
+        (IndirectQueryMapping("[v] != 7"), "v", UnsupportedPredicateShape,
+         "operator '!=' has no region form"),
+        (IndirectQueryMapping("[v] > 1 AND [v] < 3"), "v", UnsupportedPredicateShape,
+         "threshold regions require a single comparison"),
+        (IndirectQueryMapping("NOT [v] > 1"), "v", UnsupportedPredicateShape,
+         "threshold regions require a single comparison"),
+        (IndirectQueryMapping('[v] > "a"'), "v", UnsupportedPredicateShape,
+         "threshold bound must be numeric"),
+        (IndirectQueryMapping("[v] > 1"), "w", UnknownVariable, "v"),
+        (IndirectVariableMapping("v", 1, 3), "w", UnknownVariable, "v"),
+        (IndirectVariableMapping(Iri("http://example.org/x#glucose"), 1), "v", UnknownVariable,
+         "glucose"),
+        (IndirectQueryMapping("[v] > 1", "sql"), "v", ForeignDialect,
+         "query dialect 'sql' is not evaluable locally"),
+    ],
+    ids=["direct", "no-binding", "no-kind", "not-equal", "compound", "not", "string",
+         "query-axis", "range-axis", "iri-axis", "foreign"],
+)
+def test_threshold_refusals_name_their_cause(kind, axis, error, message):
+    with pytest.raises(error) as caught:
+        threshold_region_spec(kind, axis)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_published_schema_in_sync():

@@ -154,3 +154,12 @@ def test_records_parse_numbers_of_predicate_constants_only(data_ladder, op):
     for stats in data_ladder[0][("records", op)]:
         calls = _calls(stats, "predicate", "parse_number")
         assert calls <= MAX_NUMBER_PARSES, f"{calls} parse_number calls"
+
+
+@pytest.mark.parametrize("op", ["read", "render"], ids=["manifest", "export-vis marks"])
+def test_records_parse_each_query_at_most_twice(data_ladder, op):
+    # the load checks each native query, and evaluation reads it once more
+    for stats in data_ladder[0][("records", op)]:
+        queries = _calls(stats, "manifestation", "_load_indirect_query")
+        parses = _calls(stats, "predicate", "parse_predicate")
+        assert queries == 10 and parses <= 2 * queries, f"{parses} parses of {queries} queries"
